@@ -49,7 +49,6 @@ from .flow import (
     interpolate_constant,
     interpolate_linear,
     mm_step,
-    navier_diagnostic,
     run_flow,
     symmetry_residual,
     touch_window,

@@ -23,7 +23,7 @@ from . import discretization as disc
 from . import flow as fl
 from . import rearrange as re_
 from . import specialfn as sf
-from .config import RunConfig, load_config, parse_config
+from .config import RunConfig, load_config, parse_config, read_json
 from .errors import BendflowError, ConfigError, ConvergenceError
 from .svgplot import emit_plot
 from .validate import run_validation
@@ -59,7 +59,7 @@ def _write_snapshot_csv(path, u: disc.GridFunction, psi: disc.GridFunction) -> N
             wr.writerow([_F(x), _F(uv), _F(pv), _F(uv - pv)])
 
 
-def _simulate_one(cfg: RunConfig, out_dir: Path, seed: int,
+def _simulate_one(cfg: RunConfig, out_dir: Path,
                   resume: Path | None = None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     obstacle = cfg.build_obstacle()
@@ -116,7 +116,6 @@ def _simulate_one(cfg: RunConfig, out_dir: Path, seed: int,
         "warnings": list(traj.warnings),
         "steps": traj.n_steps + steps_offset,
         "t_final": traj.t_end + t_offset,
-        "rng": {"name": "numpy-PCG64", "seed": seed},
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -130,7 +129,7 @@ def _cmd_simulate(args) -> int:
     if args.allow_invalid_obstacle:
         cfg.allow_invalid_obstacle = True
     resume = Path(args.resume) if args.resume else None
-    summary = _simulate_one(cfg, Path(args.out), args.seed, resume=resume)
+    summary = _simulate_one(cfg, Path(args.out), resume=resume)
     print(f"final energy {summary['final_energy']:.15g} after "
           f"{summary['steps']} steps (t = {summary['t_final']:.15g})")
     if summary["l0_window"] is not None:
@@ -228,15 +227,14 @@ def _cmd_validate(args) -> int:
 
 
 def _run_case(payload):
-    name, case_data, out_root, seed = payload
+    name, case_data, out_root = payload
     cfg = parse_config(case_data)
-    summary = _simulate_one(cfg, Path(out_root) / name, seed)
+    summary = _simulate_one(cfg, Path(out_root) / name)
     return name, summary["final_energy"]
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        data = json.load(fh)
+    data = read_json(args.config)
     if not isinstance(data, dict) or "cases" not in data:
         raise ConfigError("sweep config needs a 'cases' object of run configs")
     base = data.get("base", {})
@@ -252,12 +250,10 @@ def _cmd_sweep(args) -> int:
             else:
                 merged[key] = val
         parse_config(merged)  # fail fast on config errors, before spawning
-        jobs.append((name, merged, args.out, args.seed))
-    results = []
+        jobs.append((name, merged, args.out))
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
         for name, e in pool.map(_run_case, jobs):
             print(f"{name}: final energy {e:.15g}")
-            results.append((name, e))
     return 0
 
 
@@ -274,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a flow from a JSON config")
     ps.add_argument("--config", required=True, help="JSON run configuration")
     ps.add_argument("--out", default="out", help="output directory")
-    ps.add_argument("--seed", type=int, default=0, help="rng seed recorded "
-                    "in the summary")
     ps.add_argument("--allow-invalid-obstacle", action="store_true",
                     help="accept obstacles violating the sign assumption")
     ps.add_argument("--resume", default=None,
@@ -312,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="JSON with 'base' config and named 'cases' overrides")
     pw.add_argument("--out", default="sweep_out")
     pw.add_argument("--jobs", type=int, default=None)
-    pw.add_argument("--seed", type=int, default=0)
     pw.set_defaults(handler=_cmd_sweep)
     return p
 

@@ -171,14 +171,18 @@ def parse_config(data: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration. Unknown keys are errors."""
+def read_json(path):
+    """Open and parse a JSON file; a missing or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: JSON parse error at line {err.lineno}: "
                           f"{err.msg}") from err
     except OSError as err:
         raise ConfigError(f"{path}: {err}") from err
-    return parse_config(data)
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a JSON run configuration. Unknown keys are errors."""
+    return parse_config(read_json(path))

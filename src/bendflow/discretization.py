@@ -68,10 +68,6 @@ class GridFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, grid: UniformGrid, fn) -> "GridFunction":
-        return cls(grid, np.array([fn(x) for x in grid.nodes], dtype=float))
-
-    @classmethod
     def from_symmetric_half(cls, grid: UniformGrid, left_values) -> "GridFunction":
         """Build u(x) = u(1-x) from values on nodes 0..floor(n/2).
 
@@ -155,14 +151,24 @@ def constant_obstacle(level: float, grid: UniformGrid) -> Obstacle:
 # stencils and quadrature
 # ---------------------------------------------------------------------------
 
-def trapezoid_weights(grid: UniformGrid) -> np.ndarray:
-    w = np.full(grid.n + 1, grid.h)
-    w[0] = w[-1] = grid.h / 2.0
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n + 1, h)
+    w[0] = w[-1] = h / 2.0
     return w
 
 
+def trapezoid_weights(grid: UniformGrid) -> np.ndarray:
+    return _trapezoid_weights(grid.n, grid.h)
+
+
 def _derivative_tables(u: np.ndarray, h: float):
-    """(u', u'') at every node: central interior, second-order one-sided ends."""
+    """(u', u'') at every node: central interior, second-order one-sided ends.
+
+    The only place the difference stencils are applied to an iterate. The
+    energy, gradient and Hessian kernels take these tables instead of u, so
+    a caller that needs several of them at one point builds the tables once
+    and hands the same pair to each.
+    """
     n = len(u) - 1
     up = np.empty(n + 1)
     up[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
@@ -193,15 +199,17 @@ def second_diff(u: GridFunction) -> np.ndarray:
 
 
 def end_second_diffs(u: GridFunction) -> tuple[float, float]:
-    """One-sided second-order estimates of u'' at x=0 and x=1."""
+    """|u''| at x=0 and x=1 from one-sided second-order stencils.
+
+    Converged flow iterates approach the natural conditions u''(0) = u''(1)
+    = 0, so these decay with h; generic functions give O(1) values.
+    """
     _, upp = _derivative_tables(u.values, u.grid.h)
     return float(abs(upp[0])), float(abs(upp[-1]))
 
 
-def _energy_raw(u: np.ndarray, h: float) -> float:
-    up, upp = _derivative_tables(u, h)
+def _energy_raw(up: np.ndarray, upp: np.ndarray, h: float) -> float:
     q = upp**2 * (1.0 + up**2) ** -2.5
-    n = len(u) - 1
     return float(h * (0.5 * q[0] + q[1:-1].sum() + 0.5 * q[-1]))
 
 
@@ -212,24 +220,23 @@ def energy(u: GridFunction) -> float:
     """
     if not np.all(np.isfinite(u.values)):
         raise DomainError("non-finite nodal values")
-    return _energy_raw(u.values, u.grid.h)
+    h = u.grid.h
+    return _energy_raw(*_derivative_tables(u.values, h), h)
 
 
-def _energy_gradient_raw(u: np.ndarray, h: float) -> np.ndarray:
+def _energy_gradient_raw(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
     """Exact nodal gradient of E_h with respect to the trapezoid inner product.
 
     Returns g with sum_j w_j g_j phi_j = d/de E_h(u + e phi)|_0 for any phi
     vanishing at the ends; endpoint components are fixed to 0 (Dirichlet).
     Assembled through stencil adjoints in palindromic form.
     """
-    n = len(u) - 1
-    up, upp = _derivative_tables(u, h)
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2.0
-    gam = (1.0 + up**2) ** -2.5
+    n = len(up) - 1
+    w = _trapezoid_weights(n, h)
+    s = 1.0 + up**2
     # dE/d(upp_i) and dE/d(up_i)
-    alpha = 2.0 * w * upp * gam
-    beta = -5.0 * w * upp**2 * up * (1.0 + up**2) ** -3.5
+    alpha = 2.0 * w * upp * s**-2.5
+    beta = -5.0 * w * upp**2 * up * s**-3.5
 
     g = np.zeros(n + 1)
     a = np.zeros(n + 3)            # a[1+i] = alpha_i on interior rows
@@ -257,26 +264,28 @@ def energy_gradient(u: GridFunction) -> GridFunction:
     Pairing with the trapezoid inner product reproduces directional
     derivatives of E_h exactly (up to roundoff), see `first_variation`.
     """
-    return GridFunction(u.grid, _energy_gradient_raw(u.values, u.grid.h))
+    h = u.grid.h
+    return GridFunction(u.grid,
+                        _energy_gradient_raw(*_derivative_tables(u.values, h), h))
 
 
 _HESS_BW = 3  # band half-width of the energy Hessian (one-sided end rows)
 
 
-def _energy_hessian_bands(u: np.ndarray, h: float) -> np.ndarray:
+def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
     """Exact Euclidean Hessian d^2 E_h / du_j du_k as a symmetric band array.
 
     Storage: ab[_HESS_BW + (j - k), k] = H[j, k]. The integrand is smooth in
     the nodal values, so the Hessian exists everywhere; it is indefinite in
     general (the energy is nonconvex).
     """
-    n = len(u) - 1
-    up, upp = _derivative_tables(u, h)
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2.0
-    g1 = -5.0 * up * (1.0 + up**2) ** -3.5
-    g2 = -5.0 * (1.0 + up**2) ** -3.5 + 35.0 * up**2 * (1.0 + up**2) ** -4.5
-    ca = 2.0 * w * (1.0 + up**2) ** -2.5      # (grad B)(grad B)^T
+    n = len(up) - 1
+    w = _trapezoid_weights(n, h)
+    s = 1.0 + up**2
+    s35 = s**-3.5
+    g1 = -5.0 * up * s35
+    g2 = -5.0 * s35 + 35.0 * up**2 * s**-4.5
+    ca = 2.0 * w * s**-2.5                    # (grad B)(grad B)^T
     cb = 2.0 * w * upp * g1                   # symmetric B-P coupling
     cc = w * upp**2 * g2                      # (grad P)(grad P)^T
     ab = np.zeros((2 * _HESS_BW + 1, n + 1))

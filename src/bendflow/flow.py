@@ -22,6 +22,12 @@ residual-decrease acceptance once Phi differences fall below floating-point
 resolution. Every linear solve is mirror-averaged and every stencil is
 palindromic, so the whole step commutes with grid reversal exactly in
 floating point; symmetric data therefore stays symmetric to the bit.
+
+One stencil pass per trial point: the step builds the tables (u', u'') of
+each trial point once, and every consumer at that point reads them: Phi,
+the KKT arrays, the residual floor of the starting point and, once the
+point is accepted, the next Hessian. Within a step `_derivative_tables`
+therefore runs exactly as often as `_energy_raw`.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from .discretization import (
     _energy_gradient_raw,
     _energy_hessian_bands,
     _energy_raw,
+    _trapezoid_weights,
+    energy,
     trapezoid_weights,
 )
 from .errors import DomainError, StepConvergenceError
@@ -187,23 +195,23 @@ def _pin_active(ab: np.ndarray, rhs: np.ndarray, act: np.ndarray,
     rhs[idx] = -gap[idx]
 
 
-def _residual_floor(v: np.ndarray, h: float, tau: float) -> float:
+def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> float:
     """Smallest meaningful stationarity residual at this state.
 
     Nodal values carry relative rounding eps, so the best representable
     point near the true minimizer has a residual of about
     ||hessian|| * eps * ||v||; certifying below that is noise. The row-sum
     bound 32/h^4 covers the leading fourth-order block, the u''-dependent
-    term the first-order coupling, and 1/tau the proximal part.
+    term the first-order coupling, and 1/tau the proximal part. `upp` is
+    u'' of v from `_derivative_tables`.
     """
-    _, upp = _derivative_tables(v, h)
     row_bound = 32.0 / h**4 + 20.0 * float(np.max(upp**2)) / h**2 + 1.0 / tau
     amp = max(float(np.max(np.abs(v))), h * h)
     return np.finfo(float).eps * row_bound * amp
 
 
-def _kkt_arrays(v, f, psi, h, tau, floor_over_tol: float = 0.0):
-    ge = _energy_gradient_raw(v, h)
+def _kkt_arrays(v, tables, f, psi, h, tau, floor_over_tol: float = 0.0):
+    ge = _energy_gradient_raw(*tables, h)
     udot = (v - f) / tau
     r = ge + udot
     r[0] = r[-1] = 0.0
@@ -223,17 +231,19 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
     """
     n = len(f) - 1
     tau = cfg.tau
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2.0
+    w = _trapezoid_weights(n, h)
 
-    def phi_val(u):
-        return _energy_raw(u, h) + 0.5 / tau * float(np.sum(w * (u - f) ** 2))
+    def trial(u):
+        """Stencil tables of u and Phi(u) evaluated from them."""
+        tables = _derivative_tables(u, h)
+        return tables, (_energy_raw(*tables, h)
+                        + 0.5 / tau * float(np.sum(w * (u - f) ** 2)))
 
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
-    pv = phi_val(v)
-    fot = _residual_floor(v, h, tau) / cfg.inner_tol
-    r, pi, scale = _kkt_arrays(v, f, psi, h, tau, fot)
+    tv, pv = trial(v)
+    fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
+    r, pi, scale = _kkt_arrays(v, tv, f, psi, h, tau, fot)
     nit = 0
     for _ in range(cfg.inner_max_iter):
         pimax = float(np.max(np.abs(pi)))
@@ -241,7 +251,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
             break
         nit += 1
 
-        ab_full = _energy_hessian_bands(v, h)
+        ab_full = _energy_hessian_bands(*tv, h)
         ab_full[_BW, :] += w / tau
         ab = _interior_bands(ab_full, n)
         gap = (v - psi)[1:n]
@@ -272,11 +282,11 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
         for _ in range(40):
             vt = np.maximum(psi, v + alpha * d)
             vt[0] = vt[-1] = 0.0
-            pt = phi_val(vt)
+            tt, pt = trial(vt)
             dec = float(np.sum(w * r * (vt - v)))
             if pt <= pv + cfg.armijo_c * dec and pt < pv:
-                v, pv = vt, pt
-                r, pi, scale = _kkt_arrays(v, f, psi, h, tau, fot)
+                v, tv, pv = vt, tt, pt
+                r, pi, scale = _kkt_arrays(v, tv, f, psi, h, tau, fot)
                 moved = True
                 break
             alpha *= cfg.backtrack
@@ -288,11 +298,11 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
             for _ in range(40):
                 vt = np.maximum(psi, v + alpha * d)
                 vt[0] = vt[-1] = 0.0
-                pt = phi_val(vt)
-                rt, pit, st = _kkt_arrays(vt, f, psi, h, tau, fot)
+                tt, pt = trial(vt)
+                rt, pit, st = _kkt_arrays(vt, tt, f, psi, h, tau, fot)
                 if (pt <= pv + 1e-13 * max(1.0, abs(pv))
                         and float(np.max(np.abs(pit))) <= 0.9 * pimax):
-                    v, pv = vt, min(pt, pv)
+                    v, tv, pv = vt, tt, min(pt, pv)
                     r, pi, scale = rt, pit, st
                     moved = True
                     break
@@ -373,7 +383,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
         raise DomainError("initial datum must vanish at the endpoints")
 
     traj = Trajectory(grid=grid, obstacle=obstacle, tau=cfg.tau)
-    e0 = _energy_raw(u0.values, grid.h)
+    e0 = energy(u0)
     threshold = c0() ** 2 / 4.0
     if e0 >= threshold:
         traj.warnings.append(
@@ -419,7 +429,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
         dn = float(np.sqrt(np.sum(w * (un.values - u.values) ** 2)))
         times.append((k + 1) * cfg.tau)
         iterates.append(un)
-        energies.append(_energy_raw(un.values, grid.h))
+        energies.append(energy(un))
         step_norms.append(dn)
         counts.append(int(np.sum((un.values - psi) <= ctol)))
         inner.append(report.inner_iterations)
@@ -556,16 +566,6 @@ def touch_window(e0: float, inf_energy: float) -> float:
     s = g_inv(math.sqrt(e0))
     denom = 5.0 / (1.0 + s * s) - 3.0
     return s * s / (2.0 * inf_energy) / denom
-
-
-def navier_diagnostic(u: GridFunction) -> tuple[float, float]:
-    """|u''| at both ends from one-sided second-order stencils.
-
-    Converged flow iterates approach the natural conditions u''(0) = u''(1)
-    = 0, so these decay with h; generic functions give O(1) values.
-    """
-    from .discretization import end_second_diffs
-    return end_second_diffs(u)
 
 
 def symmetry_residual(u: GridFunction) -> float:

@@ -14,8 +14,6 @@ rearrangement u_*.
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ from .discretization import (
     first_diff,
     l2_norm,
     second_diff,
-    trapezoid_weights,
 )
 from .errors import DomainError
 from .specialfn import c0, g, g_inv
@@ -95,7 +92,7 @@ def talenti_inequality_check(u: GridFunction, tol_mesh: float | None = None
     error both sides of the inequality carry.
     """
     v = u.values
-    n, h = u.grid.n, u.grid.h
+    h = u.grid.h
     if v[0] != 0.0 or v[-1] != 0.0:
         raise DomainError("candidate must vanish at the endpoints")
     if np.any(v < -1e-12):

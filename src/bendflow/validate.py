@@ -136,7 +136,7 @@ def check_uc_energy() -> CheckResult:
 def check_gradient_consistency(n_pairs: int = 20) -> CheckResult:
     rng = np.random.default_rng(42)
     grid = disc.UniformGrid(200)
-    h = grid.h
+    w = disc.trapezoid_weights(grid)
     worst = 0.0
     for _ in range(n_pairs):
         u = rng.standard_normal(grid.n + 1)
@@ -146,14 +146,12 @@ def check_gradient_consistency(n_pairs: int = 20) -> CheckResult:
         phi[0] = phi[-1] = 0.0
         gf = disc.GridFunction(grid, u)
         ge = disc.energy_gradient(gf).values
-        w = disc.trapezoid_weights(grid)
         analytic = float(np.sum(w * ge * phi))
         eps = 1e-6
         up = disc.GridFunction(grid, u + eps * phi)
         um = disc.GridFunction(grid, u - eps * phi)
         fd = (disc.energy(up) - disc.energy(um)) / (2.0 * eps)
         worst = max(worst, abs(fd - analytic) / max(1e-30, abs(fd)))
-    del h
     return CheckResult(
         "gradient_consistency", worst < 1e-5,
         {"max_rel_error": worst, "pairs": n_pairs},
@@ -164,9 +162,7 @@ def check_gradient_consistency(n_pairs: int = 20) -> CheckResult:
 @dataclass
 class _ConeRun:
     traj: fl.Trajectory
-    u0: disc.GridFunction
     cfg: fl.FlowConfig
-    obstacle: disc.Obstacle
 
 
 def make_cone_run(t_end: float = 2.0, n: int = 200, tau: float = 1e-3,
@@ -180,7 +176,7 @@ def make_cone_run(t_end: float = 2.0, n: int = 200, tau: float = 1e-3,
         raise BendflowError("initial energy must stay below G(2)^2 here")
     cfg = fl.FlowConfig(tau=tau, t_end=t_end, inner_tol=1e-8)
     traj = fl.run_flow(u0, obstacle, cfg)
-    return _ConeRun(traj=traj, u0=u0, cfg=cfg, obstacle=obstacle)
+    return _ConeRun(traj=traj, cfg=cfg)
 
 
 def check_flow_inequalities(run: _ConeRun) -> CheckResult:
@@ -388,7 +384,7 @@ def check_navier(ns=(100, 200, 400), tau: float = 1e-4, steps: int = 20
         obstacle = disc.constant_obstacle(-1.0, grid)
         cfg = fl.FlowConfig(tau=tau, t_end=steps * tau, inner_tol=1e-10)
         traj = fl.run_flow(u0, obstacle, cfg)
-        d0, d1 = fl.navier_diagnostic(traj.iterates[-1])
+        d0, d1 = disc.end_second_diffs(traj.iterates[-1])
         vals[n] = max(d0, d1)
     ns_arr = np.array(sorted(vals))
     slope = -np.polyfit(np.log(ns_arr), np.log([max(vals[n], 1e-300)

@@ -138,10 +138,8 @@ def test_cli_simulate_outputs_and_determinism(tmp_path, capsys):
                        "plot_svg": "plot.svg"}
     cfg_path = write_cfg(tmp_path, data)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out1),
-                 "--seed", "3"]) == 0
-    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
-                 "--seed", "3"]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2)]) == 0
     capsys.readouterr()
     for name in ("traj.csv", "summary.json", "plot.svg", "final.csv",
                  "snapshot_t0.005.csv"):
@@ -157,6 +155,7 @@ def test_cli_simulate_outputs_and_determinism(tmp_path, capsys):
     for key in ("final_energy", "dissipation_lhs", "dissipation_rhs",
                 "touched_at_step", "l0_window", "warnings"):
         assert key in summary
+    assert "rng" not in summary  # no simulate path draws random numbers
     with open(out1 / "snapshot_t0.005.csv") as fh:
         snap = list(csv.reader(fh))
     assert snap[0] == ["x", "u", "psi", "gap"]
@@ -213,6 +212,16 @@ def test_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
     for name in ("short", "taller"):
         assert (tmp_path / "runs" / name / "summary.json").exists()
+
+
+def test_cli_sweep_bad_config_file_exits_2(tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"base": {}, "cases": ')
+    for path in (malformed, tmp_path / "missing.json"):
+        assert main(["sweep", "--config", str(path), "--out",
+                     str(tmp_path / "runs")]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_validate_quick(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bendflow import (
     DomainError,
@@ -23,6 +25,13 @@ from bendflow import (
     u_c_profile,
     write_profile_csv,
 )
+from bendflow.discretization import (
+    _HESS_BW,
+    _derivative_tables,
+    _energy_gradient_raw,
+    _energy_hessian_bands,
+)
+from bendflow.flow import _mirror_bands
 from bendflow.specialfn import g
 
 from conftest import mirrored, simpson_adaptive
@@ -153,6 +162,50 @@ def test_reversal_equivariance_exact():
     assert np.array_equal(energy_gradient(rev).values,
                           energy_gradient(gf).values[::-1])
     assert abs(energy(rev) - energy(gf)) <= 1e-14 * max(1.0, energy(gf))
+
+
+def _dense_from_bands(ab):
+    """H[j, k] = ab[_HESS_BW + (j - k), k], zero outside the band."""
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for off in range(-_HESS_BW, _HESS_BW + 1):
+        cols = np.arange(max(0, -off), min(size, size - off))
+        dense[cols + off, cols] = ab[_HESS_BW + off, cols]
+    return dense
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1))
+def test_hessian_bands_fd_symmetry_and_reversal(n, seed):
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(n)
+    x = grid.nodes
+    u = sum(rng.uniform(-0.3, 0.3) * np.sin(k * np.pi * x) for k in range(1, 5))
+    u = u + 1e-3 * rng.standard_normal(n + 1)
+    u[0] = u[-1] = 0.0
+    h = grid.h
+    w = trapezoid_weights(grid)
+
+    def euclid_grad(v):
+        return w * _energy_gradient_raw(*_derivative_tables(v, h), h)
+
+    ab = _energy_hessian_bands(*_derivative_tables(u, h), h)
+    dense = _dense_from_bands(ab)
+    # the raw gradient pins its end rows to 0, so compare interior rows
+    eps = 1e-6
+    fd = np.empty((n + 1, n + 1))
+    for k in range(n + 1):
+        e = np.zeros(n + 1)
+        e[k] = eps
+        fd[:, k] = (euclid_grad(u + e) - euclid_grad(u - e)) / (2.0 * eps)
+    err = np.max(np.abs(fd[1:n] - dense[1:n]))
+    assert err <= 1e-6 * np.max(np.abs(dense[1:n]))
+    # Symmetric to rounding, not to the bit: the one-sided end rows form
+    # (a * b1) * b2 and (a * b2) * b1, which can differ in the last place.
+    asym = np.max(np.abs(dense - dense.T))
+    assert asym <= 8.0 * np.finfo(float).eps * np.max(np.abs(dense))
+    ab_rev = _energy_hessian_bands(*_derivative_tables(u[::-1].copy(), h), h)
+    assert np.array_equal(ab_rev, _mirror_bands(ab))
 
 
 def test_first_variation_basics(grid200):

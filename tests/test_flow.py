@@ -13,6 +13,7 @@ from bendflow import (
     cone_obstacle,
     constant_obstacle,
     dissipation_report,
+    end_second_diffs,
     energy,
     energy_gradient,
     g,
@@ -21,7 +22,6 @@ from bendflow import (
     interpolate_linear,
     l2_norm,
     mm_step,
-    navier_diagnostic,
     run_flow,
     symmetry_residual,
     table_obstacle,
@@ -106,6 +106,32 @@ def test_mm_step_nonconvergence_carries_partial():
     with pytest.raises(StepConvergenceError) as excinfo:
         run_flow(u0, obstacle, cfg)
     assert excinfo.value.step_index == 0
+
+
+def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
+    """Within a step every consumer at a trial point reads the tables built
+    for its Phi evaluation, so the stencils run once per Phi evaluation."""
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    traj, cfg, obstacle, u0 = cone_run
+    counts = {"_derivative_tables": 0, "_energy_raw": 0}
+    for name in counts:
+        original = getattr(disc_mod, name)
+
+        def counted(*args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(*args)
+        for mod in (disc_mod, flow_mod):
+            monkeypatch.setattr(mod, name, counted)
+
+    for start, newton in ((traj.iterates[-1], False), (u0, True)):
+        for name in counts:
+            counts[name] = 0
+        _, report = mm_step(start, obstacle, cfg)
+        assert (report.inner_iterations > 0) == newton
+        assert counts["_energy_raw"] >= 1
+        assert counts["_derivative_tables"] == counts["_energy_raw"]
 
 
 def test_run_flow_constant_trajectory():
@@ -250,9 +276,9 @@ def test_touch_window_formula_and_preconditions():
 
 def test_navier_diagnostic_values():
     grid = UniformGrid(200)
-    assert navier_diagnostic(GridFunction.zeros(grid)) == (0.0, 0.0)
+    assert end_second_diffs(GridFunction.zeros(grid)) == (0.0, 0.0)
     x = grid.nodes
-    d0, d1 = navier_diagnostic(GridFunction(grid, x * (1 - x)))
+    d0, d1 = end_second_diffs(GridFunction(grid, x * (1 - x)))
     assert abs(d0 - 2.0) < 1e-9 and abs(d1 - 2.0) < 1e-9
 
 
@@ -263,7 +289,7 @@ def test_navier_decays_for_flow_iterates():
         u0 = mirrored(grid, lambda x: 1e-3 * math.sin(math.pi * x))
         cfg = FlowConfig(tau=1e-4, t_end=1e-3, inner_tol=1e-10)
         traj = run_flow(u0, constant_obstacle(-1.0, grid), cfg)
-        vals[n] = max(navier_diagnostic(traj.iterates[-1]))
+        vals[n] = max(end_second_diffs(traj.iterates[-1]))
     assert vals[200] < vals[100]
     assert vals[100] <= 0.1 * (1.0 / 100)  # far below a C h bound with C = 0.1
 
