@@ -158,8 +158,8 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     from .flow import FlowConfig, _mm_step_raw
     obstacle = cone_obstacle(height, grid)
     polish_cfg = FlowConfig(tau=1e6, t_end=1e6, inner_tol=1e-9)
-    polished, _, _, _, _ = _mm_step_raw(
-        profile.values, obstacle.samples.values, grid.h, polish_cfg)
+    polished = _mm_step_raw(
+        profile.values, obstacle.samples.values, grid.h, polish_cfg)[0]
     profile = GridFunction(grid, polished)
 
     cp = CriticalPoint(

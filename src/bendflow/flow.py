@@ -28,6 +28,13 @@ each trial point once, and every consumer at that point reads them: Phi,
 the KKT arrays, the residual floor of the starting point and, once the
 point is accepted, the next Hessian. Within a step `_derivative_tables`
 therefore runs exactly as often as `_energy_raw`.
+
+One evaluation per accepted iterate: the step returns the evaluation of the
+point it accepts (tables, E_h, grad E_h, residual floor), and `run_flow`
+hands it to the next step, which starts from that point, and takes the
+recorded energy from it. A step at rest, which accepts its starting point
+after no Newton iteration, therefore builds no tables and evaluates neither
+E_h nor its gradient.
 """
 
 from __future__ import annotations
@@ -210,8 +217,18 @@ def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> flo
     return np.finfo(float).eps * row_bound * amp
 
 
-def _kkt_arrays(v, tables, f, psi, h, tau, floor_over_tol: float = 0.0):
-    ge = _energy_gradient_raw(*tables, h)
+@dataclass(frozen=True)
+class _Eval:
+    """One evaluation of an iterate: its stencil tables (u', u''), E_h,
+    grad E_h and residual floor (the floor for one tau)."""
+
+    tables: tuple[np.ndarray, np.ndarray]
+    energy: float
+    grad: np.ndarray
+    floor: float
+
+
+def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float = 0.0):
     udot = (v - f) / tau
     r = ge + udot
     r[0] = r[-1] = 0.0
@@ -222,8 +239,14 @@ def _kkt_arrays(v, tables, f, psi, h, tau, floor_over_tol: float = 0.0):
     return r, pi, scale
 
 
-def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
-    """Solve one proximal step; returns (v, r, pi, scale, iterations).
+def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
+                 start: _Eval | None = None):
+    """Solve one proximal step; returns (v, r, max|pi|, scale, iterations,
+    evaluation of v).
+
+    `start`, if given, is the evaluation of f, which must then be a point a
+    previous step with the same tau accepted (so f is its own projection
+    onto the constraints); otherwise the starting point is evaluated here.
 
     Drives the natural-map residual pi = v - Pi_box(v - r) below a quarter
     of inner_tol * scale; anything <= inner_tol * scale at exit still counts
@@ -233,21 +256,31 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
     tau = cfg.tau
     w = _trapezoid_weights(n, h)
 
+    def phi(u, e):
+        return e + 0.5 / tau * float(np.sum(w * (u - f) ** 2))
+
     def trial(u):
-        """Stencil tables of u and Phi(u) evaluated from them."""
+        """Stencil tables of u, E_h(u) evaluated from them, and Phi(u)."""
         tables = _derivative_tables(u, h)
-        return tables, (_energy_raw(*tables, h)
-                        + 0.5 / tau * float(np.sum(w * (u - f) ** 2)))
+        e = _energy_raw(*tables, h)
+        return tables, e, phi(u, e)
 
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
-    tv, pv = trial(v)
-    fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
-    r, pi, scale = _kkt_arrays(v, tv, f, psi, h, tau, fot)
+    v0 = v
+    if start is None:
+        tables = _derivative_tables(v, h)
+        start = _Eval(tables, _energy_raw(*tables, h),
+                      _energy_gradient_raw(*tables, h),
+                      _residual_floor(v, tables[1], h, tau))
+    tv, ev, gv = start.tables, start.energy, start.grad
+    pv = phi(v, ev)
+    fot = start.floor / cfg.inner_tol
+    r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
     nit = 0
-    for _ in range(cfg.inner_max_iter):
+    while True:
         pimax = float(np.max(np.abs(pi)))
-        if pimax <= 0.25 * cfg.inner_tol * scale:
+        if pimax <= 0.25 * cfg.inner_tol * scale or nit == cfg.inner_max_iter:
             break
         nit += 1
 
@@ -282,11 +315,12 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
         for _ in range(40):
             vt = np.maximum(psi, v + alpha * d)
             vt[0] = vt[-1] = 0.0
-            tt, pt = trial(vt)
+            tt, et, pt = trial(vt)
             dec = float(np.sum(w * r * (vt - v)))
             if pt <= pv + cfg.armijo_c * dec and pt < pv:
-                v, tv, pv = vt, tt, pt
-                r, pi, scale = _kkt_arrays(v, tv, f, psi, h, tau, fot)
+                v, tv, ev, pv = vt, tt, et, pt
+                gv = _energy_gradient_raw(*tv, h)
+                r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
                 moved = True
                 break
             alpha *= cfg.backtrack
@@ -298,18 +332,20 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig):
             for _ in range(40):
                 vt = np.maximum(psi, v + alpha * d)
                 vt[0] = vt[-1] = 0.0
-                tt, pt = trial(vt)
-                rt, pit, st = _kkt_arrays(vt, tt, f, psi, h, tau, fot)
+                tt, et, pt = trial(vt)
+                gt = _energy_gradient_raw(*tt, h)
+                rt, pit, st = _kkt_arrays(vt, gt, f, psi, tau, fot)
                 if (pt <= pv + 1e-13 * max(1.0, abs(pv))
                         and float(np.max(np.abs(pit))) <= 0.9 * pimax):
-                    v, tv, pv = vt, tt, min(pt, pv)
+                    v, tv, ev, gv, pv = vt, tt, et, gt, min(pt, pv)
                     r, pi, scale = rt, pit, st
                     moved = True
                     break
                 alpha *= cfg.backtrack
         if not moved:
             break
-    return v, r, pi, scale, nit
+    floor = start.floor if v is v0 else _residual_floor(v, tv[1], h, tau)
+    return v, r, pimax, scale, nit, _Eval(tv, ev, gv, floor)
 
 
 def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
@@ -318,7 +354,8 @@ def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _build_report(v, f, psi, h, tau, cfg: FlowConfig, r, pi, scale, nit) -> KKTReport:
+def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
+                  natural_residual: float) -> KKTReport:
     active_tol = 10.0 * cfg.inner_tol * scale
     gap = v - psi
     act = gap <= active_tol
@@ -332,19 +369,27 @@ def _build_report(v, f, psi, h, tau, cfg: FlowConfig, r, pi, scale, nit) -> KKTR
         multiplier_min=mult,
         active_set=np.nonzero(act)[0],
         scale=scale,
-        natural_residual=float(np.max(np.abs(pi))),
+        natural_residual=natural_residual,
         active_tol=active_tol,
         inner_iterations=nit,
     )
 
 
-def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig):
+def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
+            carry: list | None = None):
     """One minimizing-movement step from f. Returns (iterate, KKTReport).
 
     Guarantees Phi(u) <= Phi(f), hence E_h(u) <= E_h(f) and
     ||u - f||^2/(2 tau) <= E_h(f) - E_h(u), and that u >= psi exactly.
     Raises StepConvergenceError (with the partial iterate attached) if the
     residual is still above inner_tol * scale after inner_max_iter.
+
+    `carry` is for callers that chain steps (run_flow): a one-slot list
+    owned by the caller. After a successful step its slot holds
+    (u.values, tau, evaluation of u); a later call whose f.values is that
+    very array, with the same tau, starts from the held evaluation instead
+    of evaluating f again. The values array is a read-only copy, so identity
+    means the same bits. Without `carry` every step evaluates f itself.
     """
     if f.grid != obstacle.grid:
         raise DomainError("iterate and obstacle on different grids")
@@ -355,15 +400,20 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig):
     if np.any(fv < psi):
         raise DomainError("iterate must lie above the obstacle nodewise")
     h = f.grid.h
-    v, r, pi, scale, nit = _mm_step_raw(fv, psi, h, cfg)
-    if float(np.max(np.abs(pi))) > cfg.inner_tol * scale:
+    held = carry[0] if carry else None
+    start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
+    v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, h, cfg, start)
+    if pimax > cfg.inner_tol * scale:
         raise StepConvergenceError(
-            f"inner solver stopped at residual {float(np.max(np.abs(pi))):.3e} "
+            f"inner solver stopped at residual {pimax:.3e} "
             f"(tolerance {cfg.inner_tol * scale:.3e})",
             partial=v,
         )
-    report = _build_report(v, fv, psi, h, cfg.tau, cfg, r, pi, scale, nit)
-    return GridFunction(f.grid, v), report
+    report = _build_report(v, psi, cfg, r, scale, nit, pimax)
+    u = GridFunction(f.grid, v)
+    if carry is not None:
+        carry[0] = (u.values, cfg.tau, ev)
+    return u, report
 
 
 def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
@@ -419,17 +469,18 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     w = trapezoid_weights(grid)
 
     u = u0
+    carry = [None]  # evaluation of the latest iterate, for the next step
     slow_streak = 0
     for k in range(n_steps):
         try:
-            un, report = mm_step(u, obstacle, cfg)
+            un, report = mm_step(u, obstacle, cfg, carry=carry)
         except StepConvergenceError as err:
             err.step_index = k
             raise
         dn = float(np.sqrt(np.sum(w * (un.values - u.values) ** 2)))
         times.append((k + 1) * cfg.tau)
         iterates.append(un)
-        energies.append(energy(un))
+        energies.append(carry[0][2].energy)
         step_norms.append(dn)
         counts.append(int(np.sum((un.values - psi) <= ctol)))
         inner.append(report.inner_iterations)

@@ -280,6 +280,18 @@ def h_inv(height: float) -> float:
     return a
 
 
+def _u_c_parameter(c) -> float:
+    c = float(c)
+    if not (0.0 < c < c0()):
+        raise DomainError(f"u_c: c must lie in (0, c0), got {c}")
+    return c
+
+
+def _u_c_term(c: float, s: float) -> float:
+    """2 / (c (1 + Ginv(s)^2)^(1/4)), the building block of u_c."""
+    return 2.0 / (c * (1.0 + g_inv(s) ** 2) ** 0.25)
+
+
 def u_c_value(c: float, x: float) -> float:
     """The explicit profile
 
@@ -289,19 +301,19 @@ def u_c_value(c: float, x: float) -> float:
     nonnegative, symmetric about 1/2, vanishing at both ends, with elastic
     energy exactly c^2 in the continuum.
     """
-    c = float(c)
+    c = _u_c_parameter(c)
     x = float(x)
-    if not (0.0 < c < c0()):
-        raise DomainError(f"u_c: c must lie in (0, c0), got {c}")
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"u_c: x must lie in [0,1], got {x}")
-    base = 2.0 / (c * (1.0 + g_inv(c / 2.0) ** 2) ** 0.25)
-    return 2.0 / (c * (1.0 + g_inv(c / 2.0 - c * x) ** 2) ** 0.25) - base
+    return _u_c_term(c, c / 2.0 - c * x) - _u_c_term(c, c / 2.0)
 
 
 def u_c_profile(c: float, grid: UniformGrid) -> GridFunction:
     """u_c sampled on a grid, mirrored from the left half so the nodal data
-    is reversal-symmetric to the bit."""
-    left = [u_c_value(c, x) for x in grid.nodes[: grid.n // 2 + 1]]
-    left[0] = 0.0
+    is reversal-symmetric to the bit. Equals u_c_value node by node, with
+    the constant term computed once."""
+    c = _u_c_parameter(c)
+    base = _u_c_term(c, c / 2.0)
+    left = [_u_c_term(c, c / 2.0 - c * x) - base
+            for x in grid.nodes[: grid.n // 2 + 1].tolist()]
     return GridFunction.from_symmetric_half(grid, np.array(left))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bendflow import (
     DomainError,
@@ -132,6 +134,99 @@ def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
         assert (report.inner_iterations > 0) == newton
         assert counts["_energy_raw"] >= 1
         assert counts["_derivative_tables"] == counts["_energy_raw"]
+
+
+def _stepwise_flow(u0, obstacle, cfg):
+    """run_flow's record rebuilt from public mm_step and energy calls, with
+    nothing carried from one step to the next."""
+    w = trapezoid_weights(u0.grid)
+    iterates, energies, norms, reports = [u0], [energy(u0)], [], []
+    for k in range(int(round(cfg.t_end / cfg.tau))):
+        u = iterates[-1]
+        try:
+            un, report = mm_step(u, obstacle, cfg)
+        except StepConvergenceError as err:
+            err.step_index = k
+            raise
+        norms.append(float(np.sqrt(np.sum(w * (un.values - u.values) ** 2))))
+        iterates.append(un)
+        energies.append(energy(un))
+        reports.append(report)
+    return iterates, energies, norms, reports
+
+
+def _assert_carrying_exact(u0, obstacle, cfg):
+    """run_flow, which hands each accepted iterate's evaluation to the next
+    step, records the same bits as the step-by-step loop, failures too."""
+    try:
+        iterates, energies, norms, reports = _stepwise_flow(u0, obstacle, cfg)
+    except StepConvergenceError as err:
+        with pytest.raises(StepConvergenceError) as excinfo:
+            run_flow(u0, obstacle, cfg)
+        got = excinfo.value
+        assert (str(got), got.step_index) == (str(err), err.step_index)
+        assert got.partial.tobytes() == err.partial.tobytes()
+        return
+    traj = run_flow(u0, obstacle, cfg)
+    assert ([u.values.tobytes() for u in traj.iterates]
+            == [u.values.tobytes() for u in iterates])
+    assert traj.energies.tobytes() == np.array(energies).tobytes()
+    assert traj.step_norms.tobytes() == np.array(norms).tobytes()
+    for got, want in zip(traj.kkt_reports, reports, strict=True):
+        for name, value in vars(want).items():
+            assert (np.asarray(getattr(got, name)).tobytes()
+                    == np.asarray(value).tobytes()), name
+
+
+def test_carrying_exact_on_cone_from_newton_to_rest(cone_run):
+    traj, cfg, obstacle, u0 = cone_run
+    assert traj.inner_iterations[0] > 0 and traj.inner_iterations[-1] == 0
+    _assert_carrying_exact(u0, obstacle, cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
+       log_tau=st.floats(-7.0, -3.0), height=st.floats(0.005, 0.1))
+def test_carrying_exact_on_random_admissible_data(n, seed, log_tau, height):
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(n)
+    obstacle = cone_obstacle(height, grid)
+    x = grid.nodes
+    s = sum(rng.uniform(-0.1, 0.2) * np.sin(k * np.pi * x) for k in range(1, 5))
+    u0 = np.maximum(obstacle.samples.values, s)
+    u0[0] = u0[-1] = 0.0
+    tau = 10.0 ** log_tau
+    _assert_carrying_exact(GridFunction(grid, u0), obstacle,
+                           FlowConfig(tau=tau, t_end=6 * tau))
+
+
+def test_steps_at_rest_do_no_kernel_work(cone_run, monkeypatch):
+    """Each step starts from the evaluation the previous step made of its
+    accepted point, so steps at rest build no tables and evaluate neither
+    E_h nor its gradient: kernel calls do not grow with the step count."""
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    traj, cfg, obstacle, _ = cone_run
+    rest = traj.iterates[-1]
+    names = ("_derivative_tables", "_energy_raw", "_energy_gradient_raw")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(disc_mod, name)
+
+        def counted(*args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(*args)
+        for mod in (disc_mod, flow_mod):
+            monkeypatch.setattr(mod, name, counted)
+
+    seen = []
+    for k in (5, 50):
+        counts.update(dict.fromkeys(names, 0))
+        run = run_flow(rest, obstacle, FlowConfig(tau=cfg.tau, t_end=k * cfg.tau))
+        assert run.n_steps == k and not run.inner_iterations.any()
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
 
 
 def test_run_flow_constant_trajectory():

@@ -190,6 +190,22 @@ def test_u_c_profile_nonnegative_symmetric_zero_ends():
         assert np.array_equal(v, v[::-1])
 
 
+def test_u_c_profile_equals_u_c_value_bitwise():
+    """The profile computes the constant term once, with the expression
+    u_c_value uses, so its left half equals u_c_value node by node to the
+    bit and its right half mirrors it."""
+    for n in (16, 200, 801):
+        grid = UniformGrid(n)
+        m = n // 2
+        for c in (0.25, 0.5, 2.0):
+            v = u_c_profile(c, grid).values
+            left = np.array([u_c_value(c, x) for x in grid.nodes[: m + 1]])
+            assert v[: m + 1].tobytes() == left.tobytes()
+            assert v.tobytes() == v[::-1].tobytes()
+        with pytest.raises(DomainError):
+            u_c_profile(c0(), grid)
+
+
 def test_u_c_profile_energy_near_c_squared():
     grid = UniformGrid(1000)
     gf = u_c_profile(1.0, grid)
