@@ -73,9 +73,6 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
             raise ConfigError("checkpoint grid does not match configuration")
         t_offset = prev["t_final"]
         steps_offset = prev["steps"]
-    if np.any(u0.values < obstacle.samples.values):
-        raise ConfigError("initial datum lies below the obstacle somewhere")
-
     traj = fl.run_flow(u0, obstacle, cfg.flow,
                        stop_when_stall_rate=cfg.stop_when_stall_rate)
 
@@ -98,7 +95,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     l0 = None
     e0 = float(traj.energies[0])
     from .validate import G23_SQ_REF
-    if cfg.checks.get("touch_window") and 0.0 < e0 < G23_SQ_REF:
+    if 0.0 < e0 < G23_SQ_REF:
         inf_e = float(np.min(traj.energies))
         if obstacle.kind == "cone" and traj.grid.n % 2 == 0:
             inf_e = crit.critical_profile(obstacle.height, traj.grid).energy
@@ -126,8 +123,6 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    if args.allow_invalid_obstacle:
-        cfg.allow_invalid_obstacle = True
     resume = Path(args.resume) if args.resume else None
     summary = _simulate_one(cfg, Path(args.out), resume=resume)
     print(f"final energy {summary['final_energy']:.15g} after "
@@ -270,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run a flow from a JSON config")
     ps.add_argument("--config", required=True, help="JSON run configuration")
     ps.add_argument("--out", default="out", help="output directory")
-    ps.add_argument("--allow-invalid-obstacle", action="store_true",
-                    help="accept obstacles violating the sign assumption")
     ps.add_argument("--resume", default=None,
                     help="checkpoint directory to continue from")
     ps.set_defaults(handler=_cmd_simulate)

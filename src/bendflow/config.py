@@ -20,19 +20,13 @@ from .errors import ConfigError
 from .flow import FlowConfig
 from .specialfn import u_c_profile
 
-_FLOW_KEYS = {"tau", "t_end", "inner_tol", "inner_max_iter", "armijo_c",
-              "backtrack", "coincidence_tol"}
+_FLOW_KEYS = {"tau", "t_end", "inner_tol", "inner_max_iter"}
 _OBSTACLE_KEYS = {"type", "height", "path", "level"}
 _INITIAL_KEYS = {"type", "c", "path", "scale"}
 _OUTPUT_KEYS = {"trajectory_csv", "snapshots", "summary_json", "plot_svg"}
-_CHECK_KEYS = {"symmetry", "dissipation", "stanminimov", "kkt",
-               "touch_window", "navier"}
 _TOP_KEYS = {"grid_n", "tau", "t_end", "inner_tol", "inner_max_iter",
-             "armijo_c", "backtrack", "coincidence_tol", "obstacle",
-             "initial", "outputs", "checks", "allow_invalid_obstacle",
+             "obstacle", "initial", "outputs", "allow_invalid_obstacle",
              "stop_when_stall_rate"}
-
-DEFAULT_CHECKS = {k: True for k in _CHECK_KEYS}
 
 
 @dataclass
@@ -42,7 +36,6 @@ class RunConfig:
     obstacle_spec: dict
     initial_spec: dict
     outputs: dict = field(default_factory=dict)
-    checks: dict = field(default_factory=lambda: dict(DEFAULT_CHECKS))
     allow_invalid_obstacle: bool = False
     stop_when_stall_rate: float | None = None
 
@@ -149,11 +142,6 @@ def parse_config(data: dict) -> RunConfig:
             isinstance(t, (int, float)) and 0 <= t <= data["t_end"] for t in snaps
         ), "outputs.snapshots must be a list of times within [0, t_end]")
 
-    checks = dict(DEFAULT_CHECKS)
-    if "checks" in data:
-        _reject_unknown(data["checks"], _CHECK_KEYS, "checks")
-        checks.update({k: bool(v) for k, v in data["checks"].items()})
-
     stall = data.get("stop_when_stall_rate")
     if stall is not None:
         _require(isinstance(stall, (int, float)) and stall > 0,
@@ -165,7 +153,6 @@ def parse_config(data: dict) -> RunConfig:
         obstacle_spec=ob,
         initial_spec=init,
         outputs=outputs,
-        checks=checks,
         allow_invalid_obstacle=bool(data.get("allow_invalid_obstacle", False)),
         stop_when_stall_rate=stall,
     )

@@ -106,14 +106,14 @@ class Obstacle:
     `assumption1_ok` records whether psi(0) < 0, psi(1) < 0 and max psi > 0,
     the standing smallness/sign assumption of the constrained problem. The
     library accepts obstacles violating it (useful for unconstrained tests);
-    the CLI refuses them unless --allow-invalid-obstacle is passed.
+    the CLI refuses them unless the run configuration sets
+    allow_invalid_obstacle.
     """
 
     kind: str
     samples: GridFunction
     assumption1_ok: bool = field(init=False)
     height: float | None = None
-    level: float | None = None
 
     def __post_init__(self):
         v = self.samples.values
@@ -143,8 +143,7 @@ def table_obstacle(samples: GridFunction) -> Obstacle:
 
 
 def constant_obstacle(level: float, grid: UniformGrid) -> Obstacle:
-    return Obstacle(kind="constant", samples=GridFunction.constant(grid, level),
-                    level=float(level))
+    return Obstacle(kind="constant", samples=GridFunction.constant(grid, level))
 
 
 # ---------------------------------------------------------------------------

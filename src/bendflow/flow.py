@@ -14,12 +14,16 @@ which satisfies, step by step,
 
 the inequality all a-priori bounds of the scheme rest on.
 
-Inner solver: projected Newton on the box constraint. The search direction
-solves the exact banded Hessian of Phi (with Levenberg damping if it is not
-positive definite) restricted to the estimated inactive set; steps are
-accepted by Armijo backtracking on Phi along the projected arc, with a
-residual-decrease acceptance once Phi differences fall below floating-point
-resolution. Every linear solve is mirror-averaged and every stencil is
+Inner solver: projected Newton on the box constraint, with the two pinned
+ends treated as two more active bounds. The search direction solves the
+exact banded Hessian of Phi on all n+1 nodes (with Levenberg damping if it
+is not positive definite) in which every active row, the two ends always
+among them, is replaced by the identity with the gap on the right-hand
+side, so the ends take a step of exactly 0. One backtracking routine
+(alpha = 1, 1/2, 1/4, ..., 40 tries, along the projected arc) runs with two
+acceptance tests in turn: Armijo decrease of Phi (constant 1e-4), then,
+once Phi differences fall below floating-point resolution, strict decrease
+of the residual. Every linear solve is mirror-averaged and every stencil is
 palindromic, so the whole step commutes with grid reversal exactly in
 floating point; symmetric data therefore stays symmetric to the bit.
 
@@ -62,19 +66,24 @@ from .errors import DomainError, StepConvergenceError
 from .specialfn import g, g_inv
 
 _BW = _HESS_BW
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+_BACKTRACK = 0.5  # step-length factor between line-search tries
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Time step, horizon and inner-solver knobs."""
+    """Time step, horizon, inner-solver tolerance and per-step iteration cap.
+
+    `inner_tol` sets the stationarity tolerance of every step relative to
+    its natural scale (see KKTReport), and with it the coincidence
+    tolerance 10 * inner_tol * sqrt(h) of the recorded contact counts;
+    `inner_max_iter` bounds the Newton iterations of one step.
+    """
 
     tau: float
     t_end: float
     inner_tol: float = 1e-8
     inner_max_iter: int = 80
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    coincidence_tol: float | None = None  # None: 10 * inner_tol * sqrt(h)
 
     def __post_init__(self):
         if not (self.tau > 0):
@@ -83,15 +92,6 @@ class FlowConfig:
             raise DomainError("t_end must be at least one step")
         if not (self.inner_tol > 0):
             raise DomainError("inner_tol must be positive")
-        if not (0 < self.armijo_c < 1):
-            raise DomainError("armijo_c must lie in (0,1)")
-        if not (0 < self.backtrack < 1):
-            raise DomainError("backtrack must lie in (0,1)")
-
-    def coincidence_tolerance(self, grid: UniformGrid) -> float:
-        if self.coincidence_tol is not None:
-            return self.coincidence_tol
-        return 10.0 * self.inner_tol * math.sqrt(grid.h)
 
 
 @dataclass(frozen=True)
@@ -170,27 +170,13 @@ def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (d1 + d2)
 
 
-def _interior_bands(ab_full: np.ndarray, n: int) -> np.ndarray:
-    """Restrict full-node bands to the interior block, dropping couplings to
-    the fixed endpoint nodes."""
-    ab = ab_full[:, 1:n].copy()
-    ni = n - 1
-    for k in range(-_BW, _BW + 1):
-        cols = np.arange(ni)
-        rows = cols + k
-        bad = (rows < 0) | (rows >= ni)
-        ab[_BW + k, cols[bad]] = 0.0
-    return ab
-
-
 def _pin_active(ab: np.ndarray, rhs: np.ndarray, act: np.ndarray,
                 gap: np.ndarray) -> None:
     """Replace rows/columns of active indices by the identity; the Newton
-    step then moves them exactly onto the bound."""
+    step then moves them exactly onto the bound. The pinned ends are active
+    with gap 0, so their step is exactly 0."""
     ni = ab.shape[1]
     idx = np.nonzero(act)[0]
-    if not idx.size:
-        return
     for k in range(-_BW, _BW + 1):
         if k == 0:
             continue
@@ -277,6 +263,40 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     pv = phi(v, ev)
     fot = start.floor / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
+
+    def search(accept):
+        """Backtrack along the projected arc max(psi, v + alpha d), alpha =
+        1, b, b^2, ... (40 tries). Returns (point, tables, E_h, what
+        `accept` returned) for the first trial point it takes, or None."""
+        alpha = 1.0
+        for _ in range(40):
+            vt = np.maximum(psi, v + alpha * d)
+            vt[0] = vt[-1] = 0.0
+            tt, et, pt = trial(vt)
+            taken = accept(vt, tt, pt)
+            if taken is not None:
+                return vt, tt, et, taken
+            alpha *= _BACKTRACK
+        return None
+
+    def armijo(vt, tt, pt):
+        dec = float(np.sum(w * r * (vt - v)))
+        if pt <= pv + _ARMIJO_C * dec and pt < pv:
+            gt = _energy_gradient_raw(*tt, h)
+            return pt, gt, _kkt_arrays(vt, gt, f, psi, tau, fot)
+        return None
+
+    def residual_decrease(vt, tt, pt):
+        # Phi differences are below roundoff here; ask for strict progress
+        # of the residual instead, never letting Phi rise beyond evaluation
+        # noise.
+        gt = _energy_gradient_raw(*tt, h)
+        kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
+        if (pt <= pv + 1e-13 * max(1.0, abs(pv))
+                and float(np.max(np.abs(kkt[1]))) <= 0.9 * pimax):
+            return min(pt, pv), gt, kkt
+        return None
+
     nit = 0
     while True:
         pimax = float(np.max(np.abs(pi)))
@@ -284,12 +304,13 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             break
         nit += 1
 
-        ab_full = _energy_hessian_bands(*tv, h)
-        ab_full[_BW, :] += w / tau
-        ab = _interior_bands(ab_full, n)
-        gap = (v - psi)[1:n]
-        act = (gap <= min(1e-9, pimax)) & (r[1:n] > 0)
-        rhs = -(w[1:n] * r[1:n])
+        ab = _energy_hessian_bands(*tv, h)
+        ab[_BW, :] += w / tau
+        gap = v - psi
+        act = (gap <= min(1e-9, pimax)) & (r > 0)
+        act[0] = act[-1] = True  # the pinned ends sit on their bound
+        gap[0] = gap[-1] = 0.0
+        rhs = -(w * r)
         _pin_active(ab, rhs, act, gap)
 
         d = None
@@ -298,9 +319,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         for _ in range(40):
             try:
                 abl = ab if lam == 0.0 else _damped(ab, lam)
-                di = _solve_banded_mirror(abl, rhs)
-                cand = np.zeros(n + 1)
-                cand[1:n] = di
+                cand = _solve_banded_mirror(abl, rhs)
                 if float(np.sum(w * r * cand)) < 0.0 or not cand.any():
                     d = cand
                     break
@@ -310,40 +329,10 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         if d is None or not d.any():
             break
 
-        moved = False
-        alpha = 1.0
-        for _ in range(40):
-            vt = np.maximum(psi, v + alpha * d)
-            vt[0] = vt[-1] = 0.0
-            tt, et, pt = trial(vt)
-            dec = float(np.sum(w * r * (vt - v)))
-            if pt <= pv + cfg.armijo_c * dec and pt < pv:
-                v, tv, ev, pv = vt, tt, et, pt
-                gv = _energy_gradient_raw(*tv, h)
-                r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
-                moved = True
-                break
-            alpha *= cfg.backtrack
-        if not moved:
-            # Phi differences are below roundoff here; ask for strict
-            # progress of the residual instead, never letting Phi rise
-            # beyond evaluation noise.
-            alpha = 1.0
-            for _ in range(40):
-                vt = np.maximum(psi, v + alpha * d)
-                vt[0] = vt[-1] = 0.0
-                tt, et, pt = trial(vt)
-                gt = _energy_gradient_raw(*tt, h)
-                rt, pit, st = _kkt_arrays(vt, gt, f, psi, tau, fot)
-                if (pt <= pv + 1e-13 * max(1.0, abs(pv))
-                        and float(np.max(np.abs(pit))) <= 0.9 * pimax):
-                    v, tv, ev, gv, pv = vt, tt, et, gt, min(pt, pv)
-                    r, pi, scale = rt, pit, st
-                    moved = True
-                    break
-                alpha *= cfg.backtrack
-        if not moved:
+        step = search(armijo) or search(residual_decrease)
+        if step is None:
             break
+        v, tv, ev, (pv, gv, (r, pi, scale)) = step
     floor = start.floor if v is v0 else _residual_floor(v, tv[1], h, tau)
     return v, r, pimax, scale, nit, _Eval(tv, ev, gv, floor)
 
@@ -457,7 +446,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             "stays energy-stable but variational-inequality residuals blur"
         )
 
-    ctol = cfg.coincidence_tolerance(grid)
+    ctol = 10.0 * cfg.inner_tol * math.sqrt(grid.h)
     n_steps = int(round(cfg.t_end / cfg.tau))
     times = [0.0]
     iterates = [u0]

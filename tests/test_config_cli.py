@@ -45,6 +45,14 @@ def test_unknown_keys_rejected(tmp_path):
         load_config(write_cfg(tmp_path, bad2))
 
 
+def test_removed_settings_are_rejected():
+    for key, value in (("armijo_c", 1e-4), ("backtrack", 0.5),
+                       ("coincidence_tol", 1e-6),
+                       ("checks", {"touch_window": True})):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(dict(MINIMAL, **{key: value}))
+
+
 def test_invalid_obstacle_rejected_without_flag():
     data = dict(MINIMAL)
     data["obstacle"] = {"type": "constant", "level": 0.0}
