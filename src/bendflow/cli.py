@@ -66,8 +66,9 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     u0 = cfg.build_initial()
     t_offset = 0.0
     steps_offset = 0
+    summary_name = cfg.outputs.get("summary_json", "summary.json")
     if resume is not None:
-        prev = json.loads((resume / "summary.json").read_text())
+        prev = json.loads((resume / summary_name).read_text())
         u0 = disc.read_profile_csv(resume / "final.csv")
         if u0.grid.n != cfg.grid_n:
             raise ConfigError("checkpoint grid does not match configuration")
@@ -114,7 +115,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
         "steps": traj.n_steps + steps_offset,
         "t_final": traj.t_end + t_offset,
     }
-    with open(out_dir / "summary.json", "w") as fh:
+    with open(out_dir / summary_name, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     disc.write_profile_csv(out_dir / "final.csv", traj.iterates[-1])

@@ -141,6 +141,10 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(snaps, list) and all(
             isinstance(t, (int, float)) and 0 <= t <= data["t_end"] for t in snaps
         ), "outputs.snapshots must be a list of times within [0, t_end]")
+    if "summary_json" in outputs:
+        name = outputs["summary_json"]
+        _require(isinstance(name, str) and name != "",
+                 "outputs.summary_json must be a nonempty file name")
 
     stall = data.get("stop_when_stall_rate")
     if stall is not None:

@@ -19,11 +19,17 @@ ends treated as two more active bounds. The search direction solves the
 exact banded Hessian of Phi on all n+1 nodes (with Levenberg damping if it
 is not positive definite) in which every active row, the two ends always
 among them, is replaced by the identity with the gap on the right-hand
-side, so the ends take a step of exactly 0. One backtracking routine
-(alpha = 1, 1/2, 1/4, ..., 40 tries, along the projected arc) runs with two
-acceptance tests in turn: Armijo decrease of Phi (constant 1e-4), then,
-once Phi differences fall below floating-point resolution, strict decrease
-of the residual. Every linear solve is mirror-averaged and every stencil is
+side, so the ends take a step of exactly 0. The line search walks the
+projected arc once per Newton iteration (alpha = 1, 1/2, 1/4, ..., 40
+tries) and evaluates each point at most once. It takes the first point
+with Armijo decrease of Phi (constant 1e-4). Along the way it keeps the
+points whose Phi does not rise beyond evaluation noise; if none passes
+Armijo, because Phi differences have fallen below floating-point
+resolution, it takes the first kept point with strict decrease of the
+residual, building gradient and KKT arrays for kept points only. The walk
+ends at the first point equal to the iterate: rounding of the arc is
+monotone in alpha, so every later point equals it too, and neither test
+can take it. Every linear solve is mirror-averaged and every stencil is
 palindromic, so the whole step commutes with grid reversal exactly in
 floating point; symmetric data therefore stays symmetric to the bit.
 
@@ -264,37 +270,37 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     fot = start.floor / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
 
-    def search(accept):
-        """Backtrack along the projected arc max(psi, v + alpha d), alpha =
-        1, b, b^2, ... (40 tries). Returns (point, tables, E_h, what
-        `accept` returned) for the first trial point it takes, or None."""
+    def search():
+        """Walk the projected arc max(psi, v + alpha d), alpha = 1, b, b^2,
+        ... (40 tries), evaluating each point once. Returns (point, tables,
+        E_h, (Phi, grad E_h, KKT arrays)) for the first point with Armijo
+        decrease of Phi, else for the first kept point whose residual falls,
+        else None. The walk ends at the first point equal to v: every later
+        point equals v too, and neither test takes v (Armijo needs Phi below
+        pv, which is at most Phi(v); the fallback a residual below v's)."""
+        kept = []
         alpha = 1.0
         for _ in range(40):
             vt = np.maximum(psi, v + alpha * d)
             vt[0] = vt[-1] = 0.0
+            if np.array_equal(vt, v):
+                break
             tt, et, pt = trial(vt)
-            taken = accept(vt, tt, pt)
-            if taken is not None:
-                return vt, tt, et, taken
+            dec = float(np.sum(w * r * (vt - v)))
+            if pt <= pv + _ARMIJO_C * dec and pt < pv:
+                gt = _energy_gradient_raw(*tt, h)
+                return vt, tt, et, (pt, gt, _kkt_arrays(vt, gt, f, psi, tau, fot))
+            if pt <= pv + 1e-13 * max(1.0, abs(pv)):
+                kept.append((vt, tt, et, pt))
             alpha *= _BACKTRACK
-        return None
-
-    def armijo(vt, tt, pt):
-        dec = float(np.sum(w * r * (vt - v)))
-        if pt <= pv + _ARMIJO_C * dec and pt < pv:
-            gt = _energy_gradient_raw(*tt, h)
-            return pt, gt, _kkt_arrays(vt, gt, f, psi, tau, fot)
-        return None
-
-    def residual_decrease(vt, tt, pt):
         # Phi differences are below roundoff here; ask for strict progress
-        # of the residual instead, never letting Phi rise beyond evaluation
-        # noise.
-        gt = _energy_gradient_raw(*tt, h)
-        kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
-        if (pt <= pv + 1e-13 * max(1.0, abs(pv))
-                and float(np.max(np.abs(kkt[1]))) <= 0.9 * pimax):
-            return min(pt, pv), gt, kkt
+        # of the residual instead, among the kept points, whose Phi does not
+        # rise beyond evaluation noise.
+        for vt, tt, et, pt in kept:
+            gt = _energy_gradient_raw(*tt, h)
+            kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
+            if float(np.max(np.abs(kkt[1]))) <= 0.9 * pimax:
+                return vt, tt, et, (min(pt, pv), gt, kkt)
         return None
 
     nit = 0
@@ -329,7 +335,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         if d is None or not d.any():
             break
 
-        step = search(armijo) or search(residual_decrease)
+        step = search()
         if step is None:
             break
         v, tv, ev, (pv, gv, (r, pi, scale)) = step

@@ -185,6 +185,25 @@ def test_cli_simulate_resume(tmp_path, capsys):
     assert abs(s2["t_final"] - 2 * s1["t_final"]) < 1e-12
 
 
+def test_cli_simulate_summary_json_name(tmp_path, capsys):
+    data = dict(MINIMAL, t_end=0.002, outputs={"summary_json": "other.json"})
+    cfg_path = write_cfg(tmp_path, data)
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", str(cfg_path), "--out",
+                 str(out1)]) == 0
+    assert (out1 / "other.json").exists()
+    assert not (out1 / "summary.json").exists()
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
+                 "--resume", str(out1)]) == 0
+    capsys.readouterr()
+    assert json.loads((out1 / "other.json").read_text())["steps"] == 2
+    assert json.loads((out2 / "other.json").read_text())["steps"] == 4
+    assert not (out2 / "summary.json").exists()
+    for bad in ("", None):
+        with pytest.raises(ConfigError, match="summary_json"):
+            parse_config(dict(MINIMAL, outputs={"summary_json": bad}))
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # config error -> 2
     bad = write_cfg(tmp_path, {"grid_n": 32}, "bad.json")

@@ -136,6 +136,37 @@ def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
         assert counts["_derivative_tables"] == counts["_energy_raw"]
 
 
+def test_each_trial_point_evaluated_once(cone_run, monkeypatch):
+    """The line search walks the projected arc once per Newton iteration:
+    no point is evaluated twice within a step, and the walk ends before a
+    point equal to the iterate, which neither acceptance test can take.
+    Holds whether the step converges or not."""
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    seen = []
+    original = disc_mod._derivative_tables
+
+    def recorded(u, h):
+        seen.append(u.tobytes())
+        return original(u, h)
+    monkeypatch.setattr(flow_mod, "_derivative_tables", recorded)
+
+    _, cfg, obstacle, u0 = cone_run
+    grid = UniformGrid(1600)
+    cases = ((u0, obstacle, cfg),
+             (u_c_profile(0.5, grid), cone_obstacle(0.02, grid),
+              FlowConfig(tau=1e-7, t_end=1e-7)))
+    for f, obst, step_cfg in cases:
+        seen.clear()
+        try:
+            mm_step(f, obst, step_cfg)
+        except StepConvergenceError:
+            pass
+        assert len(seen) > 1
+        assert len(set(seen)) == len(seen)
+
+
 def _stepwise_flow(u0, obstacle, cfg):
     """run_flow's record rebuilt from public mm_step and energy calls, with
     nothing carried from one step to the next."""
@@ -198,6 +229,33 @@ def test_carrying_exact_on_random_admissible_data(n, seed, log_tau, height):
     tau = 10.0 ** log_tau
     _assert_carrying_exact(GridFunction(grid, u0), obstacle,
                            FlowConfig(tau=tau, t_end=6 * tau))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
+       log_tau=st.floats(-7.0, -3.0), height=st.floats(0.005, 0.1))
+def test_kkt_certificate_on_random_admissible_data(n, seed, log_tau, height):
+    """Every step of a run certifies the discrete variational inequality,
+    or the run stops with a typed failure that says where it stopped and
+    carries an admissible partial iterate."""
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(n)
+    obstacle = cone_obstacle(height, grid)
+    psi = obstacle.samples.values
+    x = grid.nodes
+    s = sum(rng.uniform(-0.1, 0.2) * np.sin(k * np.pi * x) for k in range(1, 5))
+    u0 = np.maximum(psi, s)
+    u0[0] = u0[-1] = 0.0
+    tau = 10.0 ** log_tau
+    cfg = FlowConfig(tau=tau, t_end=10 * tau)
+    try:
+        traj = run_flow(GridFunction(grid, u0), obstacle, cfg)
+    except StepConvergenceError as err:
+        assert err.step_index in range(10)
+        assert err.partial.shape == (n + 1,) and np.all(err.partial >= psi)
+        return
+    assert traj.n_steps == 10
+    assert all(r.satisfies(cfg.inner_tol) for r in traj.kkt_reports)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bendflow import (
     DomainError,
@@ -62,6 +64,13 @@ def test_ginv_round_trips():
     assert abs(g(g_inv(0.9)) - 0.9) < 1e-12
     # derived: G(1) maps back to 1
     assert abs(g_inv(G1_REF) - 1.0) < 1e-10
+
+
+@settings(max_examples=50, deadline=None)
+@given(s=st.floats(-1e4, 1e4))
+def test_g_round_trip_on_random_arguments(s):
+    y = g(s)
+    assert abs(g(g_inv(y)) - y) <= 1e-12
 
 
 def test_ginv_monotone():
