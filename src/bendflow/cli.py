@@ -2,7 +2,8 @@
 
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 numerical nonconvergence. All numeric output uses 15 significant digits
+3 numerical nonconvergence; a sweep runs every case and exits with the
+code of its first failed case. All numeric output uses 15 significant digits
 and identical inputs produce byte-identical files.
 """
 
@@ -223,10 +224,15 @@ def _cmd_validate(args) -> int:
 
 
 def _run_case(payload):
+    """Run one sweep case; returns (name, final energy, None), or (name,
+    None, (exit code, kind, message)) if the case failed."""
     name, case_data, out_root = payload
-    cfg = parse_config(case_data)
-    summary = _simulate_one(cfg, Path(out_root) / name)
-    return name, summary["final_energy"]
+    try:
+        cfg = parse_config(case_data)
+        summary = _simulate_one(cfg, Path(out_root) / name)
+    except BendflowError as err:
+        return name, None, (*_error_exit(err), str(err))
+    return name, summary["final_energy"], None
 
 
 def _cmd_sweep(args) -> int:
@@ -247,10 +253,18 @@ def _cmd_sweep(args) -> int:
                 merged[key] = val
         parse_config(merged)  # fail fast on config errors, before spawning
         jobs.append((name, merged, args.out))
+    # a failed case does not stop the others; the exit code is that of the
+    # first failed case, in case order
+    code = 0
     with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-        for name, e in pool.map(_run_case, jobs):
-            print(f"{name}: final energy {e:.15g}")
-    return 0
+        for name, e, failure in pool.map(_run_case, jobs):
+            if failure is None:
+                print(f"{name}: final energy {e:.15g}")
+                continue
+            case_code, kind, message = failure
+            print(f"{name}: {kind}: {message}", file=sys.stderr)
+            code = code or case_code
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,6 +318,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_exit(err: BendflowError) -> tuple[int, str]:
+    """Exit code and message prefix for an error of the package."""
+    if isinstance(err, ConfigError):
+        return 2, "config error"
+    if isinstance(err, ConvergenceError):
+        return 3, "nonconvergence"
+    return 2, "error"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -313,15 +336,10 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         return args.handler(args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except ConvergenceError as err:
-        print(f"nonconvergence: {err}", file=sys.stderr)
-        return 3
     except BendflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, kind = _error_exit(err)
+        print(f"{kind}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -141,10 +142,15 @@ def parse_config(data: dict) -> RunConfig:
         _require(isinstance(snaps, list) and all(
             isinstance(t, (int, float)) and 0 <= t <= data["t_end"] for t in snaps
         ), "outputs.snapshots must be a list of times within [0, t_end]")
-    if "summary_json" in outputs:
-        name = outputs["summary_json"]
-        _require(isinstance(name, str) and name != "",
-                 "outputs.summary_json must be a nonempty file name")
+    for key in ("trajectory_csv", "summary_json", "plot_svg"):
+        # an empty trajectory_csv or plot_svg skips that file
+        if key not in outputs or (key != "summary_json" and not outputs[key]):
+            continue
+        name = outputs[key]
+        _require(isinstance(name, str) and name not in ("", "..")
+                 and Path(name).name == name,
+                 f"outputs.{key} must be a file name with no directory part, "
+                 f"got {name!r}")
 
     stall = data.get("stop_when_stall_rate")
     if stall is not None:

@@ -29,9 +29,20 @@ resolution, it takes the first kept point with strict decrease of the
 residual, building gradient and KKT arrays for kept points only. The walk
 ends at the first point equal to the iterate: rounding of the arc is
 monotone in alpha, so every later point equals it too, and neither test
-can take it. Every linear solve is mirror-averaged and every stencil is
-palindromic, so the whole step commutes with grid reversal exactly in
-floating point; symmetric data therefore stays symmetric to the bit.
+can take it.
+
+Reversal: every linear solve is mirror-averaged and every stencil is
+palindromic, so reversal-symmetric data stays symmetric to the bit, and
+so does each Newton system built from it. On other data the step commutes
+with reversal only up to roundoff: the whole-array sums in Phi, in the
+Armijo decrease and in the descent test are not taken in palindromic
+order, so a decision near its threshold can go differently for f and its
+reversal. A Newton system whose upper band rows equal those of its mirror
+bit for bit, with a palindromic right-hand side, is factored once: the
+mirrored solve would see the same bits, so its result is the first one
+reversed. Other systems are factored twice. Pinning the ends leaves the
+outermost (offset 3) bands exactly zero, and a zero band pair is left out
+of the factorisation.
 
 One stencil pass per trial point: the step builds the tables (u', u'') of
 each trial point once, and every consumer at that point reads them: Phi,
@@ -53,7 +64,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import get_lapack_funcs
 
 from .discretization import (
     GridFunction,
@@ -74,6 +85,7 @@ from .specialfn import g, g_inv
 _BW = _HESS_BW
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 _BACKTRACK = 0.5  # step-length factor between line-search tries
+_PBSV, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))  # double precision
 
 
 @dataclass(frozen=True)
@@ -155,11 +167,23 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _mirror_bands(ab: np.ndarray) -> np.ndarray:
-    """Band array of the reversal-conjugated matrix R M R."""
-    out = np.empty_like(ab)
-    for k in range(-_BW, _BW + 1):
-        out[_BW + k, :] = ab[_BW - k, ::-1]
-    return out
+    """Band array of the reversal-conjugated matrix R M R, as a view of ab:
+    band k of R M R is band -k of M reversed."""
+    return ab[::-1, ::-1]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float arrays (so -0.0 differs from 0.0)."""
+    return bool((a.view(np.uint64) == b.view(np.uint64)).all())
+
+
+def _cholesky_solve(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Banded Cholesky solve (LAPACK pbsv) of the system whose upper band
+    rows are `upper`, outermost first."""
+    _, x, info = _PBSV(upper, b)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
 
 
 def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -167,13 +191,24 @@ def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     For any symmetric banded system the average of M^{-1} b and the
     reversal of (RMR)^{-1} (Rb) equals M^{-1} b exactly in real arithmetic;
-    computing both and averaging makes the floating-point result commute
-    with reversal. Raises np.linalg.LinAlgError if M is not positive
-    definite.
+    averaging the two makes the floating-point result commute with
+    reversal. When the upper band rows of RMR equal those of M bit for bit
+    and b is a palindrome, the mirrored solve would repeat the first on the
+    same bits, so its result is the first one reversed and only one
+    factorisation is done. An all-zero outermost band pair (what pinning
+    the ends leaves) is left out of the factorisation. Raises
+    np.linalg.LinAlgError if M is not positive definite and ValueError if
+    the system is not finite.
     """
-    d1 = solveh_banded(ab[:_BW + 1, :], b, lower=False)
-    d2 = solveh_banded(_mirror_bands(ab)[:_BW + 1, :], b[::-1], lower=False)[::-1]
-    return 0.5 * (d1 + d2)
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("banded system must not contain infs or NaNs")
+    lo = 0 if ab[0].any() or ab[-1].any() else 1
+    upper = ab[lo:_BW + 1]
+    mirrored = _mirror_bands(ab)[lo:_BW + 1]
+    d = _cholesky_solve(upper, b)
+    if _same_bits(upper, mirrored) and _same_bits(b, b[::-1]):
+        return 0.5 * (d + d[::-1])
+    return 0.5 * (d + _cholesky_solve(mirrored, b[::-1])[::-1])
 
 
 def _pin_active(ab: np.ndarray, rhs: np.ndarray, act: np.ndarray,
@@ -182,16 +217,12 @@ def _pin_active(ab: np.ndarray, rhs: np.ndarray, act: np.ndarray,
     step then moves them exactly onto the bound. The pinned ends are active
     with gap 0, so their step is exactly 0."""
     ni = ab.shape[1]
-    idx = np.nonzero(act)[0]
-    for k in range(-_BW, _BW + 1):
-        if k == 0:
-            continue
-        cols = np.arange(max(0, -k), min(ni, ni - k))
-        rows = cols + k
-        mask = act[cols] | act[rows]
-        ab[_BW + k, cols[mask]] = 0.0
-    ab[_BW, idx] = 1.0
-    rhs[idx] = -gap[idx]
+    for k in range(1, _BW + 1):
+        pair = act[:ni - k] | act[k:]  # node j or node j + k is active
+        ab[_BW + k, :ni - k][pair] = 0.0  # H[j + k, j], stored in column j
+        ab[_BW - k, k:][pair] = 0.0  # H[j, j + k], stored in column j + k
+    ab[_BW, act] = 1.0
+    rhs[act] = -gap[act]
 
 
 def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> float:

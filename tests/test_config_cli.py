@@ -275,3 +275,41 @@ def test_emit_plot_deterministic(tmp_path):
     assert "u(x)" in text and "</svg>" in text
     emit_plot([("flat", z)], p1)  # degenerate range still renders
     assert b"<polyline" in p1.read_bytes()
+
+
+def test_output_names_with_a_directory_part_are_rejected(tmp_path, capsys):
+    """A directory part in an output name is a config error, raised before
+    the flow runs, not a failed write after it."""
+    for key in ("trajectory_csv", "summary_json", "plot_svg"):
+        data = dict(MINIMAL, t_end=0.002, outputs={key: "sub/out.file"})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(data)
+        out = tmp_path / key
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+    # an empty trajectory or plot name still means "do not write it"
+    parse_config(dict(MINIMAL, outputs={"trajectory_csv": "", "plot_svg": None}))
+
+
+def test_cli_sweep_isolates_a_failing_case(tmp_path, capsys):
+    """A case that fails does not stop the others: every finished case is
+    reported, and the sweep exits with main's code for the failure."""
+    sweep = {
+        "base": MINIMAL,
+        "cases": {
+            "stuck": {"inner_max_iter": 1},  # u_c needs several Newton steps
+            "ok": {"t_end": 0.002},
+        },
+    }
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(sweep))
+    runs = tmp_path / "runs"
+    assert main(["sweep", "--config", str(p), "--out", str(runs),
+                 "--jobs", "2"]) == 3
+    captured = capsys.readouterr()
+    assert "ok: final energy" in captured.out
+    assert "stuck: nonconvergence: inner solver stopped" in captured.err
+    assert (runs / "ok" / "summary.json").exists()
+    assert not (runs / "stuck" / "summary.json").exists()

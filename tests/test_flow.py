@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bendflow import (
@@ -167,6 +167,18 @@ def test_each_trial_point_evaluated_once(cone_run, monkeypatch):
         assert len(set(seen)) == len(seen)
 
 
+def _random_admissible(n, seed, height):
+    """max(psi, random sine sum) on the cone, pinned at the ends."""
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(n)
+    obstacle = cone_obstacle(height, grid)
+    x = grid.nodes
+    s = sum(rng.uniform(-0.1, 0.2) * np.sin(k * np.pi * x) for k in range(1, 5))
+    u0 = np.maximum(obstacle.samples.values, s)
+    u0[0] = u0[-1] = 0.0
+    return GridFunction(grid, u0), obstacle
+
+
 def _stepwise_flow(u0, obstacle, cfg):
     """run_flow's record rebuilt from public mm_step and energy calls, with
     nothing carried from one step to the next."""
@@ -219,16 +231,9 @@ def test_carrying_exact_on_cone_from_newton_to_rest(cone_run):
 @given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
        log_tau=st.floats(-7.0, -3.0), height=st.floats(0.005, 0.1))
 def test_carrying_exact_on_random_admissible_data(n, seed, log_tau, height):
-    rng = np.random.default_rng(seed)
-    grid = UniformGrid(n)
-    obstacle = cone_obstacle(height, grid)
-    x = grid.nodes
-    s = sum(rng.uniform(-0.1, 0.2) * np.sin(k * np.pi * x) for k in range(1, 5))
-    u0 = np.maximum(obstacle.samples.values, s)
-    u0[0] = u0[-1] = 0.0
+    u0, obstacle = _random_admissible(n, seed, height)
     tau = 10.0 ** log_tau
-    _assert_carrying_exact(GridFunction(grid, u0), obstacle,
-                           FlowConfig(tau=tau, t_end=6 * tau))
+    _assert_carrying_exact(u0, obstacle, FlowConfig(tau=tau, t_end=6 * tau))
 
 
 @settings(max_examples=20, deadline=None)
@@ -238,18 +243,12 @@ def test_kkt_certificate_on_random_admissible_data(n, seed, log_tau, height):
     """Every step of a run certifies the discrete variational inequality,
     or the run stops with a typed failure that says where it stopped and
     carries an admissible partial iterate."""
-    rng = np.random.default_rng(seed)
-    grid = UniformGrid(n)
-    obstacle = cone_obstacle(height, grid)
+    u0, obstacle = _random_admissible(n, seed, height)
     psi = obstacle.samples.values
-    x = grid.nodes
-    s = sum(rng.uniform(-0.1, 0.2) * np.sin(k * np.pi * x) for k in range(1, 5))
-    u0 = np.maximum(psi, s)
-    u0[0] = u0[-1] = 0.0
     tau = 10.0 ** log_tau
     cfg = FlowConfig(tau=tau, t_end=10 * tau)
     try:
-        traj = run_flow(GridFunction(grid, u0), obstacle, cfg)
+        traj = run_flow(u0, obstacle, cfg)
     except StepConvergenceError as err:
         assert err.step_index in range(10)
         assert err.partial.shape == (n + 1,) and np.all(err.partial >= psi)
@@ -300,10 +299,117 @@ def test_pinned_end_newton_system(n, seed, log_tau, p_active):
     rhs = -(w * r)
     want = np.linalg.solve(block, rhs[free])
     flow_mod._pin_active(ab, rhs, act, gap)
+    # only the end rows fill the offset-3 bands, so pinning clears them and
+    # the solve factors at bandwidth 2
+    bw = flow_mod._BW
+    assert not ab[bw - 3].any() and not ab[bw + 3].any()
     d = flow_mod._solve_banded_mirror(ab, rhs)
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.array_equal(d[act], -gap[act])
     assert np.max(np.abs(d[free] - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def _newton_system(v, psi, h, tau, act):
+    """The pinned Newton system of Phi at v, as the step builds it."""
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    n = len(v) - 1
+    w = disc_mod._trapezoid_weights(n, h)
+    tables = disc_mod._derivative_tables(v, h)
+    ab = disc_mod._energy_hessian_bands(*tables, h)
+    ab[flow_mod._BW, :] += w / tau
+    rhs = -(w * disc_mod._energy_gradient_raw(*tables, h))
+    rhs[0] = rhs[-1] = 0.0
+    gap = v - psi
+    gap[0] = gap[-1] = 0.0
+    flow_mod._pin_active(ab, rhs, act, gap)
+    return ab, rhs
+
+
+def _two_solve_reference(ab, b):
+    """The mirror-averaged solve as two full-band solveh_banded calls."""
+    from scipy.linalg import solveh_banded
+
+    import bendflow.flow as flow_mod
+
+    bw = flow_mod._BW
+    d1 = solveh_banded(ab[:bw + 1], b, lower=False)
+    mirrored = flow_mod._mirror_bands(ab)[:bw + 1]
+    d2 = solveh_banded(mirrored, b[::-1], lower=False)[::-1]
+    return 0.5 * (d1 + d2)
+
+
+def test_one_factorisation_per_symmetric_newton_system(monkeypatch):
+    """A mirror-symmetric system (upper bands equal to those of its mirror
+    bit for bit, palindromic right-hand side) is factored once, any other
+    twice; both give the bits of the two-solve full-band reference."""
+    import bendflow.flow as flow_mod
+
+    calls = []
+    pbsv = flow_mod._PBSV
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0] - 1)  # bandwidth factored
+        return pbsv(*args, **kwargs)
+    monkeypatch.setattr(flow_mod, "_PBSV", counted)
+
+    grid = UniformGrid(200)
+    sym = (u_c_profile(0.5, grid), cone_obstacle(0.02, grid))
+    rand = _random_admissible(40, 7, 0.02)
+    for (f, obst), factorisations in ((sym, 1), (rand, 2)):
+        ends = np.zeros(f.grid.n + 1, dtype=bool)
+        ends[0] = ends[-1] = True
+        ab, rhs = _newton_system(f.values, obst.samples.values, f.grid.h,
+                                 1e-7, ends)
+        calls.clear()
+        d = flow_mod._solve_banded_mirror(ab, rhs)
+        assert calls == [2] * factorisations
+        assert d.tobytes() == _two_solve_reference(ab, rhs).tobytes()
+
+
+def _flow_outcome(u0, obstacle, cfg):
+    """Every recorded bit of a run, or of its typed failure."""
+    try:
+        traj = run_flow(u0, obstacle, cfg)
+    except StepConvergenceError as err:
+        return ("failed", str(err), err.step_index, err.partial.tobytes())
+    reports = [tuple(np.asarray(value).tobytes() for value in vars(r).values())
+               for r in traj.kkt_reports]
+    return ([u.values.tobytes() for u in traj.iterates],
+            traj.energies.tobytes(), traj.step_norms.tobytes(), reports)
+
+
+def _assert_same_bits_as_reference_solve(u0, obstacle, cfg):
+    from unittest import mock
+
+    import bendflow.flow as flow_mod
+
+    got = _flow_outcome(u0, obstacle, cfg)
+    with mock.patch.object(flow_mod, "_solve_banded_mirror", _two_solve_reference):
+        want = _flow_outcome(u0, obstacle, cfg)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_solve_bit_identical_to_reference_on_u_c(n):
+    """The one-factorisation, trimmed-band solve changes no bit of a run
+    (at N = 400 the run stops with a typed failure, also unchanged)."""
+    grid = UniformGrid(n)
+    _assert_same_bits_as_reference_solve(
+        u_c_profile(0.5, grid), cone_obstacle(0.02, grid),
+        FlowConfig(tau=1e-5, t_end=20e-5))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
+       log_tau=st.floats(-7.0, -3.0), height=st.floats(0.005, 0.1))
+@example(n=63, seed=4138934882, log_tau=math.log10(4e-7), height=0.0508)
+def test_solve_bit_identical_to_reference_on_random_data(n, seed, log_tau, height):
+    u0, obstacle = _random_admissible(n, seed, height)
+    tau = 10.0 ** log_tau
+    _assert_same_bits_as_reference_solve(u0, obstacle,
+                                          FlowConfig(tau=tau, t_end=10 * tau))
 
 
 def test_steps_at_rest_do_no_kernel_work(cone_run, monkeypatch):
