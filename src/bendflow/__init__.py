@@ -14,7 +14,6 @@ from .discretization import (
     GridFunction,
     Obstacle,
     UniformGrid,
-    a_u,
     cone_obstacle,
     constant_obstacle,
     energy,
@@ -22,7 +21,6 @@ from .discretization import (
     end_second_diffs,
     first_diff,
     first_variation,
-    l2_inner,
     l2_norm,
     read_profile_csv,
     second_diff,
@@ -43,10 +41,8 @@ from .flow import (
     FlowConfig,
     KKTReport,
     Trajectory,
-    coincidence_set,
     dissipation_report,
     holder_check,
-    interpolate_constant,
     interpolate_linear,
     mm_step,
     run_flow,

@@ -36,22 +36,23 @@ from .discretization import (
     energy_gradient,
     second_diff,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, GridMismatchError
 from .specialfn import h_inv, h_of_A
 
 _QUAD_TOL = 1e-14
 _N_PARAM = 1024  # parametric samples in w = sqrt(A - z), Chebyshev-distributed
+_GL_POINTS = 12  # Gauss-Legendre points per panel between consecutive samples
 
 
-def _den_integral(a: float) -> float:
-    val, _ = quad(lambda w: 2.0 * (1.0 + (a - w * w) ** 2) ** -1.25,
-                  0.0, math.sqrt(a), epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200)
-    return val
+def _x_integrand(a: float, w):
+    """Integrand of the position integral in w = sqrt(A - z): 2 (1+z^2)^(-5/4)."""
+    return 2.0 * (1.0 + (a - w * w) ** 2) ** -1.25
 
 
 def f_of_z(z: float, a_slope: float) -> float:
     """x as a function of the slope: F(z) on [0, A], with F(A) = 0,
-    F(0) = 1/2, strictly decreasing."""
+    F(0) = 1/2, strictly decreasing. Adaptive quadrature, independent of
+    the Gauss-Legendre table `critical_profile` builds."""
     a = float(a_slope)
     z = float(z)
     if not (0.0 <= z <= a):
@@ -61,10 +62,12 @@ def f_of_z(z: float, a_slope: float) -> float:
     width = math.sqrt(a - z)
     # near z = A the interval is tiny and the absolute target 1e-14 would
     # trip spurious roundoff reports; a relative target is the right ask
-    num, _ = quad(lambda w: 2.0 * (1.0 + (a - w * w) ** 2) ** -1.25,
+    num, _ = quad(lambda w: _x_integrand(a, w),
                   0.0, width, epsabs=min(_QUAD_TOL, 1e-3 * width),
                   epsrel=1e-12, limit=200)
-    return 0.5 * num / _den_integral(a)
+    den, _ = quad(lambda w: _x_integrand(a, w), 0.0, math.sqrt(a),
+                  epsabs=_QUAD_TOL, epsrel=1e-12, limit=200)
+    return 0.5 * num / den
 
 
 @dataclass(frozen=True)
@@ -95,25 +98,26 @@ class CriticalPoint:
 def _parametric_table(a: float):
     """Dense table (X, U, Z): positions, heights and slopes along the left
     half, sampled at Chebyshev points in w so both steep regions (near the
-    end point and near the midpoint) are resolved."""
-    sa = math.sqrt(a)
+    end point and near the midpoint) are resolved. Each panel between
+    consecutive samples is integrated by the fixed Gauss-Legendre rule (the
+    integrands are smooth in w); the denominator int_0^A W is the sum of
+    all panels. The rule is built here, not at import: its eigensolve
+    starts numpy's LAPACK, which a process that never needs the table
+    should not pay for in memory."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     theta = np.linspace(0.0, math.pi, _N_PARAM)
-    wc = sa * 0.5 * (1.0 - np.cos(theta))
-    den = _den_integral(a)
-    xs = np.empty(_N_PARAM)
-    us = np.empty(_N_PARAM)
-    xs[0] = 0.0
-    us[0] = 0.0
-    accx = accu = 0.0
-    for j in range(1, _N_PARAM):
-        ix, _ = quad(lambda w: 2.0 * (1.0 + (a - w * w) ** 2) ** -1.25,
-                     wc[j - 1], wc[j], epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-        iu, _ = quad(lambda w: 2.0 * (a - w * w) * (1.0 + (a - w * w) ** 2) ** -1.25,
-                     wc[j - 1], wc[j], epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-        accx += ix
-        accu += iu
-        xs[j] = 0.5 * accx / den
-        us[j] = 0.5 * accu / den
+    wc = math.sqrt(a) * 0.5 * (1.0 - np.cos(theta))
+    mid = 0.5 * (wc[1:] + wc[:-1])
+    half = 0.5 * (wc[1:] - wc[:-1])
+    w = mid[:, None] + half[:, None] * nodes
+    fx = _x_integrand(a, w)
+    accx = np.cumsum(half * (fx @ weights))
+    accu = np.cumsum(half * (((a - w * w) * fx) @ weights))
+    den = accx[-1]
+    xs = np.zeros(_N_PARAM)
+    us = np.zeros(_N_PARAM)
+    xs[1:] = 0.5 * accx / den
+    us[1:] = 0.5 * accu / den
     xs[-1] = 0.5
     zs = a - wc**2
     zs[-1] = max(zs[-1], 0.0)
@@ -132,8 +136,10 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     constant, warm-started at the sample). The polish moves nodal values by
     O(h^2) at most but makes the stored profile satisfy the discrete
     variational inequality over coordinate directions exactly, including the
-    contact node sitting bitwise on the cone tip. The parametric table is
-    kept for the slope and first-order-equation cross-checks.
+    contact node sitting bitwise on the cone tip. A polish that does not
+    converge raises StepConvergenceError with the unconverged profile as
+    `partial`. The parametric table is kept for the slope and
+    first-order-equation cross-checks.
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
@@ -230,7 +236,7 @@ def check_critical(u: GridFunction, obstacle: Obstacle, tol: float
     need grad E bounded below (nonnegative multiplier).
     """
     if u.grid != obstacle.grid:
-        raise DomainError("candidate and obstacle on different grids")
+        raise GridMismatchError("candidate and obstacle on different grids")
     psi = obstacle.samples.values
     if np.any(u.values < psi - 1e-12):
         raise DomainError("candidate is not admissible (below the obstacle)")

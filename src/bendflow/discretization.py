@@ -193,8 +193,7 @@ def second_diff(u: GridFunction) -> np.ndarray:
     Endpoint curvature is not defined by this operator; the energy and the
     Navier diagnostic use dedicated one-sided stencils there.
     """
-    v, h = u.values, u.grid.h
-    return ((v[2:] + v[:-2]) - 2.0 * v[1:-1]) / h**2
+    return _derivative_tables(u.values, u.grid.h)[1][1:-1]
 
 
 def end_second_diffs(u: GridFunction) -> tuple[float, float]:
@@ -357,23 +356,6 @@ def first_variation(u: GridFunction, phi: GridFunction) -> float:
     t1 = 2.0 * float(np.sum(w * upp * ppp * (1.0 + up**2) ** -2.5))
     t2 = 5.0 * float(np.sum(w * upp**2 * up * pp * (1.0 + up**2) ** -3.5))
     return t1 - t2
-
-
-def a_u(u: GridFunction) -> np.ndarray:
-    """Nodal curvature-like quantity u'' / (1 + u'^2)^(5/4), length n+1.
-
-    The energy is exactly the trapezoid sum of a_u^2 by construction.
-    """
-    up, upp = _derivative_tables(u.values, u.grid.h)
-    return upp * (1.0 + up**2) ** -1.25
-
-
-def l2_inner(u: GridFunction, v: GridFunction) -> float:
-    """Trapezoid L2(0,1) pairing."""
-    if u.grid != v.grid:
-        raise GridMismatchError("operands on different grids")
-    w = trapezoid_weights(u.grid)
-    return float(np.sum(w * u.values * v.values))
 
 
 def l2_norm(u: GridFunction) -> float:

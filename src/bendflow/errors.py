@@ -13,7 +13,7 @@ class RangeError(DomainError):
     """Value outside the invertible range of a monotone map."""
 
 
-class GridMismatchError(BendflowError, ValueError):
+class GridMismatchError(DomainError):
     """Operands live on different grids."""
 
 

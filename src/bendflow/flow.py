@@ -14,6 +14,13 @@ which satisfies, step by step,
 
 the inequality all a-priori bounds of the scheme rest on.
 
+Every entry point (`mm_step`, `run_flow`) checks admissibility of its
+datum through one helper, `_check_admissible`: same grid as the obstacle
+(else GridMismatchError), above it nodewise and zero at both ends (else
+DomainError). The proximal solve itself, `_mm_step_raw`, certifies its
+exit: a residual still above inner_tol * scale raises StepConvergenceError
+carrying the last iterate, whoever the caller is.
+
 Inner solver: projected Newton on the box constraint, with the two pinned
 ends treated as two more active bounds. The search direction solves the
 exact banded Hessian of Phi on all n+1 nodes (with Levenberg damping if it
@@ -79,7 +86,7 @@ from .discretization import (
     energy,
     trapezoid_weights,
 )
-from .errors import DomainError, StepConvergenceError
+from .errors import DomainError, GridMismatchError, StepConvergenceError
 from .specialfn import g, g_inv
 
 _BW = _HESS_BW
@@ -273,7 +280,10 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 
     Drives the natural-map residual pi = v - Pi_box(v - r) below a quarter
     of inner_tol * scale; anything <= inner_tol * scale at exit still counts
-    as converged, the headroom is for the certificate.
+    as converged, the headroom is for the certificate. Above that at exit
+    it raises StepConvergenceError with the last iterate as `partial`, so
+    every caller (mm_step, the polish of `critical_profile`) gets either a
+    converged point or a typed error.
     """
     n = len(f) - 1
     tau = cfg.tau
@@ -370,6 +380,12 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         if step is None:
             break
         v, tv, ev, (pv, gv, (r, pi, scale)) = step
+    if pimax > cfg.inner_tol * scale:
+        raise StepConvergenceError(
+            f"inner solver stopped at residual {pimax:.3e} "
+            f"(tolerance {cfg.inner_tol * scale:.3e})",
+            partial=v,
+        )
     floor = start.floor if v is v0 else _residual_floor(v, tv[1], h, tau)
     return v, r, pimax, scale, nit, _Eval(tv, ev, gv, floor)
 
@@ -401,14 +417,27 @@ def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
     )
 
 
+def _check_admissible(u: GridFunction, obstacle: Obstacle, what: str) -> None:
+    """Raise unless u lives on the obstacle's grid, lies above it nodewise
+    and vanishes at both ends; `what` names u in the message."""
+    if u.grid != obstacle.grid:
+        raise GridMismatchError(f"{what} and obstacle on different grids")
+    if np.any(u.values < obstacle.samples.values):
+        raise DomainError(f"{what} must lie above the obstacle")
+    if u.values[0] != 0.0 or u.values[-1] != 0.0:
+        raise DomainError(f"{what} must vanish at the endpoints")
+
+
 def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
             carry: list | None = None):
     """One minimizing-movement step from f. Returns (iterate, KKTReport).
 
     Guarantees Phi(u) <= Phi(f), hence E_h(u) <= E_h(f) and
     ||u - f||^2/(2 tau) <= E_h(f) - E_h(u), and that u >= psi exactly.
-    Raises StepConvergenceError (with the partial iterate attached) if the
-    residual is still above inner_tol * scale after inner_max_iter.
+    Raises GridMismatchError or DomainError if f is not admissible, and
+    StepConvergenceError (from `_mm_step_raw`, with the partial iterate
+    attached) if the residual is still above inner_tol * scale after
+    inner_max_iter.
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
     owned by the caller. After a successful step its slot holds
@@ -417,24 +446,12 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     of evaluating f again. The values array is a read-only copy, so identity
     means the same bits. Without `carry` every step evaluates f itself.
     """
-    if f.grid != obstacle.grid:
-        raise DomainError("iterate and obstacle on different grids")
+    _check_admissible(f, obstacle, "iterate")
     psi = obstacle.samples.values
     fv = f.values
-    if fv[0] != 0.0 or fv[-1] != 0.0:
-        raise DomainError("iterate must vanish at the endpoints")
-    if np.any(fv < psi):
-        raise DomainError("iterate must lie above the obstacle nodewise")
-    h = f.grid.h
     held = carry[0] if carry else None
     start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
-    v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, h, cfg, start)
-    if pimax > cfg.inner_tol * scale:
-        raise StepConvergenceError(
-            f"inner solver stopped at residual {pimax:.3e} "
-            f"(tolerance {cfg.inner_tol * scale:.3e})",
-            partial=v,
-        )
+    v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
     report = _build_report(v, psi, cfg, r, scale, nit, pimax)
     u = GridFunction(f.grid, v)
     if carry is not None:
@@ -449,14 +466,9 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     """
     from .specialfn import c0  # local import keeps module load light
 
+    _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
-    if grid != obstacle.grid:
-        raise DomainError("initial datum and obstacle on different grids")
     psi = obstacle.samples.values
-    if np.any(u0.values < psi):
-        raise DomainError("initial datum must lie above the obstacle")
-    if u0.values[0] != 0.0 or u0.values[-1] != 0.0:
-        raise DomainError("initial datum must vanish at the endpoints")
 
     traj = Trajectory(grid=grid, obstacle=obstacle, tau=cfg.tau)
     e0 = energy(u0)
@@ -534,18 +546,6 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
 # interpolations and diagnostics
 # ---------------------------------------------------------------------------
 
-def interpolate_constant(traj: Trajectory, t: float) -> GridFunction:
-    """Piecewise-constant interpolant: u_{(k+1)tau} on (k tau, (k+1) tau],
-    u_0 at t = 0."""
-    if not (0.0 <= t <= traj.t_end):
-        raise DomainError(f"t={t} outside [0, {traj.t_end}]")
-    if t == 0.0:
-        return traj.iterates[0]
-    k = math.ceil(t / traj.tau - 1e-12)
-    k = min(max(k, 1), traj.n_steps)
-    return traj.iterates[k]
-
-
 def interpolate_linear(traj: Trajectory, t: float) -> GridFunction:
     """Piecewise-linear interpolant between consecutive iterates."""
     if not (0.0 <= t <= traj.t_end):
@@ -617,13 +617,6 @@ def holder_check(traj: Trajectory, pairs=None, rng=None, n_pairs: int = 100
     tol = 1e-12 * max(1.0, d)
     return HolderReport(constant=d, max_violation=worst,
                         pairs_checked=len(pairs), holds=worst <= tol)
-
-
-def coincidence_set(u: GridFunction, obstacle: Obstacle, tol: float) -> np.ndarray:
-    """Indices where u - psi <= tol."""
-    if u.grid != obstacle.grid:
-        raise DomainError("operands on different grids")
-    return np.nonzero(u.values - obstacle.samples.values <= tol)[0]
 
 
 def touch_window(e0: float, inf_energy: float) -> float:

@@ -129,6 +129,10 @@ def g_inv(y: float) -> float:
     return t if y > 0 else -t
 
 
+_SERIES_TOL = 1e-14  # 2F1 sum ends after two terms below this share of it
+_SERIES_MAX_TERMS = 50000  # ConvergenceError beyond this many terms
+
+
 @dataclass(frozen=True)
 class HypergeometricParams:
     """Parameters for the Gauss series 2F1(a, b; c; z)."""
@@ -136,16 +140,10 @@ class HypergeometricParams:
     a: float
     b: float
     c: float
-    series_tol: float = 1e-14
-    max_terms: int = 50000
 
     def __post_init__(self):
         if self.c <= 0 and float(self.c) == int(self.c):
             raise DomainError(f"2F1 parameter c={self.c} is a nonpositive integer")
-        if not (self.series_tol > 0):
-            raise DomainError("series_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
 
 
 def hyp2f1(p: HypergeometricParams, z: float) -> float:
@@ -159,23 +157,23 @@ def hyp2f1(p: HypergeometricParams, z: float) -> float:
     if not math.isfinite(z) or z >= 1.0:
         raise DomainError(f"hyp2f1: argument z={z} outside (-inf, 1)")
     if z < 0.0:
-        q = HypergeometricParams(p.a, p.c - p.b, p.c, p.series_tol, p.max_terms)
+        q = HypergeometricParams(p.a, p.c - p.b, p.c)
         return (1.0 - z) ** (-p.a) * hyp2f1(q, z / (z - 1.0))
     s = 1.0
     term = 1.0
     small_streak = 0
-    for n in range(p.max_terms):
+    for n in range(_SERIES_MAX_TERMS):
         term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
         s += term
-        if abs(term) <= p.series_tol * abs(s):
+        if abs(term) <= _SERIES_TOL * abs(s):
             small_streak += 1
             if small_streak >= 2:
                 return s
         else:
             small_streak = 0
     raise ConvergenceError(
-        f"hyp2f1: series at z={z} not below tol {p.series_tol} "
-        f"within {p.max_terms} terms"
+        f"hyp2f1: series at z={z} not below tol {_SERIES_TOL} "
+        f"within {_SERIES_MAX_TERMS} terms"
     )
 
 

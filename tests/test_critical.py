@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from bendflow import (
     DomainError,
     FlowConfig,
     GridFunction,
+    StepConvergenceError,
     UniformGrid,
     check_critical,
     cone_obstacle,
@@ -12,6 +16,7 @@ from bendflow import (
     critical_profile,
     energy,
     f_of_z,
+    h_inv,
     h_of_A,
     ode_residual,
     run_flow,
@@ -105,6 +110,40 @@ def test_check_critical_rejects_inadmissible():
     with pytest.raises(DomainError):
         check_critical(GridFunction.zeros(grid), cone_obstacle(0.05, grid),
                        tol=1e-5)
+
+
+def test_parametric_table_matches_f_of_z():
+    # the Gauss-Legendre table against the adaptive-quadrature reference
+    from bendflow.critical import _parametric_table
+
+    for height in (0.02, 0.1, 0.5):
+        a = h_inv(height)
+        xs, _, zs = _parametric_table(a)
+        for j in range(0, len(zs), 97):
+            assert abs(xs[j] - f_of_z(zs[j], a)) <= 1e-14
+
+
+def test_profile_raises_no_integration_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cp = critical_profile(0.1, UniformGrid(200))
+    assert cp.profile.values[100] == 0.1
+
+
+def test_polish_nonconvergence_raises(monkeypatch):
+    import bendflow.flow as flow_mod
+
+    raw = flow_mod._mm_step_raw
+
+    def no_newton(f, psi, h, cfg, start=None):
+        return raw(f, psi, h, dataclasses.replace(cfg, inner_max_iter=0), start)
+
+    monkeypatch.setattr(flow_mod, "_mm_step_raw", no_newton)
+    grid = UniformGrid(100)
+    with pytest.raises(StepConvergenceError) as excinfo:
+        critical_profile(0.02, grid)
+    assert excinfo.value.partial is not None
+    assert excinfo.value.partial.shape == (grid.n + 1,)
 
 
 def test_odd_grid_rejected():

@@ -11,7 +11,6 @@ from bendflow import (
     GridFunction,
     StepConvergenceError,
     UniformGrid,
-    coincidence_set,
     cone_obstacle,
     constant_obstacle,
     dissipation_report,
@@ -20,13 +19,11 @@ from bendflow import (
     energy_gradient,
     g,
     holder_check,
-    interpolate_constant,
     interpolate_linear,
     l2_norm,
     mm_step,
     run_flow,
     symmetry_residual,
-    table_obstacle,
     touch_window,
     trapezoid_weights,
     u_c_profile,
@@ -95,6 +92,23 @@ def test_mm_step_rejects_inadmissible():
     bad_ends = GridFunction(grid, np.ones(grid.n + 1))
     with pytest.raises(DomainError):
         mm_step(bad_ends, constant_obstacle(-2.0, grid), cfg)
+
+
+def test_grid_mismatch_is_one_domain_error():
+    from bendflow import GridMismatchError, check_critical, first_variation
+
+    grid, other = UniformGrid(32), UniformGrid(64)
+    u0 = u_c_profile(0.5, grid)
+    far = cone_obstacle(0.02, other)
+    cfg = FlowConfig(tau=1e-3, t_end=1e-3)
+    calls = (lambda: mm_step(u0, far, cfg),
+             lambda: run_flow(u0, far, cfg),
+             lambda: check_critical(u0, far, tol=1e-5),
+             lambda: first_variation(u0, u_c_profile(0.5, other)))
+    for call in calls:
+        with pytest.raises(GridMismatchError) as excinfo:
+            call()
+        assert isinstance(excinfo.value, DomainError)
 
 
 def test_mm_step_nonconvergence_carries_partial():
@@ -492,26 +506,24 @@ def test_interpolations(cone_run):
     k = 3
     lin = interpolate_linear(traj, k * cfg.tau)
     assert np.allclose(lin.values, traj.iterates[k].values, atol=1e-12)
-    assert np.array_equal(interpolate_constant(traj, 0.0).values, u0.values)
     # midpoint of a step is the average of the neighbors
     mid = interpolate_linear(traj, (k + 0.5) * cfg.tau)
     avg = 0.5 * (traj.iterates[k].values + traj.iterates[k + 1].values)
     assert np.allclose(mid.values, avg, atol=1e-14)
-    # constant interpolant takes the right-hand iterate on (k tau, (k+1) tau]
-    const = interpolate_constant(traj, (k + 0.5) * cfg.tau)
-    assert np.array_equal(const.values, traj.iterates[k + 1].values)
     with pytest.raises(DomainError):
         interpolate_linear(traj, traj.t_end + 1.0)
 
 
 def test_interpolation_gap_bound(cone_run):
-    # ||u_lin(t) - u_const(t)|| <= sqrt(2 tau) sqrt(E(u0))
+    # ||u_lin(t) - u_const(t)|| <= sqrt(2 tau) sqrt(E(u0)), where the
+    # piecewise-constant interpolant is u_{k+1} on (k tau, (k+1) tau]
     traj, cfg, _, u0 = cone_run
     bound = math.sqrt(2 * cfg.tau) * math.sqrt(traj.energies[0])
     w = trapezoid_weights(traj.grid)
     for t in np.linspace(1e-6, traj.t_end, 13):
         a = interpolate_linear(traj, float(t)).values
-        b = interpolate_constant(traj, float(t)).values
+        k = min(max(math.ceil(t / cfg.tau - 1e-12), 1), traj.n_steps)
+        b = traj.iterates[k].values
         dist = math.sqrt(float(np.sum(w * (a - b) ** 2)))
         assert dist <= bound + 1e-12
 
@@ -549,14 +561,6 @@ def test_holder_check(cone_run):
     assert rep2.holds
     rep3 = holder_check(traj, pairs=[(0.05, 0.05)])
     assert rep3.holds
-
-
-def test_coincidence_set_exact_touch():
-    grid = UniformGrid(32)
-    u = GridFunction(grid, np.maximum(grid.nodes * (1 - grid.nodes), 0.0))
-    psi = table_obstacle(u)  # obstacle equal to u everywhere
-    idx = coincidence_set(u, psi, tol=0.0)
-    assert np.array_equal(idx, np.arange(grid.n + 1))
 
 
 def test_touch_window_formula_and_preconditions():
