@@ -60,14 +60,20 @@ therefore runs exactly as often as `_energy_raw`.
 One evaluation per accepted iterate: the step returns the evaluation of the
 point it accepts (tables, E_h, grad E_h, residual floor), and `run_flow`
 hands it to the next step, which starts from that point, and takes the
-recorded energy from it. A step at rest, which accepts its starting point
-after no Newton iteration, therefore builds no tables and evaluates neither
-E_h nor its gradient.
+recorded energy from it. Phi at the starting point is formed only once a
+Newton iteration starts, since only the line search reads it. A step at
+rest, which accepts its starting point after no Newton iteration, therefore
+builds no tables and evaluates none of E_h, its gradient and Phi. It is
+still certified: its KKT arrays and report are built from its own arrays,
+as for any step. If its result has the bits of its input, `mm_step` returns
+the input object itself, and `run_flow` records that iterate's step norm
+(0), contact count and symmetry residual without measuring it again.
 """
 
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,8 +186,9 @@ def _mirror_bands(ab: np.ndarray) -> np.ndarray:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Bitwise equality of two float arrays (so -0.0 differs from 0.0)."""
-    return bool((a.view(np.uint64) == b.view(np.uint64)).all())
+    """Bitwise equality of two float arrays of one shape (so -0.0 differs
+    from 0.0)."""
+    return a.tobytes() == b.tobytes()
 
 
 def _cholesky_solve(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,7 +269,7 @@ def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float = 0.0):
     udot = (v - f) / tau
     r = ge + udot
     r[0] = r[-1] = 0.0
-    scale = (1.0 + float(np.max(np.abs(ge))) + float(np.max(np.abs(udot)))
+    scale = (1.0 + float(np.abs(ge).max()) + float(np.abs(udot).max())
              + floor_over_tol)
     pi = v - np.maximum(psi, v - r)
     pi[0] = pi[-1] = 0.0
@@ -307,7 +314,6 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
                       _energy_gradient_raw(*tables, h),
                       _residual_floor(v, tables[1], h, tau))
     tv, ev, gv = start.tables, start.energy, start.grad
-    pv = phi(v, ev)
     fot = start.floor / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
 
@@ -340,13 +346,13 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         for vt, tt, et, pt in kept:
             gt = _energy_gradient_raw(*tt, h)
             kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
-            if float(np.max(np.abs(kkt[1]))) <= 0.9 * pimax:
+            if float(np.abs(kkt[1]).max()) <= 0.9 * pimax:
                 return vt, tt, et, (min(pt, pv), gt, kkt)
         return None
 
     nit = 0
     while True:
-        pimax = float(np.max(np.abs(pi)))
+        pimax = float(np.abs(pi).max())
         if pimax <= 0.25 * cfg.inner_tol * scale or nit == cfg.inner_max_iter:
             break
         nit += 1
@@ -376,6 +382,8 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         if d is None or not d.any():
             break
 
+        if nit == 1:
+            pv = phi(v, ev)  # Phi at the start, read only by the search
         step = search()
         if step is None:
             break
@@ -386,8 +394,9 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             f"(tolerance {cfg.inner_tol * scale:.3e})",
             partial=v,
         )
-    floor = start.floor if v is v0 else _residual_floor(v, tv[1], h, tau)
-    return v, r, pimax, scale, nit, _Eval(tv, ev, gv, floor)
+    if v is not v0:
+        start = _Eval(tv, ev, gv, _residual_floor(v, tv[1], h, tau))
+    return v, r, pimax, scale, nit, start
 
 
 def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
@@ -404,12 +413,12 @@ def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
     act[0] = act[-1] = False
     inact = ~act
     inact[0] = inact[-1] = False
-    stat = float(np.max(np.abs(r[inact]))) if inact.any() else 0.0
-    mult = float(np.min(r[act])) if act.any() else math.inf
+    active_set = act.nonzero()[0]
+    active_set.setflags(write=False)
     return KKTReport(
-        stationarity_residual=stat,
-        multiplier_min=mult,
-        active_set=np.nonzero(act)[0],
+        stationarity_residual=float(np.abs(r).max(where=inact, initial=0.0)),
+        multiplier_min=float(r.min(where=act, initial=math.inf)),
+        active_set=active_set,
         scale=scale,
         natural_residual=natural_residual,
         active_tol=active_tol,
@@ -422,7 +431,7 @@ def _check_admissible(u: GridFunction, obstacle: Obstacle, what: str) -> None:
     and vanishes at both ends; `what` names u in the message."""
     if u.grid != obstacle.grid:
         raise GridMismatchError(f"{what} and obstacle on different grids")
-    if np.any(u.values < obstacle.samples.values):
+    if (u.values < obstacle.samples.values).any():
         raise DomainError(f"{what} must lie above the obstacle")
     if u.values[0] != 0.0 or u.values[-1] != 0.0:
         raise DomainError(f"{what} must vanish at the endpoints")
@@ -434,6 +443,8 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
 
     Guarantees Phi(u) <= Phi(f), hence E_h(u) <= E_h(f) and
     ||u - f||^2/(2 tau) <= E_h(f) - E_h(u), and that u >= psi exactly.
+    A step that does not move (no Newton iteration, result bitwise equal to
+    f.values) returns f itself, with a report certifying it like any other.
     Raises GridMismatchError or DomainError if f is not admissible, and
     StepConvergenceError (from `_mm_step_raw`, with the partial iterate
     attached) if the residual is still above inner_tol * scale after
@@ -453,7 +464,7 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
     v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
     report = _build_report(v, psi, cfg, r, scale, nit, pimax)
-    u = GridFunction(f.grid, v)
+    u = f if nit == 0 and _same_bits(v, fv) else GridFunction(f.grid, v)
     if carry is not None:
         carry[0] = (u.values, cfg.tau, ev)
     return u, report
@@ -463,6 +474,13 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
              stop_when_stall_rate: float | None = None) -> Trajectory:
     """Iterate mm_step until t_end (or until the energy decrease per unit
     time falls below `stop_when_stall_rate`). Records all diagnostics.
+
+    Every step is solved and certified, so the trajectory holds one
+    KKTReport per step. A step that does not move returns its input object,
+    which the trajectory then holds twice; its step norm is 0 and its
+    contact count and symmetry residual are those of its input. A
+    StepConvergenceError leaves tagged with `step_index`, its `partial`
+    iterate kept and the solver frames it passed through cleared.
     """
     from .specialfn import c0  # local import keeps module load light
 
@@ -514,15 +532,22 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             un, report = mm_step(u, obstacle, cfg, carry=carry)
         except StepConvergenceError as err:
             err.step_index = k
+            # the finished solver frames hold the step's work arrays
+            traceback.clear_frames(err.__traceback__)
             raise
-        dn = float(np.sqrt(np.sum(w * (un.values - u.values) ** 2)))
         times.append((k + 1) * cfg.tau)
         iterates.append(un)
         energies.append(carry[0][2].energy)
-        step_norms.append(dn)
-        counts.append(int(np.sum((un.values - psi) <= ctol)))
+        if un is u:  # the step did not move: its diagnostics are u's
+            step_norms.append(0.0)
+            counts.append(counts[-1])
+            sym.append(sym[-1])
+        else:
+            dn = float(np.sqrt(np.sum(w * (un.values - u.values) ** 2)))
+            step_norms.append(dn)
+            counts.append(int(np.sum((un.values - psi) <= ctol)))
+            sym.append(symmetry_residual(un))
         inner.append(report.inner_iterations)
-        sym.append(symmetry_residual(un))
         traj.kkt_reports.append(report)
         u = un
         if stop_when_stall_rate is not None:

@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -214,7 +215,9 @@ def _stepwise_flow(u0, obstacle, cfg):
 
 def _assert_carrying_exact(u0, obstacle, cfg):
     """run_flow, which hands each accepted iterate's evaluation to the next
-    step, records the same bits as the step-by-step loop, failures too."""
+    step and measures an iterate that did not move only once, records the
+    same bits as the step-by-step loop and as a fresh measurement of each
+    iterate, failures too."""
     try:
         iterates, energies, norms, reports = _stepwise_flow(u0, obstacle, cfg)
     except StepConvergenceError as err:
@@ -229,6 +232,12 @@ def _assert_carrying_exact(u0, obstacle, cfg):
             == [u.values.tobytes() for u in iterates])
     assert traj.energies.tobytes() == np.array(energies).tobytes()
     assert traj.step_norms.tobytes() == np.array(norms).tobytes()
+    psi = obstacle.samples.values
+    ctol = 10.0 * cfg.inner_tol * math.sqrt(u0.grid.h)
+    counts = [int(np.sum((u.values - psi) <= ctol)) for u in iterates]
+    assert traj.coincidence_counts.tobytes() == np.array(counts).tobytes()
+    sym = [symmetry_residual(u) for u in iterates]
+    assert traj.symmetry_residuals.tobytes() == np.array(sym).tobytes()
     for got, want in zip(traj.kkt_reports, reports, strict=True):
         for name, value in vars(want).items():
             assert (np.asarray(getattr(got, name)).tobytes()
@@ -453,6 +462,54 @@ def test_steps_at_rest_do_no_kernel_work(cone_run, monkeypatch):
         assert run.n_steps == k and not run.inner_iterations.any()
         seen.append(dict(counts))
     assert seen[0] == seen[1]
+
+
+def test_step_at_rest_returns_its_input_and_certifies_it(cone_run):
+    """A step that accepts its start after no Newton iteration returns the
+    input object itself, with or without a carried evaluation, and its
+    report equals, bit for bit, that of a step from a fresh copy."""
+    traj, cfg, obstacle, _ = cone_run
+    rest = traj.iterates[-1]
+    carry = [None]
+    first, _ = mm_step(rest, obstacle, cfg, carry=carry)
+    again, report = mm_step(first, obstacle, cfg, carry=carry)
+    assert first is rest and again is rest
+    _, fresh = mm_step(GridFunction(rest.grid, rest.values.copy()), obstacle, cfg)
+    for name, value in vars(fresh).items():
+        assert (np.asarray(getattr(report, name)).tobytes()
+                == np.asarray(value).tobytes()), name
+
+
+def test_one_values_array_per_move_and_one_report_per_step(cone_run):
+    """Steps at rest share their input's values array, and every step,
+    moving or not, carries a certificate of its own."""
+    traj, _, _, _ = cone_run
+    moving = int(np.count_nonzero(traj.inner_iterations))
+    assert traj.n_steps == 100 and 0 < moving < traj.n_steps
+    assert len({id(u.values) for u in traj.iterates}) == 1 + moving
+    assert len({id(r) for r in traj.kkt_reports}) == traj.n_steps
+
+
+def test_kkt_active_set_is_read_only(cone_run):
+    traj, _, _, _ = cone_run
+    active = traj.kkt_reports[-1].active_set
+    assert active.size > 0
+    with pytest.raises(ValueError):
+        active[0] = 0
+
+
+def test_failed_run_releases_solver_frames():
+    """The typed failure keeps its partial iterate and step index, but not
+    the locals of the solver frames it was raised through."""
+    grid = UniformGrid(100)
+    cfg = FlowConfig(tau=1e-3, t_end=1.0, inner_max_iter=0)
+    with pytest.raises(StepConvergenceError) as excinfo:
+        run_flow(u_c_profile(0.5, grid), cone_obstacle(0.02, grid), cfg)
+    err = excinfo.value
+    assert err.step_index == 0 and err.partial is not None
+    frames = [frame for frame, _ in traceback.walk_tb(err.__traceback__)
+              if frame.f_code.co_name == "_mm_step_raw"]
+    assert len(frames) == 1 and frames[0].f_locals == {}
 
 
 def test_run_flow_constant_trajectory():
