@@ -42,7 +42,6 @@ from .flow import (
     KKTReport,
     Trajectory,
     dissipation_report,
-    holder_check,
     interpolate_linear,
     mm_step,
     run_flow,

@@ -3,15 +3,19 @@
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 numerical nonconvergence; a sweep runs every case and exits with the
-code of its first failed case. All numeric output uses 15 significant digits
-and identical inputs produce byte-identical files.
+code of its first failed case. A missing or unreadable input file (a
+config, a profile table, a checkpoint) exits 2 with a message naming it.
+
+Output rule: every CSV file goes through `discretization.write_csv` (floats
+as `{:.15g}`, integers as `str`) and every JSON file through `_write_json`
+(`indent=2`, sorted keys, trailing newline); stdout prints numbers as
+`{:.15g}`. Identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import sys
 from pathlib import Path
@@ -36,28 +40,26 @@ _TRAJ_HEADER = ["step", "time", "energy", "step_l2", "coincidence_count",
                 "kkt_multiplier_min"]
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_trajectory_csv(path, traj: fl.Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(_TRAJ_HEADER)
-        for k in range(1, traj.n_steps + 1):
-            rep = traj.kkt_reports[k - 1]
-            mult = rep.multiplier_min
-            wr.writerow([
-                k, _F(traj.times[k]), _F(traj.energies[k]),
-                _F(traj.step_norms[k - 1]), traj.coincidence_counts[k],
-                _F(traj.symmetry_residuals[k]), traj.inner_iterations[k - 1],
-                _F(rep.stationarity_residual),
-                "inf" if mult == float("inf") else _F(mult),
-            ])
+    reports = traj.kkt_reports
+    disc.write_csv(path, _TRAJ_HEADER, [
+        np.arange(1, traj.n_steps + 1), traj.times[1:], traj.energies[1:],
+        traj.step_norms, traj.coincidence_counts[1:],
+        traj.symmetry_residuals[1:], traj.inner_iterations,
+        [rep.stationarity_residual for rep in reports],
+        [rep.multiplier_min for rep in reports],
+    ])
 
 
 def _write_snapshot_csv(path, u: disc.GridFunction, psi: disc.GridFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "u", "psi", "gap"])
-        for x, uv, pv in zip(u.x, u.values, psi.values):
-            wr.writerow([_F(x), _F(uv), _F(pv), _F(uv - pv)])
+    disc.write_csv(path, ["x", "u", "psi", "gap"],
+                   [u.x, u.values, psi.values, u.values - psi.values])
 
 
 def _simulate_one(cfg: RunConfig, out_dir: Path,
@@ -69,7 +71,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     steps_offset = 0
     summary_name = cfg.outputs.get("summary_json", "summary.json")
     if resume is not None:
-        prev = json.loads((resume / summary_name).read_text())
+        prev = read_json(resume / summary_name)
         u0 = disc.read_profile_csv(resume / "final.csv")
         if u0.grid.n != cfg.grid_n:
             raise ConfigError("checkpoint grid does not match configuration")
@@ -116,9 +118,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
         "steps": traj.n_steps + steps_offset,
         "t_final": traj.t_end + t_offset,
     }
-    with open(out_dir / summary_name, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / summary_name, summary)
     disc.write_profile_csv(out_dir / "final.csv", traj.iterates[-1])
     return summary
 
@@ -145,19 +145,13 @@ def _cmd_critical(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     psi = cp.obstacle.samples
-    with open(out / "critical_profile.csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "u", "uprime", "psi"])
-        for x, u, up, pv in zip(cp.profile.x, cp.profile.values,
-                                cp.slope_profile.values, psi.values):
-            wr.writerow([_F(x), _F(u), _F(up), _F(pv)])
-    payload = {
+    disc.write_csv(out / "critical_profile.csv", ["x", "u", "uprime", "psi"],
+                   [cp.profile.x, cp.profile.values, cp.slope_profile.values,
+                    psi.values])
+    _write_json(out / "critical_residuals.json", {
         "height": cp.height, "A": cp.A, "energy": cp.energy,
         "residuals": cp.residuals, "n": args.n,
-    }
-    with open(out / "critical_residuals.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"A = {cp.A:.15g}, energy = {cp.energy:.15g}, "
           f"u(1/2) = {cp.profile.values[grid.midpoint_index]:.15g}")
     return 0
@@ -168,44 +162,24 @@ def _cmd_rearrange(args) -> int:
     fstar = re_.decreasing_rearrangement(f)
     fsym = re_.symmetric_rearrangement(f)
     v = re_.talenti_comparison(f)
-    with open(args.out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "f", "f_star", "f_sym", "v"])
-        for x, a, b, c, d in zip(f.x, f.values, fstar.values, fsym.values,
-                                 v.values):
-            wr.writerow([_F(x), _F(a), _F(b), _F(c), _F(d)])
+    disc.write_csv(args.out, ["x", "f", "f_star", "f_sym", "v"],
+                   [f.x, f.values, fstar.values, fsym.values, v.values])
     print(f"wrote {args.out}")
     return 0
 
 
+# name -> (number of arguments, function); also the choices of --fn
+_SPECIALFN = {
+    "g": (1, sf.g), "ginv": (1, sf.g_inv), "c0": (0, sf.c0),
+    "h": (1, sf.h_of_A), "hinv": (1, sf.h_inv), "uc": (2, sf.u_c_value),
+}
+
+
 def _cmd_specialfn(args) -> int:
-    fn = args.fn
-    vals = [float(a) for a in args.args]
-
-    def need(k):
-        if len(vals) != k:
-            raise ConfigError(f"--fn {fn} takes exactly {k} argument(s)")
-
-    if fn == "c0":
-        need(0)
-        out = [sf.c0()]
-    elif fn == "g":
-        need(1)
-        out = [sf.g(vals[0])]
-    elif fn == "ginv":
-        need(1)
-        out = [sf.g_inv(vals[0])]
-    elif fn == "h":
-        need(1)
-        out = [sf.h_of_A(vals[0])]
-    elif fn == "hinv":
-        need(1)
-        out = [sf.h_inv(vals[0])]
-    else:  # uc
-        need(2)
-        out = [sf.u_c_value(vals[0], vals[1])]
-    for v in out:
-        print(_F(v))
+    arity, fn = _SPECIALFN[args.fn]
+    if len(args.args) != arity:
+        raise ConfigError(f"--fn {args.fn} takes exactly {arity} argument(s)")
+    print(_F(fn(*args.args)))
     return 0
 
 
@@ -217,7 +191,7 @@ def _cmd_validate(args) -> int:
     report = run_validation(quick=args.quick, progress=progress)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report.write(out_dir / "validation_report.json")
+    _write_json(out_dir / "validation_report.json", report.to_json())
     print(f"overall: {'pass' if report.overall_pass else 'fail'} "
           f"({sum(c.passed for c in report.checks)}/{len(report.checks)})")
     return 0 if report.overall_pass else 1
@@ -298,9 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser("specialfn", help="evaluate scalar special functions")
     pfs = pf.add_subparsers(dest="subcommand", required=True)
     pe = pfs.add_parser("eval")
-    pe.add_argument("--fn", required=True,
-                    choices=["g", "ginv", "c0", "h", "hinv", "uc"])
-    pe.add_argument("--args", nargs="*", default=[])
+    pe.add_argument("--fn", required=True, choices=list(_SPECIALFN))
+    pe.add_argument("--args", nargs="*", type=float, default=[])
     pe.set_defaults(handler=_cmd_specialfn)
 
     pv = sub.add_parser("validate", help="run the acceptance checks")

@@ -185,10 +185,9 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     return cp
 
 
-def ode_residual(cp: CriticalPoint, window: tuple[float, float] = (0.05, 0.45)
-                 ) -> float:
-    """sup over grid nodes in `window` of |u'(x) - J(u(x))|, where J maps
-    height to slope by inverting the monotone parametric height table.
+def ode_residual(cp: CriticalPoint) -> float:
+    """sup over grid nodes x in [0.05, 0.45] of |u'(x) - J(u(x))|, where J
+    maps height to slope by inverting the monotone parametric height table.
 
     Both sides come from the parametric table through independent
     interpolations (position -> slope versus height -> slope composed with
@@ -201,7 +200,7 @@ def ode_residual(cp: CriticalPoint, window: tuple[float, float] = (0.05, 0.45)
     height_of_x = PchipInterpolator(xs, us)
     slope_of_x = PchipInterpolator(xs, zs)
     x = cp.grid.nodes
-    mask = (x >= window[0]) & (x <= window[1])
+    mask = (x >= 0.05) & (x <= 0.45)
     xl = np.minimum(x[mask], 1.0 - x[mask])  # fold onto the left half
     return float(np.max(np.abs(slope_of_x(xl) - j_interp(height_of_x(xl)))))
 

@@ -18,6 +18,7 @@ The flow solver relies on this to preserve symmetry to machine precision.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,13 +151,18 @@ def constant_obstacle(level: float, grid: UniformGrid) -> Obstacle:
 # stencils and quadrature
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of the grid of n cells of width h, built once per
+    grid and shared by every caller, hence read-only."""
     w = np.full(n + 1, h)
     w[0] = w[-1] = h / 2.0
+    w.setflags(write=False)
     return w
 
 
 def trapezoid_weights(grid: UniformGrid) -> np.ndarray:
+    """Read-only trapezoid weights of `grid`, the same array on every call."""
     return _trapezoid_weights(grid.n, grid.h)
 
 
@@ -364,29 +370,52 @@ def l2_norm(u: GridFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# profile CSV format: header "x,value", one row per node
+# CSV files: one writer for every table the package writes, and the profile
+# format "x,value", one row per node
 # ---------------------------------------------------------------------------
 
-def write_profile_csv(path, u: GridFunction) -> None:
+_CSV_ROWS = 1024  # rows formatted per slice, so no file is held as text
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length columns under `header`, one row per index.
+
+    Integer columns print as `str`, every other column as `{:.15g}` (so
+    inf prints as "inf"). Rows are formatted and written a slice at a time.
+    """
+    cols = [np.asarray(c) for c in columns]
+    n = len(cols[0])
+    if len(header) != len(cols) or any(len(c) != n for c in cols):
+        raise ValueError("write_csv needs one equal-length column per header")
+    fmts = [str if c.dtype.kind in "iu" else "{:.15g}".format for c in cols]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["x", "value"])
-        for x, v in zip(u.x, u.values):
-            wr.writerow([f"{x:.15g}", f"{v:.15g}"])
+        wr.writerow(header)
+        for lo in range(0, n, _CSV_ROWS):
+            wr.writerows(zip(*(map(fmt, c[lo:lo + _CSV_ROWS].tolist())
+                               for fmt, c in zip(fmts, cols))))
+
+
+def write_profile_csv(path, u: GridFunction) -> None:
+    write_csv(path, ["x", "value"], [u.x, u.values])
 
 
 def read_profile_csv(path) -> GridFunction:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None or [c.strip() for c in header[:2]] != ["x", "value"]:
-            raise DomainError(f"{path}: expected profile CSV with header 'x,value'")
-        xs, vs = [], []
-        for row in rd:
-            if not row:
-                continue
-            xs.append(float(row[0]))
-            vs.append(float(row[1]))
+    """Read a profile CSV. A file that cannot be read, or a row that is not
+    two numbers, is a DomainError naming the path."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as err:
+        raise DomainError(f"{path}: {err}") from err
+    if not rows or [c.strip() for c in rows[0][:2]] != ["x", "value"]:
+        raise DomainError(f"{path}: expected profile CSV with header 'x,value'")
+    try:
+        xs = [float(row[0]) for row in rows[1:] if row]
+        vs = [float(row[1]) for row in rows[1:] if row]
+    except (ValueError, IndexError) as err:
+        raise DomainError(
+            f"{path}: every row must hold two numbers x,value ({err})") from err
     n = len(xs) - 1
     if n < 4:
         raise DomainError(f"{path}: too few rows for a grid ({n + 1})")

@@ -265,7 +265,7 @@ class _Eval:
     floor: float
 
 
-def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float = 0.0):
+def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
     udot = (v - f) / tau
     r = ge + udot
     r[0] = r[-1] = 0.0
@@ -611,37 +611,6 @@ def dissipation_report(traj: Trajectory, slack_per_step: float | None = None
         dissipated_sum=dsum, udot_bound=bound,
         holds=lhs <= rhs, udot_bound_holds=dsum <= bound + traj.n_steps * slack_per_step,
     )
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    constant: float
-    max_violation: float
-    pairs_checked: int
-    holds: bool
-
-
-def holder_check(traj: Trajectory, pairs=None, rng=None, n_pairs: int = 100
-                 ) -> HolderReport:
-    """Verify ||u(t) - u(s)|| <= D sqrt(|t-s|) on the linear interpolant,
-    with D = sqrt(sum ||du||^2 / tau) computed from the run itself."""
-    if traj.n_steps < 1:
-        raise DomainError("trajectory has no steps")
-    d = math.sqrt(float(np.sum(traj.step_norms**2)) / traj.tau)
-    if pairs is None:
-        rng = rng or np.random.default_rng(0)
-        pairs = rng.uniform(0.0, traj.t_end, size=(n_pairs, 2))
-    w = trapezoid_weights(traj.grid)
-    worst = -math.inf
-    for s, t in pairs:
-        us = interpolate_linear(traj, float(s)).values
-        ut = interpolate_linear(traj, float(t)).values
-        dist = math.sqrt(float(np.sum(w * (ut - us) ** 2)))
-        bound = d * math.sqrt(abs(t - s))
-        worst = max(worst, dist - bound)
-    tol = 1e-12 * max(1.0, d)
-    return HolderReport(constant=d, max_violation=worst,
-                        pairs_checked=len(pairs), holds=worst <= tol)
 
 
 def touch_window(e0: float, inf_energy: float) -> float:

@@ -18,7 +18,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def emit_plot(profiles, path, title: str | None = None) -> None:
+def emit_plot(profiles, path) -> None:
     """Write a standalone SVG with one polyline per (label, GridFunction).
 
     The y-range is the data range padded by 5 percent; degenerate ranges fall
@@ -46,11 +46,6 @@ def emit_plot(profiles, path, title: str | None = None) -> None:
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="15" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{title}</text>'
-        )
     # axes
     parts.append(
         f'<line x1="{sx(0):.2f}" y1="{sy(ymin):.2f}" x2="{sx(1):.2f}" '

@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from bendflow import ConfigError, GridFunction, UniformGrid, write_profile_csv
+from bendflow import (
+    ConfigError,
+    DomainError,
+    GridFunction,
+    UniformGrid,
+    write_profile_csv,
+)
 from bendflow.cli import main
 from bendflow.config import load_config, parse_config
 from bendflow.svgplot import emit_plot
@@ -313,3 +319,63 @@ def test_cli_sweep_isolates_a_failing_case(tmp_path, capsys):
     assert "stuck: nonconvergence: inner solver stopped" in captured.err
     assert (runs / "ok" / "summary.json").exists()
     assert not (runs / "stuck" / "summary.json").exists()
+
+
+def test_rearrange_missing_input_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    assert main(["rearrange", "--input", str(missing), "--out",
+                 str(tmp_path / "pair.csv")]) == 2
+    assert f"error: {missing}: " in capsys.readouterr().err
+    assert not (tmp_path / "pair.csv").exists()
+
+
+@pytest.mark.parametrize("section", ["obstacle", "initial"])
+@pytest.mark.parametrize("content", [None, "not a number"],
+                         ids=["missing", "non_number"])
+def test_bad_table_file_exits_2(tmp_path, capsys, section, content):
+    """A table whose file is missing or holds a non-number is an error
+    naming the file, not a traceback."""
+    path = tmp_path / "table.csv"
+    if content is not None:
+        write_profile_csv(path, GridFunction(UniformGrid(32), np.zeros(33)))
+        path.write_text(path.read_text().replace("0.5,0", f"0.5,{content}"))
+    data = dict(MINIMAL, t_end=0.002)
+    data[section] = {"type": "table", "path": str(path)}
+    with pytest.raises(DomainError, match=str(path)):
+        getattr(parse_config(data), f"build_{section}")()
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_resume_without_summary_exits_2(tmp_path, capsys):
+    checkpoint = tmp_path / "checkpoint"
+    checkpoint.mkdir()
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),
+                 "--out", str(tmp_path / "out"), "--resume",
+                 str(checkpoint)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {checkpoint / 'summary.json'}: " in err
+
+
+def test_specialfn_non_numeric_argument_exits_2(capsys):
+    assert main(["specialfn", "eval", "--fn", "g", "--args", "abc"]) == 2
+    assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+def test_cli_sweep_reports_the_good_case_past_a_missing_table(tmp_path, capsys):
+    base = {k: v for k, v in MINIMAL.items() if k != "initial"}
+    missing = tmp_path / "missing.csv"
+    sweep = {"base": base, "cases": {
+        "missing": {"initial": {"type": "table", "path": str(missing)}},
+        "ok": {"t_end": 0.002, "initial": MINIMAL["initial"]},
+    }}
+    p = tmp_path / "sweep.json"
+    p.write_text(json.dumps(sweep))
+    runs = tmp_path / "runs"
+    assert main(["sweep", "--config", str(p), "--out", str(runs),
+                 "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "ok: final energy" in captured.out
+    assert f"missing: error: {missing}: " in captured.err
+    assert (runs / "ok" / "summary.json").exists()

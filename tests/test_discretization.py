@@ -27,6 +27,7 @@ from bendflow.discretization import (
     _derivative_tables,
     _energy_gradient_raw,
     _energy_hessian_bands,
+    write_csv,
 )
 from bendflow.flow import _mirror_bands
 from bendflow.specialfn import g
@@ -250,6 +251,14 @@ def test_a_u_identity_with_energy():
     assert abs(mid + 2.0) < 1e-8  # u' = 0 there, so A_u = u'' = -2
 
 
+def test_trapezoid_weights_built_once_per_grid_and_read_only():
+    grid = UniformGrid(64)
+    w = trapezoid_weights(grid)
+    assert w is trapezoid_weights(UniformGrid(64))
+    assert not w.flags.writeable
+    assert w[0] == w[-1] == grid.h / 2.0 and np.all(w[1:-1] == grid.h)
+
+
 def test_l2_norms():
     grid = UniformGrid(1000)
     assert l2_norm(GridFunction.zeros(grid)) == 0.0
@@ -284,3 +293,15 @@ def test_profile_csv_round_trip(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(DomainError):
         read_profile_csv(bad)
+
+
+def test_write_csv_formats_by_column_type(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "a", "b"],
+              [np.arange(1, 4), [0.1, 1 / 3, math.inf], np.array([2.0, -0.0, 1e-20])])
+    assert path.read_bytes() == (b"k,a,b\r\n1,0.1,2\r\n2,0.333333333333333,-0\r\n"
+                                 b"3,inf,1e-20\r\n")
+    with pytest.raises(ValueError):
+        write_csv(path, ["k", "a"], [np.arange(3), np.zeros(2)])
+    with pytest.raises(ValueError):
+        write_csv(path, ["k"], [np.arange(3), np.zeros(3)])

@@ -19,7 +19,6 @@ from bendflow import (
     energy,
     energy_gradient,
     g,
-    holder_check,
     interpolate_linear,
     l2_norm,
     mm_step,
@@ -607,17 +606,6 @@ def test_dissipation_near_equality_for_unconstrained_small_steps():
     drop = traj.energies[0] - traj.energies[-1]
     assert drop > 0
     assert abs(dissipated - drop) <= 0.05 * drop
-
-
-def test_holder_check(cone_run):
-    traj, cfg, _, _ = cone_run
-    rep = holder_check(traj, rng=np.random.default_rng(1), n_pairs=100)
-    assert rep.holds
-    # the adjacent-step pair is exactly the per-step bound
-    rep2 = holder_check(traj, pairs=[(3 * cfg.tau, 4 * cfg.tau)])
-    assert rep2.holds
-    rep3 = holder_check(traj, pairs=[(0.05, 0.05)])
-    assert rep3.holds
 
 
 def test_touch_window_formula_and_preconditions():

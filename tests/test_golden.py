@@ -1,6 +1,7 @@
-"""Golden outputs: `bendflow simulate` on a short acceptance-cone run,
-regenerated and compared with the files under tests/golden/ (written by
-tests/golden/regen.py).
+"""Golden outputs: every slice of tests/golden/regen.py (`bendflow
+simulate` on a short acceptance-cone run, `rearrange` of its final profile,
+`specialfn eval` of the six functions), regenerated and compared with the
+files under tests/golden/.
 
 Bits depend on the numpy and scipy builds. Where the Python, numpy and
 scipy versions equal the ones recorded with the golden files, every file
@@ -17,6 +18,8 @@ import json
 import re
 import shutil
 from pathlib import Path
+
+import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
@@ -104,10 +107,11 @@ def structural_differences(want_dir: Path, got_dir: Path) -> list[str]:
     return out
 
 
-def test_cone_short_matches_golden(tmp_path):
-    want_dir = GOLDEN / regen.CONE_SHORT
-    got_dir = tmp_path / regen.CONE_SHORT
-    regen.generate(got_dir)
+@pytest.mark.parametrize("name", list(regen.SLICES))
+def test_slice_matches_golden(tmp_path, name):
+    want_dir = GOLDEN / name
+    got_dir = tmp_path / name
+    regen.generate(name, got_dir)
     assert structural_differences(want_dir, got_dir) == []
     recorded = json.loads((want_dir / regen.ENV_FILE).read_text())
     if recorded == regen.environment():
@@ -120,7 +124,7 @@ def test_structural_comparison_catches_changes(tmp_path):
     """The comparison used away from the recorded environment accepts a
     change far below REL and rejects a float beyond it, a changed integer
     column, a missing row and a missing file."""
-    want_dir = GOLDEN / regen.CONE_SHORT
+    want_dir = GOLDEN / "cone_short"
 
     def edited(label, name, edit):
         got_dir = tmp_path / label

@@ -111,7 +111,7 @@ def test_talenti_inequality_random_concave():
     rng = np.random.default_rng(7)
     grid = UniformGrid(200)
     for _ in range(20):
-        u = random_concave_profile(rng, grid, slope_bound=2.0)
+        u = random_concave_profile(rng, grid)
         rep = talenti_inequality_check(u)
         assert rep.holds, f"comparison failed with gap {rep.min_gap}"
 
