@@ -29,7 +29,7 @@ from . import flow as fl
 from . import rearrange as re_
 from . import specialfn as sf
 from .config import RunConfig, load_config, parse_config, read_json
-from .errors import BendflowError, ConfigError, ConvergenceError
+from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
 from .validate import run_validation
 
@@ -71,7 +71,10 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     steps_offset = 0
     summary_name = cfg.outputs.get("summary_json", "summary.json")
     if resume is not None:
-        prev = read_json(resume / summary_name)
+        try:
+            prev = read_json(resume / summary_name)
+        except ConfigError as err:  # a checkpoint is not a run config
+            raise DomainError(str(err)) from err
         u0 = disc.read_profile_csv(resume / "final.csv")
         if u0.grid.n != cfg.grid_n:
             raise ConfigError("checkpoint grid does not match configuration")
@@ -162,6 +165,7 @@ def _cmd_rearrange(args) -> int:
     fstar = re_.decreasing_rearrangement(f)
     fsym = re_.symmetric_rearrangement(f)
     v = re_.talenti_comparison(f)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     disc.write_csv(args.out, ["x", "f", "f_star", "f_sym", "v"],
                    [f.x, f.values, fstar.values, fsym.values, v.values])
     print(f"wrote {args.out}")

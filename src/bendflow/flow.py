@@ -68,13 +68,21 @@ still certified: its KKT arrays and report are built from its own arrays,
 as for any step. If its result has the bits of its input, `mm_step` returns
 the input object itself, and `run_flow` records that iterate's step norm
 (0), contact count and symmetry residual without measuring it again.
+
+One certificate per resting iterate: a step whose problem repeats the
+previous step's problem bit for bit (the same iterate array, obstacle array
+and config, after a step at rest that returned its input) carries a copy of
+that step's certificate. The step is a pure function of its problem, so the
+copy is exact; it skips the solve, the KKT arrays, the report and the
+admissibility check. So once the flow is at rest, each further step costs
+neither kernel nor KKT work.
 """
 
 from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -452,21 +460,31 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
     owned by the caller. After a successful step its slot holds
-    (u.values, tau, evaluation of u); a later call whose f.values is that
-    very array, with the same tau, starts from the held evaluation instead
-    of evaluating f again. The values array is a read-only copy, so identity
+    (u.values, cfg, evaluation of u, psi, report), the report only if the
+    step did not move and None otherwise. A later call whose f.values is
+    that very array, with the same tau, starts from the held evaluation
+    instead of evaluating f again. If a report is held, and psi is the held
+    array and cfg equals the held config, the problem repeats the previous
+    step's problem bit for bit: the step is a pure function of those, so it
+    returns f and a copy of the held certificate without solving, building
+    KKT arrays or checking admissibility again (the held step produced f
+    against this psi). The values arrays are read-only copies, so identity
     means the same bits. Without `carry` every step evaluates f itself.
     """
-    _check_admissible(f, obstacle, "iterate")
     psi = obstacle.samples.values
     fv = f.values
     held = carry[0] if carry else None
-    start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
+    if (held and held[4] is not None and held[0] is fv and held[3] is psi
+            and held[1] == cfg):
+        return f, replace(held[4])
+    _check_admissible(f, obstacle, "iterate")
+    start = held[2] if held and held[0] is fv and held[1].tau == cfg.tau else None
     v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
     report = _build_report(v, psi, cfg, r, scale, nit, pimax)
-    u = f if nit == 0 and _same_bits(v, fv) else GridFunction(f.grid, v)
+    at_rest = nit == 0 and _same_bits(v, fv)
+    u = f if at_rest else GridFunction(f.grid, v)
     if carry is not None:
-        carry[0] = (u.values, cfg.tau, ev)
+        carry[0] = (u.values, cfg, ev, psi, report if at_rest else None)
     return u, report
 
 
@@ -475,10 +493,12 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     """Iterate mm_step until t_end (or until the energy decrease per unit
     time falls below `stop_when_stall_rate`). Records all diagnostics.
 
-    Every step is solved and certified, so the trajectory holds one
-    KKTReport per step. A step that does not move returns its input object,
-    which the trajectory then holds twice; its step norm is 0 and its
-    contact count and symmetry residual are those of its input. A
+    Every step is certified, so the trajectory holds one KKTReport per
+    step. A step that does not move returns its input object, which the
+    trajectory then holds twice; its step norm is 0 and its contact count
+    and symmetry residual are those of its input. A step whose problem
+    repeats the previous step's problem bit for bit carries a copy of that
+    step's certificate (see `mm_step`). A
     StepConvergenceError leaves tagged with `step_index`, its `partial`
     iterate kept and the solver frames it passed through cleared.
     """

@@ -159,18 +159,33 @@ def hyp2f1(p: HypergeometricParams, z: float) -> float:
     if z < 0.0:
         q = HypergeometricParams(p.a, p.c - p.b, p.c)
         return (1.0 - z) ** (-p.a) * hyp2f1(q, z / (z - 1.0))
-    s = 1.0
-    term = 1.0
-    small_streak = 0
-    for n in range(_SERIES_MAX_TERMS):
+    # The sum ends at the second of two consecutive terms below _SERIES_TOL
+    # of the partial sum. Most series end within 64 terms, which are summed
+    # one by one; longer ones go on 512 terms at a time: the term ratios of
+    # a chunk are formed at once, the carried term folded into the first,
+    # and cumprod and cumsum run in order, so every term and partial sum
+    # has the bits of the term-by-term recurrence.
+    s = term = 1.0
+    small_before = False  # the latest term was below tolerance
+    for n in range(64):
         term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
         s += term
-        if abs(term) <= _SERIES_TOL * abs(s):
-            small_streak += 1
-            if small_streak >= 2:
-                return s
-        else:
-            small_streak = 0
+        small = abs(term) <= _SERIES_TOL * abs(s)
+        if small and small_before:
+            return s
+        small_before = small
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(64, _SERIES_MAX_TERMS, 512):
+            n = np.arange(n0, min(n0 + 512, _SERIES_MAX_TERMS), dtype=float)
+            ratios = (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
+            ratios[0] *= term
+            terms = np.cumprod(ratios)
+            sums = np.cumsum(np.concatenate(([s], terms)))[1:]
+            small = np.abs(terms) <= _SERIES_TOL * np.abs(sums)
+            stop = small & np.concatenate(([small_before], small[:-1]))
+            if stop.any():
+                return float(sums[stop.argmax()])
+            term, s, small_before = terms[-1], sums[-1], small[-1]
     raise ConvergenceError(
         f"hyp2f1: series at z={z} not below tol {_SERIES_TOL} "
         f"within {_SERIES_MAX_TERMS} terms"

@@ -11,6 +11,9 @@ produced the bytes.
 - cone_short: `bendflow simulate` on the acceptance cone (height 0.02, u_c
   with c = 0.5, N = 200, tau = 1e-3) over T = 0.1 with snapshots at 0.05
   and 0.1: 14 steps that do Newton work, then 86 steps at rest.
+- cone_resume: the same `simulate`, resumed from cone_short's checkpoint
+  (`--resume`) on to T = 0.2: one step that does Newton work, on the
+  profile read back from final.csv, then 99 steps at rest.
 - rearrange: `bendflow rearrange` of cone_short's final.csv.
 - specialfn: `bendflow specialfn eval` of each of the six functions.
 
@@ -52,6 +55,9 @@ _SPECIALFN_ARGS = [("g", ["1.0"]), ("ginv", ["0.5"]), ("c0", []),
 SLICES = {
     "cone_short": ({CONFIG_FILE: CONE_CONFIG},
                    [["simulate", "--config", CONFIG_FILE, "--out", "."]]),
+    "cone_resume": ({CONFIG_FILE: CONE_CONFIG},
+                    [["simulate", "--config", CONFIG_FILE, "--resume",
+                      str(GOLDEN / "cone_short"), "--out", "."]]),
     "rearrange": ({}, [["rearrange", "--input",
                         str(GOLDEN / "cone_short" / "final.csv"),
                         "--out", "pair.csv"]]),

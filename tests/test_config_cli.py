@@ -329,6 +329,19 @@ def test_rearrange_missing_input_exits_2(tmp_path, capsys):
     assert not (tmp_path / "pair.csv").exists()
 
 
+def test_rearrange_out_into_missing_directory(tmp_path, capsys):
+    """rearrange creates the directory of --out, as simulate, critical and
+    validate create their output directories."""
+    profile = tmp_path / "profile.csv"
+    grid = UniformGrid(32)
+    write_profile_csv(profile, GridFunction(grid, np.sin(np.pi * grid.nodes)))
+    out = tmp_path / "new" / "dir" / "pair.csv"
+    assert main(["rearrange", "--input", str(profile), "--out", str(out)]) == 0
+    assert f"wrote {out}" in capsys.readouterr().out
+    with open(out) as fh:
+        assert next(csv.reader(fh)) == ["x", "f", "f_star", "f_sym", "v"]
+
+
 @pytest.mark.parametrize("section", ["obstacle", "initial"])
 @pytest.mark.parametrize("content", [None, "not a number"],
                          ids=["missing", "non_number"])
@@ -348,14 +361,34 @@ def test_bad_table_file_exits_2(tmp_path, capsys, section, content):
     assert f"error: {path}: " in capsys.readouterr().err
 
 
+def _resume_from(tmp_path, checkpoint):
+    return main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),
+                 "--out", str(tmp_path / "out"), "--resume", str(checkpoint)])
+
+
 def test_resume_without_summary_exits_2(tmp_path, capsys):
+    """A checkpoint is not a run config: its missing summary is an error
+    naming the file, with the prefix of every other bad input file."""
     checkpoint = tmp_path / "checkpoint"
     checkpoint.mkdir()
-    assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),
-                 "--out", str(tmp_path / "out"), "--resume",
-                 str(checkpoint)]) == 2
+    assert _resume_from(tmp_path, checkpoint) == 2
     err = capsys.readouterr().err
-    assert f"config error: {checkpoint / 'summary.json'}: " in err
+    assert err.startswith(f"error: {checkpoint / 'summary.json'}: ")
+
+
+@pytest.mark.parametrize("content", [None, "x,value\n0,zero\n"],
+                         ids=["missing", "malformed"])
+def test_resume_with_bad_final_csv_exits_2(tmp_path, capsys, content):
+    checkpoint = tmp_path / "checkpoint"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),
+                 "--out", str(checkpoint)]) == 0
+    final = checkpoint / "final.csv"
+    final.unlink()
+    if content is not None:
+        final.write_text(content)
+    capsys.readouterr()
+    assert _resume_from(tmp_path, checkpoint) == 2
+    assert capsys.readouterr().err.startswith(f"error: {final}: ")
 
 
 def test_specialfn_non_numeric_argument_exits_2(capsys):

@@ -1,5 +1,7 @@
 import math
 import traceback
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from bendflow import (
     DomainError,
     FlowConfig,
     GridFunction,
+    Obstacle,
     StepConvergenceError,
     UniformGrid,
     cone_obstacle,
@@ -214,9 +217,11 @@ def _stepwise_flow(u0, obstacle, cfg):
 
 def _assert_carrying_exact(u0, obstacle, cfg):
     """run_flow, which hands each accepted iterate's evaluation to the next
-    step and measures an iterate that did not move only once, records the
+    step, measures an iterate that did not move only once and carries the
+    certificate of a step at rest to the step that repeats it, records the
     same bits as the step-by-step loop and as a fresh measurement of each
-    iterate, failures too."""
+    iterate, failures too. Returns run_flow's trajectory, or None after a
+    failure."""
     try:
         iterates, energies, norms, reports = _stepwise_flow(u0, obstacle, cfg)
     except StepConvergenceError as err:
@@ -238,9 +243,15 @@ def _assert_carrying_exact(u0, obstacle, cfg):
     sym = [symmetry_residual(u) for u in iterates]
     assert traj.symmetry_residuals.tobytes() == np.array(sym).tobytes()
     for got, want in zip(traj.kkt_reports, reports, strict=True):
-        for name, value in vars(want).items():
-            assert (np.asarray(getattr(got, name)).tobytes()
-                    == np.asarray(value).tobytes()), name
+        _assert_same_report(got, want)
+    return traj
+
+
+def _assert_same_report(got, want):
+    """Every KKTReport field equal bit for bit."""
+    for name, value in vars(want).items():
+        assert (np.asarray(getattr(got, name)).tobytes()
+                == np.asarray(value).tobytes()), name
 
 
 def test_carrying_exact_on_cone_from_newton_to_rest(cone_run):
@@ -474,19 +485,122 @@ def test_step_at_rest_returns_its_input_and_certifies_it(cone_run):
     again, report = mm_step(first, obstacle, cfg, carry=carry)
     assert first is rest and again is rest
     _, fresh = mm_step(GridFunction(rest.grid, rest.values.copy()), obstacle, cfg)
-    for name, value in vars(fresh).items():
-        assert (np.asarray(getattr(report, name)).tobytes()
-                == np.asarray(value).tobytes()), name
+    _assert_same_report(report, fresh)
 
 
 def test_one_values_array_per_move_and_one_report_per_step(cone_run):
     """Steps at rest share their input's values array, and every step,
-    moving or not, carries a certificate of its own."""
+    moving or not, carries a certificate of its own: a step whose problem
+    repeats the previous step's problem bit for bit carries a copy of that
+    step's certificate, not the same object."""
     traj, _, _, _ = cone_run
     moving = int(np.count_nonzero(traj.inner_iterations))
     assert traj.n_steps == 100 and 0 < moving < traj.n_steps
     assert len({id(u.values) for u in traj.iterates}) == 1 + moving
     assert len({id(r) for r in traj.kkt_reports}) == traj.n_steps
+
+
+def test_certificate_carried_only_for_the_same_problem(cone_run, monkeypatch):
+    """From an iterate at rest, a chained step carries the held certificate
+    only while iterate array, obstacle array and config all repeat; a
+    change of any one (an equal but distinct obstacle array, tau,
+    inner_tol, inner_max_iter) solves and certifies afresh, with the
+    report of a step without carry, and the repeat after it carries
+    again."""
+    import bendflow.flow as flow_mod
+
+    traj, cfg, obstacle, _ = cone_run
+    rest = traj.iterates[-1]
+    kkt = []
+    original = flow_mod._kkt_arrays
+
+    def counted(*args):
+        kkt.append(None)
+        return original(*args)
+    monkeypatch.setattr(flow_mod, "_kkt_arrays", counted)
+    same_values = Obstacle(obstacle.kind,
+                           GridFunction(rest.grid, obstacle.samples.values),
+                           height=obstacle.height)
+    assert same_values.samples.values is not obstacle.samples.values
+    problems = [(obstacle, cfg), (same_values, cfg), (obstacle, cfg),
+                (obstacle, replace(cfg, tau=0.5 * cfg.tau)),
+                (obstacle, replace(cfg, inner_tol=2.0 * cfg.inner_tol)),
+                (obstacle, replace(cfg, inner_max_iter=cfg.inner_max_iter - 1)),
+                (obstacle, cfg)]
+    carry = [None]
+    for k, (obst, step_cfg) in enumerate(problems):
+        kkt.clear()
+        u, report = mm_step(rest, obst, step_cfg, carry=carry)
+        assert u is rest and len(kkt) == 1, k
+        assert carry[0][4] is report
+        kkt.clear()
+        again, copy = mm_step(rest, obst, step_cfg, carry=carry)
+        assert again is rest and not kkt, k
+        assert copy is not report and copy.active_set is report.active_set
+        _, fresh = mm_step(rest, obst, step_cfg)
+        _assert_same_report(copy, fresh)
+
+
+def test_carried_certificate_does_not_skip_the_obstacle_check(cone_run):
+    """An iterate at rest, chained with an obstacle that it lies below,
+    still raises DomainError."""
+    traj, cfg, obstacle, _ = cone_run
+    rest = traj.iterates[-1]
+    carry = [None]
+    for _ in range(2):
+        assert mm_step(rest, obstacle, cfg, carry=carry)[0] is rest
+    higher = Obstacle(obstacle.kind, GridFunction(
+        rest.grid, obstacle.samples.values + 1e-3), height=obstacle.height)
+    with pytest.raises(DomainError, match="above the obstacle"):
+        mm_step(rest, higher, cfg, carry=carry)
+
+
+def _symmetric_recipe_draw(seed):
+    """A symmetric random admissible datum on a cone, by the recipe of
+    ROADMAP.md ("Random draws"); its own tau draw is discarded."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 65))
+    rng.uniform(-7, -3)
+    height = rng.uniform(0.005, 0.1)
+    coef = rng.normal(size=4) * 0.05 / np.arange(1, 5)
+    grid = UniformGrid(n)
+    obstacle = cone_obstacle(height, grid)
+    x = grid.nodes
+    u0 = np.maximum(obstacle.samples.values,
+                    sum(coef[k] * np.sin((k + 1) * np.pi * x) for k in range(4)))
+    u0[0] = u0[-1] = 0.0
+    m = n // 2
+    u0[n - m:] = u0[:m + 1][::-1]
+    return GridFunction(grid, u0), obstacle
+
+
+def test_carried_certificates_exact_on_symmetric_draws():
+    """Forty steps from symmetric draws record the same bits with carried
+    certificates as without. A step carries a certificate exactly when the
+    step before it returned its input, and some draws get there."""
+    import bendflow.flow as flow_mod
+
+    carried = []
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-4.0, -3.0))
+    def check(seed, log_tau):
+        u0, obstacle = _symmetric_recipe_draw(seed)
+        tau = 10.0 ** log_tau
+        cfg = FlowConfig(tau=tau, t_end=40 * tau)
+        with mock.patch.object(flow_mod, "_build_report",
+                               wraps=flow_mod._build_report) as built:
+            traj = _assert_carrying_exact(u0, obstacle, cfg)
+        if traj is None:
+            return
+        it = traj.iterates
+        repeats = sum(it[k] is it[k - 1] for k in range(1, traj.n_steps))
+        # one report per step without carry, one per uncarried step with it
+        assert built.call_count == 2 * traj.n_steps - repeats
+        carried.append(repeats)
+
+    check()
+    assert sum(carried) > 0
 
 
 def test_kkt_active_set_is_read_only(cone_run):

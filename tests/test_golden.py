@@ -1,7 +1,7 @@
 """Golden outputs: every slice of tests/golden/regen.py (`bendflow
-simulate` on a short acceptance-cone run, `rearrange` of its final profile,
-`specialfn eval` of the six functions), regenerated and compared with the
-files under tests/golden/.
+simulate` on a short acceptance-cone run and its resumption from the
+checkpoint, `rearrange` of its final profile, `specialfn eval` of the six
+functions), regenerated and compared with the files under tests/golden/.
 
 Bits depend on the numpy and scipy builds. Where the Python, numpy and
 scipy versions equal the ones recorded with the golden files, every file

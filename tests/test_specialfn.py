@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bendflow import (
@@ -22,7 +22,7 @@ from bendflow import (
     u_c_profile,
     u_c_value,
 )
-from bendflow.specialfn import _h_hyp, _h_quad
+from bendflow.specialfn import _SERIES_MAX_TERMS, _SERIES_TOL, _h_hyp, _h_quad
 
 from conftest import simpson_adaptive
 
@@ -132,6 +132,50 @@ def test_hyp2f1_parameter_and_domain_errors():
     # far above the series tolerance when the term budget runs out
     with pytest.raises(ConvergenceError):
         hyp2f1(HypergeometricParams(1.0, 1.0, 2.0), 0.9999)
+
+
+def _hyp2f1_term_by_term(p, z):
+    """The Gauss series summed one term at a time, with hyp2f1's domain,
+    Pfaff map, tolerance, term budget and two-in-a-row stopping rule."""
+    z = float(z)
+    if not math.isfinite(z) or z >= 1.0:
+        raise DomainError("z outside (-inf, 1)")
+    if z < 0.0:
+        q = HypergeometricParams(p.a, p.c - p.b, p.c)
+        return (1.0 - z) ** (-p.a) * _hyp2f1_term_by_term(q, z / (z - 1.0))
+    s = term = 1.0
+    small_streak = 0
+    for n in range(_SERIES_MAX_TERMS):
+        term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
+        s += term
+        if abs(term) <= _SERIES_TOL * abs(s):
+            small_streak += 1
+            if small_streak >= 2:
+                return s
+        else:
+            small_streak = 0
+    raise ConvergenceError("no convergence")
+
+
+def _outcome(fn, p, z):
+    try:
+        return np.float64(fn(p, z)).tobytes()
+    except (DomainError, ConvergenceError) as err:
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0), c=st.floats(-5.0, 5.0),
+       z=st.one_of(st.floats(-50.0, 1.0), st.floats(0.9, 1.0)))
+@example(a=1.0, b=0.25, c=1.75, z=900.0 / 901.0)  # H(30), numerator
+@example(a=1.0, b=1.0, c=2.0, z=0.9999)  # out of terms
+@example(a=1.0, b=1.0, c=2.0, z=-1e300)  # Pfaff map to z/(z - 1) = 1
+def test_hyp2f1_bits_match_term_by_term_sum(a, b, c, z):
+    """Summing in chunks gives the bits, and the errors, of summing one
+    term at a time."""
+    assume(not (c <= 0 and c == int(c)))
+    p = HypergeometricParams(a, b, c)
+    assert _outcome(hyp2f1, p, z) == _outcome(_hyp2f1_term_by_term, p, z)
 
 
 def test_h_of_a_zero_and_small_slope():
