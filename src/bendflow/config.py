@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .discretization import (
     GridFunction,
     Obstacle,
@@ -22,12 +20,41 @@ from .flow import FlowConfig
 from .specialfn import u_c_profile
 
 _FLOW_KEYS = {"tau", "t_end", "inner_tol", "inner_max_iter"}
-_OBSTACLE_KEYS = {"type", "height", "path", "level"}
-_INITIAL_KEYS = {"type", "c", "path", "scale"}
 _OUTPUT_KEYS = {"trajectory_csv", "snapshots", "summary_json", "plot_svg"}
-_TOP_KEYS = {"grid_n", "tau", "t_end", "inner_tol", "inner_max_iter",
-             "obstacle", "initial", "outputs", "allow_invalid_obstacle",
-             "stop_when_stall_rate"}
+_TOP_KEYS = _FLOW_KEYS | {"grid_n", "obstacle", "initial", "outputs",
+                          "allow_invalid_obstacle", "stop_when_stall_rate"}
+
+
+def _read_table(where: str, path, grid: UniformGrid) -> GridFunction:
+    gf = read_profile_csv(path)
+    _require(gf.grid.n == grid.n,
+             f"{where} table has {gf.grid.n} cells, config says {grid.n}")
+    return gf
+
+
+def _scaled_bump(scale, grid: UniformGrid) -> GridFunction:
+    xl = grid.nodes[: grid.n // 2 + 1]
+    left = scale * 4.0 * xl * (1.0 - xl)
+    left[0] = 0.0
+    return GridFunction.from_symmetric_half(grid, left)
+
+
+# One table per section: type -> (the one field it takes, builder(value, grid))
+_OBSTACLE_TYPES = {
+    "cone": ("height", cone_obstacle),
+    "table": ("path", lambda p, grid: table_obstacle(_read_table("obstacle", p, grid))),
+    "constant": ("level", constant_obstacle)}
+# u_c_profile is looked up at each call, so a wrapper put on this module's
+# binding, as bench/tracing.py puts one, sees every call.
+_INITIAL_TYPES = {
+    "uc": ("c", lambda c, grid: u_c_profile(c, grid)),
+    "table": ("path", lambda p, grid: _read_table("initial", p, grid)),
+    "scaled_bump": ("scale", _scaled_bump)}
+
+
+def _build(spec: dict, types: dict, grid: UniformGrid):
+    field_name, builder = types[spec["type"]]
+    return builder(spec[field_name], grid)
 
 
 @dataclass
@@ -44,20 +71,7 @@ class RunConfig:
         return UniformGrid(self.grid_n)
 
     def build_obstacle(self) -> Obstacle:
-        spec = self.obstacle_spec
-        grid = self.grid()
-        kind = spec["type"]
-        if kind == "cone":
-            obst = cone_obstacle(spec["height"], grid)
-        elif kind == "constant":
-            obst = constant_obstacle(spec["level"], grid)
-        else:
-            gf = read_profile_csv(spec["path"])
-            if gf.grid.n != grid.n:
-                raise ConfigError(
-                    f"obstacle table has {gf.grid.n} cells, config says {grid.n}"
-                )
-            obst = table_obstacle(gf)
+        obst = _build(self.obstacle_spec, _OBSTACLE_TYPES, self.grid())
         if not obst.assumption1_ok and not self.allow_invalid_obstacle:
             raise ConfigError(
                 "obstacle violates the admissible-obstacle assumption "
@@ -67,23 +81,7 @@ class RunConfig:
         return obst
 
     def build_initial(self) -> GridFunction:
-        spec = self.initial_spec
-        grid = self.grid()
-        kind = spec["type"]
-        if kind == "uc":
-            return u_c_profile(spec["c"], grid)
-        if kind == "scaled_bump":
-            scale = spec["scale"]
-            xl = grid.nodes[: grid.n // 2 + 1]
-            left = scale * 4.0 * xl * (1.0 - xl)
-            left[0] = 0.0
-            return GridFunction.from_symmetric_half(grid, left)
-        gf = read_profile_csv(spec["path"])
-        if gf.grid.n != grid.n:
-            raise ConfigError(
-                f"initial table has {gf.grid.n} cells, config says {grid.n}"
-            )
-        return gf
+        return _build(self.initial_spec, _INITIAL_TYPES, self.grid())
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
@@ -95,6 +93,18 @@ def _reject_unknown(d: dict, allowed: set, where: str) -> None:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _check_section(sec: dict, types: dict, where: str) -> None:
+    """A known `type` and exactly the one field that type takes."""
+    _reject_unknown(sec, {"type"} | {f for f, _ in types.values()}, where)
+    kind = sec.get("type")
+    _require(isinstance(kind, str) and kind in types,
+             f"{where}.type must be {'|'.join(types)}, got {kind!r}")
+    needed = types[kind][0]
+    _require(needed in sec, f"{where} of type {kind} needs '{needed}'")
+    extra = set(sec) - {"type", needed}
+    _require(not extra, f"{where} of type {kind} does not take {sorted(extra)}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -115,25 +125,9 @@ def parse_config(data: dict) -> RunConfig:
     except Exception as err:
         raise ConfigError(f"flow settings invalid: {err}") from err
 
-    ob = data["obstacle"]
-    _reject_unknown(ob, _OBSTACLE_KEYS, "obstacle")
-    _require(ob.get("type") in ("cone", "table", "constant"),
-             f"obstacle.type must be cone|table|constant, got {ob.get('type')!r}")
-    variant_field = {"cone": "height", "table": "path", "constant": "level"}
-    needed = variant_field[ob["type"]]
-    _require(needed in ob, f"obstacle of type {ob['type']} needs '{needed}'")
-    extra = {k for k in ob if k not in ("type", needed)}
-    _require(not extra, f"obstacle of type {ob['type']} does not take {sorted(extra)}")
-
-    init = data["initial"]
-    _reject_unknown(init, _INITIAL_KEYS, "initial")
-    _require(init.get("type") in ("uc", "table", "scaled_bump"),
-             f"initial.type must be uc|table|scaled_bump, got {init.get('type')!r}")
-    init_field = {"uc": "c", "table": "path", "scaled_bump": "scale"}
-    needed = init_field[init["type"]]
-    _require(needed in init, f"initial of type {init['type']} needs '{needed}'")
-    extra = {k for k in init if k not in ("type", needed)}
-    _require(not extra, f"initial of type {init['type']} does not take {sorted(extra)}")
+    ob, init = data["obstacle"], data["initial"]
+    _check_section(ob, _OBSTACLE_TYPES, "obstacle")
+    _check_section(init, _INITIAL_TYPES, "initial")
 
     outputs = data.get("outputs", {})
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")

@@ -166,6 +166,12 @@ def trapezoid_weights(grid: UniformGrid) -> np.ndarray:
     return _trapezoid_weights(grid.n, grid.h)
 
 
+# One-sided end stencils of h^2 u'' and 2h u' at x = 0, on u[0], u[1], ...;
+# at x = 1 they run back from u[-1], the u' one with its sign flipped.
+_D2_END, _D1_END = np.array([2.0, -5.0, 4.0, -1.0]), np.array([-3.0, 4.0, -1.0])
+_D2_END.flags.writeable = _D1_END.flags.writeable = False
+
+
 def _derivative_tables(u: np.ndarray, h: float):
     """(u', u'') at every node: central interior, second-order one-sided ends.
 
@@ -189,8 +195,7 @@ def _derivative_tables(u: np.ndarray, h: float):
 def first_diff(u: GridFunction) -> np.ndarray:
     """Nodal first derivative: central differences in the interior,
     second-order one-sided at the endpoints. Length n+1."""
-    up, _ = _derivative_tables(u.values, u.grid.h)
-    return up
+    return _derivative_tables(u.values, u.grid.h)[0]
 
 
 def second_diff(u: GridFunction) -> np.ndarray:
@@ -222,8 +227,6 @@ def energy(u: GridFunction) -> float:
 
     Second-order accurate: E_h -> E at O(h^2) for smooth u.
     """
-    if not np.all(np.isfinite(u.values)):
-        raise DomainError("non-finite nodal values")
     h = u.grid.h
     return _energy_raw(*_derivative_tables(u.values, h), h)
 
@@ -238,25 +241,19 @@ def _energy_gradient_raw(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarra
     n = len(up) - 1
     w = _trapezoid_weights(n, h)
     s = 1.0 + up**2
-    # dE/d(upp_i) and dE/d(up_i)
-    alpha = 2.0 * w * upp * s**-2.5
-    beta = -5.0 * w * upp**2 * up * s**-3.5
-
+    alpha = 2.0 * w * upp * s**-2.5          # dE/d(upp_i)
+    beta = -5.0 * w * upp**2 * up * s**-3.5  # dE/d(up_i)
     g = np.zeros(n + 1)
-    a = np.zeros(n + 3)            # a[1+i] = alpha_i on interior rows
-    a[2:n + 1] = alpha[1:-1]
-    g += ((a[0:n + 1] + a[2:n + 3]) - 2.0 * a[1:n + 2]) / h**2
-    b = np.zeros(n + 3)
-    b[2:n + 1] = beta[1:-1]
-    g += (b[0:n + 1] - b[2:n + 3]) / (2.0 * h)
-    # one-sided end rows
-    ca, cn = alpha[0] / h**2, alpha[-1] / h**2
-    g[0] += 2.0 * ca; g[1] += -5.0 * ca; g[2] += 4.0 * ca; g[3] += -1.0 * ca
-    g[-1] += 2.0 * cn; g[-2] += -5.0 * cn; g[-3] += 4.0 * cn; g[-4] += -1.0 * cn
-    da, dn = beta[0] / (2.0 * h), beta[-1] / (2.0 * h)
-    g[0] += -3.0 * da; g[1] += 4.0 * da; g[2] += -1.0 * da
-    g[-1] += 3.0 * dn; g[-2] += -4.0 * dn; g[-3] += 1.0 * dn
-
+    pad = np.zeros(n + 3)  # pad[1 + i] = alpha_i, then beta_i, on interior rows
+    pad[2:n + 1] = alpha[1:-1]
+    g += ((pad[0:n + 1] + pad[2:n + 3]) - 2.0 * pad[1:n + 2]) / h**2
+    pad[2:n + 1] = beta[1:-1]
+    g += (pad[0:n + 1] - pad[2:n + 3]) / (2.0 * h)
+    # one-sided end rows: the adjoints of _D2_END and _D1_END
+    g[:4] += _D2_END * (alpha[0] / h**2)
+    g[:-5:-1] += _D2_END * (alpha[-1] / h**2)
+    g[:3] += _D1_END * (beta[0] / (2.0 * h))
+    g[:-4:-1] -= _D1_END * (beta[-1] / (2.0 * h))
     g /= w
     g[0] = g[-1] = 0.0
     return g
@@ -274,69 +271,46 @@ def energy_gradient(u: GridFunction) -> GridFunction:
 
 
 _HESS_BW = 3  # band half-width of the energy Hessian (one-sided end rows)
+# Interior stencil pairs (o1, o2), in the order band o1 - o2 sums them
+_HESS_PAIRS = ((-1, -1), (1, 1), (0, 0), (0, -1), (1, 0), (-1, 0), (0, 1),
+               (1, -1), (-1, 1))
+_END_BANDS = _HESS_BW + np.subtract.outer(np.arange(4), np.arange(4))  # band of H[k1, k2]
 
 
 def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
-    """Exact Euclidean Hessian d^2 E_h / du_j du_k as a symmetric band array.
+    """Exact Euclidean Hessian d^2 E_h / du_j du_k, in a fresh band array.
 
-    Storage: ab[_HESS_BW + (j - k), k] = H[j, k]. The integrand is smooth in
-    the nodal values, so the Hessian exists everywhere; it is indefinite in
-    general (the energy is nonconvex).
+    Storage: ab[_HESS_BW + (j - k), k] = H[j, k]; indefinite in general.
+    H = sum_i a_i B_i B_i^T + b_i (B_i P_i^T + P_i B_i^T) + c_i P_i P_i^T, with
+    B_i, P_i the u'', u' stencils of node i. Interior pairs (o1, o2) of
+    (1, -2, 1)/h^2 and (-1, 0, 1)/(2h) add to band o1 - o2 by slice in the
+    order of _HESS_PAIRS; band 0 adds (0, 0) after (-1, -1) and (1, 1), so
+    mirrored data give bitwise mirrored bands. Each end row adds its 4x4 block
+    of _D2_END/h^2 and +-_D1_END/(2h) in one fancy-index add, its entries
+    formed in Python floats as (a B1) B2 + b (B1 P2 + P1 B2) + (c P1) P2.
     """
     n = len(up) - 1
     w = _trapezoid_weights(n, h)
     s = 1.0 + up**2
     s35 = s**-3.5
-    g1 = -5.0 * up * s35
-    g2 = -5.0 * s35 + 35.0 * up**2 * s**-4.5
-    ca = 2.0 * w * s**-2.5                    # (grad B)(grad B)^T
-    cb = 2.0 * w * upp * g1                   # symmetric B-P coupling
-    cc = w * upp**2 * g2                      # (grad P)(grad P)^T
+    ca = 2.0 * w * s**-2.5                                  # a: B B^T
+    cb = 2.0 * w * upp * (-5.0 * up * s35)                  # b: B P^T + P B^T
+    cc = w * upp**2 * (-5.0 * s35 + 35.0 * up**2 * s**-4.5)  # c: P P^T
     ab = np.zeros((2 * _HESS_BW + 1, n + 1))
-
-    sb = np.array([1.0, -2.0, 1.0]) / h**2
-    sp = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
+    sb = [x / h**2 for x in (1.0, -2.0, 1.0)]
+    sp = [x / (2.0 * h) for x in (-1.0, 0.0, 1.0)]
     car, cbr, ccr = ca[1:-1], cb[1:-1], cc[1:-1]
-
-    def qrow(o1, o2):
-        """Per-interior-row contribution for stencil offsets (o1, o2)."""
-        return (car * (sb[o1 + 1] * sb[o2 + 1])
-                + cbr * (sb[o1 + 1] * sp[o2 + 1] + sp[o1 + 1] * sb[o2 + 1])
-                + ccr * (sp[o1 + 1] * sp[o2 + 1]))
-
-    def scatter(vals, o2):
-        """Align a per-row array with its target column c = i + o2."""
-        out = np.zeros(n + 1)
-        out[1 + o2: n + o2] = vals
-        return out
-
-    # Each band is a fixed palindromic combination of at most three scatter
-    # terms, so band values of mirrored data are bitwise mirrors; np.add.at
-    # accumulation order would break that.
-    ab[_HESS_BW + 0] = ((scatter(qrow(-1, -1), -1) + scatter(qrow(1, 1), 1))
-                        + scatter(qrow(0, 0), 0))
-    ab[_HESS_BW + 1] = scatter(qrow(0, -1), -1) + scatter(qrow(1, 0), 0)
-    ab[_HESS_BW - 1] = scatter(qrow(-1, 0), 0) + scatter(qrow(0, 1), 1)
-    ab[_HESS_BW + 2] = scatter(qrow(1, -1), -1)
-    ab[_HESS_BW - 2] = scatter(qrow(-1, 1), 1)
-
-    def add_end_row(i, bvec, boffs, pvec, poffs, ai, bi, ci):
-        ents: dict[int, list[float]] = {}
-        for o, ccf in zip(boffs, bvec):
-            ents.setdefault(o, [0.0, 0.0])[0] += ccf
-        for o, ccf in zip(poffs, pvec):
-            ents.setdefault(o, [0.0, 0.0])[1] += ccf
-        for o1, (b1, p1) in ents.items():
-            for o2, (b2, p2) in ents.items():
-                coef = ai * b1 * b2 + bi * (b1 * p2 + p1 * b2) + ci * p1 * p2
-                ab[_HESS_BW + (o1 - o2), i + o2] += coef
-
-    add_end_row(0, np.array([2.0, -5.0, 4.0, -1.0]) / h**2, (0, 1, 2, 3),
-                np.array([-3.0, 4.0, -1.0]) / (2.0 * h), (0, 1, 2),
-                ca[0], cb[0], cc[0])
-    add_end_row(n, np.array([2.0, -5.0, 4.0, -1.0]) / h**2, (0, -1, -2, -3),
-                np.array([3.0, -4.0, 1.0]) / (2.0 * h), (0, -1, -2),
-                ca[-1], cb[-1], cc[-1])
+    for o1, o2 in _HESS_PAIRS:
+        b1, b2, p1, p2 = sb[o1 + 1], sb[o2 + 1], sp[o1 + 1], sp[o2 + 1]
+        band = ab[_HESS_BW + o1 - o2, 1 + o2:n + o2]
+        band += car * (b1 * b2) + cbr * (b1 * p2 + p1 * b2) + ccr * (p1 * p2)
+    b, k = (_D2_END / h**2).tolist(), np.arange(4)
+    for i, sign, bands in ((0, 1, _END_BANDS), (n, -1, _END_BANDS.T)):
+        p = (sign * _D1_END / (2.0 * h)).tolist() + [0.0]
+        a, bi, c = ca[i].item(), cb[i].item(), cc[i].item()
+        ab.reshape(-1)[bands * (n + 1) + i + sign * k] += [
+            [a * bj * bk + bi * (bj * pk + pj * bk) + c * pj * pk
+             for bk, pk in zip(b, p)] for bj, pj in zip(b, p)]
     return ab
 
 

@@ -151,14 +151,24 @@ def hyp2f1(p: HypergeometricParams, z: float) -> float:
 
     Direct summation for z in [0,1); for z < 0 the Pfaff transformation
     2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) maps the argument
-    into [0,1). No continuation beyond that range.
+    into [0,1). No continuation beyond that range. A negative z whose
+    factor (1-z)^(-a) overflows, or whose image z/(z-1) rounds to 1, is a
+    DomainError naming the z given.
     """
     z = float(z)
     if not math.isfinite(z) or z >= 1.0:
         raise DomainError(f"hyp2f1: argument z={z} outside (-inf, 1)")
     if z < 0.0:
-        q = HypergeometricParams(p.a, p.c - p.b, p.c)
-        return (1.0 - z) ** (-p.a) * hyp2f1(q, z / (z - 1.0))
+        try:
+            scale = (1.0 - z) ** (-p.a)
+        except OverflowError as err:
+            raise DomainError(
+                f"hyp2f1: (1-z)^(-a) overflows at a={p.a}, z={z}") from err
+        x = z / (z - 1.0)
+        if x >= 1.0:
+            raise DomainError(
+                f"hyp2f1: the Pfaff image z/(z-1) of z={z} rounds to 1")
+        return scale * hyp2f1(HypergeometricParams(p.a, p.c - p.b, p.c), x)
     # The sum ends at the second of two consecutive terms below _SERIES_TOL
     # of the partial sum. Most series end within 64 terms, which are summed
     # one by one; longer ones go on 512 terms at a time: the term ratios of
@@ -230,17 +240,24 @@ def _h_quad(a_slope: float) -> float:
     return 0.5 * num / den
 
 
+_H_MAX_SLOPE = 47.0  # the series for H ends within its term budget up to A = 47.26
+
+
 def h_of_A(a_slope: float) -> float:
     """Cone height map H(A): midpoint height of the symmetric critical
     profile with initial slope A >= 0. Strictly increasing; H(A) ~ A/3 for
     small A and saturates near 0.8346 as A grows.
 
+    Supported for 0 <= A <= 47 (H(47) = 0.8097); a larger A is a RangeError.
     Every call cross-checks the hypergeometric value against the
     desingularized quadrature route to 1e-9 and returns the former.
     """
     a = float(a_slope)
     if not math.isfinite(a) or a < 0.0:
         raise DomainError(f"h_of_A: slope must be finite and >= 0, got {a}")
+    if a > _H_MAX_SLOPE:
+        raise RangeError(f"h_of_A: slope A={a} is above {_H_MAX_SLOPE}, the "
+                         f"largest the series for H supports")
     hv = _h_hyp(a)
     qv = _h_quad(a)
     if abs(hv - qv) > 1e-9 * max(1.0, abs(hv)):

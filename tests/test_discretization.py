@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bendflow import (
@@ -27,6 +27,7 @@ from bendflow.discretization import (
     _derivative_tables,
     _energy_gradient_raw,
     _energy_hessian_bands,
+    _trapezoid_weights,
     write_csv,
 )
 from bendflow.flow import _mirror_bands
@@ -204,6 +205,120 @@ def test_hessian_bands_fd_symmetry_and_reversal(n, seed):
     assert asym <= 8.0 * np.finfo(float).eps * np.max(np.abs(dense))
     ab_rev = _energy_hessian_bands(*_derivative_tables(u[::-1].copy(), h), h)
     assert np.array_equal(ab_rev, _mirror_bands(ab))
+
+
+def _gradient_reference(up, upp, h):
+    """The gradient kernel as first written, scalar end rows and all."""
+    n = len(up) - 1
+    w = _trapezoid_weights(n, h)
+    s = 1.0 + up**2
+    # dE/d(upp_i) and dE/d(up_i)
+    alpha = 2.0 * w * upp * s**-2.5
+    beta = -5.0 * w * upp**2 * up * s**-3.5
+
+    g = np.zeros(n + 1)
+    a = np.zeros(n + 3)            # a[1+i] = alpha_i on interior rows
+    a[2:n + 1] = alpha[1:-1]
+    g += ((a[0:n + 1] + a[2:n + 3]) - 2.0 * a[1:n + 2]) / h**2
+    b = np.zeros(n + 3)
+    b[2:n + 1] = beta[1:-1]
+    g += (b[0:n + 1] - b[2:n + 3]) / (2.0 * h)
+    # one-sided end rows
+    ca, cn = alpha[0] / h**2, alpha[-1] / h**2
+    g[0] += 2.0 * ca; g[1] += -5.0 * ca; g[2] += 4.0 * ca; g[3] += -1.0 * ca
+    g[-1] += 2.0 * cn; g[-2] += -5.0 * cn; g[-3] += 4.0 * cn; g[-4] += -1.0 * cn
+    da, dn = beta[0] / (2.0 * h), beta[-1] / (2.0 * h)
+    g[0] += -3.0 * da; g[1] += 4.0 * da; g[2] += -1.0 * da
+    g[-1] += 3.0 * dn; g[-2] += -4.0 * dn; g[-3] += 1.0 * dn
+
+    g /= w
+    g[0] = g[-1] = 0.0
+    return g
+
+
+def _hessian_bands_reference(up, upp, h):
+    """The Hessian kernel as first written: per-row closures, whole-band
+    scatter sums and a dict of end-row offsets."""
+    n = len(up) - 1
+    w = _trapezoid_weights(n, h)
+    s = 1.0 + up**2
+    s35 = s**-3.5
+    g1 = -5.0 * up * s35
+    g2 = -5.0 * s35 + 35.0 * up**2 * s**-4.5
+    ca = 2.0 * w * s**-2.5                    # (grad B)(grad B)^T
+    cb = 2.0 * w * upp * g1                   # symmetric B-P coupling
+    cc = w * upp**2 * g2                      # (grad P)(grad P)^T
+    ab = np.zeros((2 * _HESS_BW + 1, n + 1))
+
+    sb = np.array([1.0, -2.0, 1.0]) / h**2
+    sp = np.array([-1.0, 0.0, 1.0]) / (2.0 * h)
+    car, cbr, ccr = ca[1:-1], cb[1:-1], cc[1:-1]
+
+    def qrow(o1, o2):
+        """Per-interior-row contribution for stencil offsets (o1, o2)."""
+        return (car * (sb[o1 + 1] * sb[o2 + 1])
+                + cbr * (sb[o1 + 1] * sp[o2 + 1] + sp[o1 + 1] * sb[o2 + 1])
+                + ccr * (sp[o1 + 1] * sp[o2 + 1]))
+
+    def scatter(vals, o2):
+        """Align a per-row array with its target column c = i + o2."""
+        out = np.zeros(n + 1)
+        out[1 + o2: n + o2] = vals
+        return out
+
+    # Each band is a fixed palindromic combination of at most three scatter
+    # terms, so band values of mirrored data are bitwise mirrors; np.add.at
+    # accumulation order would break that.
+    ab[_HESS_BW + 0] = ((scatter(qrow(-1, -1), -1) + scatter(qrow(1, 1), 1))
+                        + scatter(qrow(0, 0), 0))
+    ab[_HESS_BW + 1] = scatter(qrow(0, -1), -1) + scatter(qrow(1, 0), 0)
+    ab[_HESS_BW - 1] = scatter(qrow(-1, 0), 0) + scatter(qrow(0, 1), 1)
+    ab[_HESS_BW + 2] = scatter(qrow(1, -1), -1)
+    ab[_HESS_BW - 2] = scatter(qrow(-1, 1), 1)
+
+    def add_end_row(i, bvec, boffs, pvec, poffs, ai, bi, ci):
+        ents: dict[int, list[float]] = {}
+        for o, ccf in zip(boffs, bvec):
+            ents.setdefault(o, [0.0, 0.0])[0] += ccf
+        for o, ccf in zip(poffs, pvec):
+            ents.setdefault(o, [0.0, 0.0])[1] += ccf
+        for o1, (b1, p1) in ents.items():
+            for o2, (b2, p2) in ents.items():
+                coef = ai * b1 * b2 + bi * (b1 * p2 + p1 * b2) + ci * p1 * p2
+                ab[_HESS_BW + (o1 - o2), i + o2] += coef
+
+    add_end_row(0, np.array([2.0, -5.0, 4.0, -1.0]) / h**2, (0, 1, 2, 3),
+                np.array([-3.0, 4.0, -1.0]) / (2.0 * h), (0, 1, 2),
+                ca[0], cb[0], cc[0])
+    add_end_row(n, np.array([2.0, -5.0, 4.0, -1.0]) / h**2, (0, -1, -2, -3),
+                np.array([3.0, -4.0, 1.0]) / (2.0 * h), (0, -1, -2),
+                ca[-1], cb[-1], cc[-1])
+    return ab
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "mirrored", "zero"]))
+@example(n=200, seed=0, kind="random")
+@example(n=200, seed=1, kind="mirrored")
+@example(n=3200, seed=2, kind="random")
+@example(n=3200, seed=3, kind="mirrored")
+def test_kernels_bitwise_equal_to_reference(n, seed, kind):
+    """The slice-summed Hessian and the vectorised end rows keep every bit
+    of the reference kernels: same band sums in the same order, same
+    end-row products."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3.0, 2.0)
+    if kind == "mirrored":
+        u = u + u[::-1]
+    elif kind == "zero":
+        u = np.zeros(n + 1)
+    h = 1.0 / n
+    up, upp = _derivative_tables(u, h)
+    assert (_energy_hessian_bands(up, upp, h).tobytes()
+            == _hessian_bands_reference(up, upp, h).tobytes())
+    assert (_energy_gradient_raw(up, upp, h).tobytes()
+            == _gradient_reference(up, upp, h).tobytes())
 
 
 def test_first_variation_basics(grid200):

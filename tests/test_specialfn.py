@@ -22,6 +22,7 @@ from bendflow import (
     u_c_profile,
     u_c_value,
 )
+from bendflow.cli import main
 from bendflow.specialfn import _SERIES_MAX_TERMS, _SERIES_TOL, _h_hyp, _h_quad
 
 from conftest import simpson_adaptive
@@ -134,6 +135,16 @@ def test_hyp2f1_parameter_and_domain_errors():
         hyp2f1(HypergeometricParams(1.0, 1.0, 2.0), 0.9999)
 
 
+@pytest.mark.parametrize("a, z, match", [
+    (-5.0, -1e300, r"overflows at a=-5.0, z=-1e\+300"),
+    (-200.0, -50.0, r"overflows at a=-200.0, z=-50.0"),
+    (1.0, -1e300, r"image z/\(z-1\) of z=-1e\+300 rounds to 1"),
+])
+def test_hyp2f1_pfaff_failures_are_domain_errors_naming_z(a, z, match):
+    with pytest.raises(DomainError, match=match):
+        hyp2f1(HypergeometricParams(a, 1.0, 2.0), z)
+
+
 def _hyp2f1_term_by_term(p, z):
     """The Gauss series summed one term at a time, with hyp2f1's domain,
     Pfaff map, tolerance, term budget and two-in-a-row stopping rule."""
@@ -192,6 +203,16 @@ def test_h_of_a_dual_routes_agree():
 def test_h_of_a_domain():
     with pytest.raises(DomainError):
         h_of_A(-0.1)
+
+
+def test_h_of_a_beyond_its_series_is_a_range_error(capsys):
+    assert h_of_A(47.0) == _h_hyp(47.0)
+    with pytest.raises(RangeError, match=r"h_of_A: slope A=47\.5 "):
+        h_of_A(47.5)
+    for arg in ("1e3", "1e8", "1e200"):
+        assert main(["specialfn", "eval", "--fn", "h", "--args", arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: h_of_A: slope A={float(arg)} "), err
 
 
 def test_h_strictly_increasing():
