@@ -96,7 +96,9 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _check_section(sec: dict, types: dict, where: str) -> None:
-    """A known `type` and exactly the one field that type takes."""
+    """A JSON object with a known `type` and exactly the one field it takes."""
+    _require(isinstance(sec, dict),
+             f"{where} must be a JSON object, got {sec!r}")
     _reject_unknown(sec, {"type"} | {f for f, _ in types.values()}, where)
     kind = sec.get("type")
     _require(isinstance(kind, str) and kind in types,

@@ -42,6 +42,7 @@ from .specialfn import h_inv, h_of_A
 _QUAD_TOL = 1e-14
 _N_PARAM = 1024  # parametric samples in w = sqrt(A - z), Chebyshev-distributed
 _GL_POINTS = 12  # Gauss-Legendre points per panel between consecutive samples
+VI_TOL = 1e-5  # check_critical's VI tolerance, relative to its scale
 
 
 def _x_integrand(a: float, w):
@@ -76,9 +77,10 @@ class CriticalPoint:
 
     `residuals` holds {vi_residual, ode_residual, concavity_min}: the worst
     directional derivative over admissible coordinate directions (should be
-    >= -tol), the sup-norm mismatch of u' against the slope-from-height map,
-    and the minimum of -u'' over the left-interior nodes (> 0 means strictly
-    concave there).
+    >= -VI_TOL * scale), the sup-norm mismatch of u' against the
+    slope-from-height map, and the minimum of -u'' over the left-interior
+    nodes (> 0 means strictly concave there). `report` is the
+    `check_critical` report of the profile the residuals were read from.
     """
 
     height: float
@@ -88,7 +90,8 @@ class CriticalPoint:
     slope_profile: GridFunction
     energy: float
     residuals: dict
-    _table: tuple = field(repr=False, default=())
+    report: CriticalityReport = field(repr=False)
+    _table: tuple = field(repr=False)
 
     @property
     def obstacle(self) -> Obstacle:
@@ -139,7 +142,8 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     contact node sitting bitwise on the cone tip. A polish that does not
     converge raises StepConvergenceError with the unconverged profile as
     `partial`. The parametric table is kept for the slope and
-    first-order-equation cross-checks.
+    first-order-equation cross-checks, and the polished profile's
+    `check_critical` report as `report`.
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
@@ -168,21 +172,19 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
         profile.values, obstacle.samples.values, grid.h, polish_cfg)[0]
     profile = GridFunction(grid, polished)
 
-    cp = CriticalPoint(
-        height=float(height), A=a, grid=grid, profile=profile,
-        slope_profile=slope, energy=energy(profile),
-        residuals={}, _table=(xs, us, zs),
-    )
     upp = second_diff(profile)
     concavity_min = float(np.min(-upp[: m]))  # nodes x_1 .. x_m, i.e. (0, 1/2]
-    report = check_critical(profile, cp.obstacle, tol=1e-5)
+    report = check_critical(profile, obstacle)
     residuals = {
         "vi_residual": report.vi_residual,
-        "ode_residual": ode_residual(cp),
+        "ode_residual": _ode_residual((xs, us, zs), grid),
         "concavity_min": concavity_min,
     }
-    object.__setattr__(cp, "residuals", residuals)
-    return cp
+    return CriticalPoint(
+        height=float(height), A=a, grid=grid, profile=profile,
+        slope_profile=slope, energy=energy(profile),
+        residuals=residuals, report=report, _table=(xs, us, zs),
+    )
 
 
 def ode_residual(cp: CriticalPoint) -> float:
@@ -193,13 +195,17 @@ def ode_residual(cp: CriticalPoint) -> float:
     interpolations (position -> slope versus height -> slope composed with
     position -> height), so a small residual cross-validates the quadrature
     construction against the first-order characterization u' = J(u)."""
-    xs, us, zs = cp._table
+    return _ode_residual(cp._table, cp.grid)
+
+
+def _ode_residual(table: tuple, grid: UniformGrid) -> float:
+    xs, us, zs = table
     if np.any(np.diff(us) <= 0.0):
         raise ConvergenceError("height table is not strictly increasing")
     j_interp = PchipInterpolator(us, zs)
     height_of_x = PchipInterpolator(xs, us)
     slope_of_x = PchipInterpolator(xs, zs)
-    x = cp.grid.nodes
+    x = grid.nodes
     mask = (x >= 0.05) & (x <= 0.45)
     xl = np.minimum(x[mask], 1.0 - x[mask])  # fold onto the left half
     return float(np.max(np.abs(slope_of_x(xl) - j_interp(height_of_x(xl)))))
@@ -210,22 +216,20 @@ class CriticalityReport:
     """check_critical output: one-sided variational-inequality residuals over
     the admissible direction family, plus shape diagnostics."""
 
-    vi_residual: float        # min directional derivative; valid point >= -tol*scale
+    vi_residual: float        # min directional derivative; valid point >= -VI_TOL*scale
     stationarity_inactive: float
     multiplier_min: float
     concavity_min: float
     nonnegativity_min: float
     coincidence: np.ndarray
     scale: float
-    tol: float
 
     @property
     def passes_vi(self) -> bool:
-        return self.vi_residual >= -self.tol * self.scale
+        return self.vi_residual >= -VI_TOL * self.scale
 
 
-def check_critical(u: GridFunction, obstacle: Obstacle, tol: float
-                   ) -> CriticalityReport:
+def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
     """Evaluate the discrete variational inequality DE(u)(v - u) >= 0 over
     the family of admissible coordinate directions (+e_i always, -e_i when
     the node is off the obstacle) and two global rescaling directions.
@@ -243,7 +247,7 @@ def check_critical(u: GridFunction, obstacle: Obstacle, tol: float
     scale = 1.0 + float(np.max(np.abs(ge)))
     gap = u.values - psi
     # gap classification lives in solution units, not gradient units
-    act_tol = 10.0 * tol * max(1.0, float(np.max(np.abs(u.values))))
+    act_tol = 10.0 * VI_TOL * max(1.0, float(np.max(np.abs(u.values))))
     act = gap <= act_tol
     act[0] = act[-1] = False
     inact = ~act
@@ -276,5 +280,4 @@ def check_critical(u: GridFunction, obstacle: Obstacle, tol: float
         nonnegativity_min=float(np.min(u.values)),
         coincidence=np.nonzero(act)[0],
         scale=scale,
-        tol=tol,
     )

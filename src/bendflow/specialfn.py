@@ -240,7 +240,8 @@ def _h_quad(a_slope: float) -> float:
     return 0.5 * num / den
 
 
-_H_MAX_SLOPE = 47.0  # the series for H ends within its term budget up to A = 47.26
+_H_SERIES_MAX_SLOPE = 47.0  # the series for H ends within its term budget up to A = 47.26
+_H_MAX_SLOPE = 2.0**19  # _h_quad is within 1e-10 up to here, off by 1.5e-2 at 8e5
 
 
 def h_of_A(a_slope: float) -> float:
@@ -248,16 +249,19 @@ def h_of_A(a_slope: float) -> float:
     profile with initial slope A >= 0. Strictly increasing; H(A) ~ A/3 for
     small A and saturates near 0.8346 as A grows.
 
-    Supported for 0 <= A <= 47 (H(47) = 0.8097); a larger A is a RangeError.
-    Every call cross-checks the hypergeometric value against the
-    desingularized quadrature route to 1e-9 and returns the former.
+    Supported for 0 <= A <= 2^19, the range `h_inv` searches; a larger A
+    is a RangeError. Up to A = 47 the hypergeometric value is returned,
+    cross-checked against the quadrature route to 1e-9; above 47, where the
+    series runs out of terms, the quadrature value, unchecked, as in h_inv.
     """
     a = float(a_slope)
     if not math.isfinite(a) or a < 0.0:
         raise DomainError(f"h_of_A: slope must be finite and >= 0, got {a}")
     if a > _H_MAX_SLOPE:
-        raise RangeError(f"h_of_A: slope A={a} is above {_H_MAX_SLOPE}, the "
-                         f"largest the series for H supports")
+        raise RangeError(f"h_of_A: slope A={a} is above {_H_MAX_SLOPE:g}, the "
+                         f"largest for which H is supported")
+    if a > _H_SERIES_MAX_SLOPE:
+        return _h_quad(a)
     hv = _h_hyp(a)
     qv = _h_quad(a)
     if abs(hv - qv) > 1e-9 * max(1.0, abs(hv)):
@@ -274,10 +278,11 @@ def _h_eval(a_slope: float) -> float:
 
 
 def h_inv(height: float) -> float:
-    """Unique A > 0 with H(A) = height; residual below 1e-10.
+    """Unique A in (0, 2^19] with H(A) = height; residual below 1e-10.
 
-    Bracketing by doubling, bisection refinement, then a secant polish.
-    H saturates, so heights at or above the supremum raise RangeError.
+    Bracketing by doubling, bisection refinement, then a secant polish, on
+    H by `_h_eval`, without h_of_A's cross-check of the two routes. Heights
+    above H(2^19) = 0.83462456, just below the supremum, raise RangeError.
     """
     height = float(height)
     if not (height > 0.0):
@@ -285,9 +290,10 @@ def h_inv(height: float) -> float:
     hi = 1.0
     while _h_eval(hi) < height:
         hi *= 2.0
-        if hi > 2.0**20:
+        if hi > _H_MAX_SLOPE:
             raise RangeError(
-                f"h_inv: height {height} is at or above the supremum of H"
+                f"h_inv: height {height} is above H({_H_MAX_SLOPE:g}), the "
+                f"largest height supported"
             )
     lo = 0.0
     for _ in range(200):

@@ -16,6 +16,12 @@ produced the bytes.
   profile read back from final.csv, then 99 steps at rest.
 - rearrange: `bendflow rearrange` of cone_short's final.csv.
 - specialfn: `bendflow specialfn eval` of each of the six functions.
+- fingerprints: `run_flow` on the ladder (the acceptance cone with c = 0.5,
+  N in {200, 400, 1600}, tau in {1e-3, 1e-5, 1e-7}, 20 steps) and on 100
+  random draws (seeds 0-49, plain and mirrored, 10 steps; `random_draw`).
+  Each case keeps, in fingerprints.json, the SHA-256 of the bits of every
+  iterate, the Newton total, the final energy and the final sup norm, or
+  the typed failure's step index and message.
 
 tests/test_golden.py regenerates every slice and compares it with these
 files. A change that moves any of these bytes regenerates them with this
@@ -25,6 +31,7 @@ script and names each changed file in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -66,6 +73,76 @@ SLICES = {
 }
 
 
+FINGERPRINTS = "fingerprints"
+LADDER_NS = (200, 400, 1600)
+LADDER_TAUS = (1e-3, 1e-5, 1e-7)
+DRAW_SEEDS = range(50)
+
+
+def random_draw(seed: int, symmetric: bool):
+    """A random admissible start above a random cone, with its time step.
+    Plain draws are not mirror-symmetric; a symmetric draw mirrors the
+    left half of the plain draw of the same seed."""
+    from bendflow import UniformGrid, cone_obstacle
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(16, 65))
+    tau = 10 ** rng.uniform(-7, -3)
+    height = rng.uniform(0.005, 0.1)
+    coef = rng.normal(size=4) * 0.05 / np.arange(1, 5)
+    grid = UniformGrid(n)
+    obstacle = cone_obstacle(height, grid)
+    x = grid.nodes
+    u0 = np.maximum(obstacle.samples.values, sum(
+        coef[k] * np.sin((k + 1) * np.pi * x) for k in range(4)))
+    u0[0] = u0[-1] = 0.0
+    if symmetric:
+        m = n // 2
+        u0[n - m:] = u0[:m + 1][::-1]
+    return u0, obstacle, tau
+
+
+def _flow_cases():
+    """(name, u0, obstacle, FlowConfig) of every fingerprinted case."""
+    from bendflow import FlowConfig, GridFunction, UniformGrid, cone_obstacle
+    from bendflow import u_c_profile
+
+    for n in LADDER_NS:
+        grid = UniformGrid(n)
+        u0, obstacle = u_c_profile(0.5, grid), cone_obstacle(0.02, grid)
+        for tau in LADDER_TAUS:
+            yield (f"ladder N={n} tau={tau:g}", u0, obstacle,
+                   FlowConfig(tau=tau, t_end=20 * tau))
+    for seed in DRAW_SEEDS:
+        for symmetric in (False, True):
+            u0, obstacle, tau = random_draw(seed, symmetric)
+            yield (f"draw seed={seed}{' symmetric' if symmetric else ''}",
+                   GridFunction(obstacle.grid, u0), obstacle,
+                   FlowConfig(tau=tau, t_end=10 * tau))
+
+
+def fingerprints() -> dict:
+    """Case name -> fingerprint of its run (see the module docstring)."""
+    from bendflow import BendflowError, run_flow
+
+    out = {}
+    for name, u0, obstacle, cfg in _flow_cases():
+        try:
+            traj = run_flow(u0, obstacle, cfg)
+        except BendflowError as err:
+            out[name] = {"failure": type(err).__name__,
+                         "step": err.step_index, "message": str(err)}
+            continue
+        digest = hashlib.sha256()
+        for u in traj.iterates:
+            digest.update(u.values.tobytes())
+        out[name] = {"sha256": digest.hexdigest(),
+                     "newton": int(traj.inner_iterations.sum()),
+                     "final_energy": float(traj.energies[-1]),
+                     "sup_norm": float(np.abs(traj.iterates[-1].values).max())}
+    return out
+
+
 def environment() -> dict:
     """The versions whose builds fix the bits of the outputs."""
     return {"python": platform.python_version(), "numpy": np.__version__,
@@ -77,8 +154,14 @@ def generate(name: str, out: Path) -> None:
     must not exist yet."""
     from bendflow import cli
 
-    inputs, runs = SLICES[name]
     out.mkdir(parents=True)
+    (out / ENV_FILE).write_text(json.dumps(environment(), indent=2,
+                                           sort_keys=True) + "\n")
+    if name == FINGERPRINTS:
+        (out / f"{FINGERPRINTS}.json").write_text(
+            json.dumps(fingerprints(), indent=1) + "\n")
+        return
+    inputs, runs = SLICES[name]
     for fname, data in inputs.items():
         (out / fname).write_text(json.dumps(data, indent=2) + "\n")
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -93,12 +176,10 @@ def generate(name: str, out: Path) -> None:
         raise RuntimeError(f"{name} exited {codes}: {stderr.getvalue()}")
     (out / "stdout.txt").write_text(stdout.getvalue())
     (out / "stderr.txt").write_text(stderr.getvalue())
-    (out / ENV_FILE).write_text(json.dumps(environment(), indent=2,
-                                           sort_keys=True) + "\n")
 
 
 def main(names) -> int:
-    for name in names or SLICES:
+    for name in names or [*SLICES, FINGERPRINTS]:
         target = GOLDEN / name
         if target.exists():
             shutil.rmtree(target)

@@ -1,94 +1,90 @@
 """Acceptance suite: every criterion at its stated scale and tolerance.
 
-One pass/fail line is printed per criterion. The same check implementations
-back the CLI `validate` subcommand; here they run at the full (non-quick)
-scales, and each test asserts the check's verdict.
+`run_validation()`, the code behind `bendflow validate`, runs once at the
+full scale; each test asserts one check's verdict by name and prints one
+pass/fail line for it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from bendflow import UniformGrid
-from bendflow.critical import critical_profile
-from bendflow.validate import (
-    check_constants,
-    check_critical_points,
-    check_energy_oracle,
-    check_flow_convergence,
-    check_flow_inequalities,
-    check_gradient_consistency,
-    check_hypergeometric,
-    check_navier,
-    check_symmetry,
-    check_talenti,
-    check_touching,
-    check_uc_energy,
-    make_cone_run,
-)
-
-
-def report(res):
-    status = "PASS" if res.passed else "FAIL"
-    print(f"[{status}] {res.name}: measured={res.measured} "
-          f"tolerance={res.tolerance}")
-    assert res.passed, f"{res.name} failed: {res.measured}"
+from bendflow import critical
+from bendflow.validate import run_validation
 
 
 @pytest.fixture(scope="module")
-def cone_run():
-    # shared by criteria 5, 6 and 7: cone height 0.02, N=200, tau=1e-3, T=2,
-    # u0 = u_c with c = 0.5 (E(u0) = 0.25 < G(2)^2 and < G(sqrt(2/3))^2)
-    return make_cone_run(t_end=2.0, n=200, tau=1e-3, height=0.02, c=0.5)
+def run():
+    """The checks of one full run by name, and the calls it made."""
+    with mock.patch.object(critical, "critical_profile",
+                           wraps=critical.critical_profile) as profiles, \
+            mock.patch.object(critical, "check_critical",
+                              wraps=critical.check_critical) as reports:
+        checks = {c.name: c for c in run_validation().checks}
+    return checks, profiles.call_count, reports.call_count
 
 
-def test_criterion_01_constants():
-    report(check_constants())
+def passes(run, name):
+    res = run[0][name]
+    print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: "
+          f"measured={res.measured} tolerance={res.tolerance}")
+    assert res.passed, f"{res.name} failed: {res.measured}"
+    return res.measured
 
 
-def test_criterion_02_energy_oracle():
-    report(check_energy_oracle())
+def test_each_critical_point_is_built_once(run):
+    # criteria 7 and 10 share the acceptance cone's critical point, and each
+    # critical point carries the one check_critical report of its profile
+    assert run[1:] == (3, 3)
 
 
-def test_criterion_03_uc_energy():
-    report(check_uc_energy())
+def test_criterion_01_constants(run):
+    passes(run, "constants")
 
 
-def test_criterion_04_gradient_consistency():
-    report(check_gradient_consistency(n_pairs=20))
+def test_criterion_02_energy_oracle(run):
+    passes(run, "energy_oracle")
 
 
-def test_criterion_05_flow_inequalities(cone_run):
-    report(check_flow_inequalities(cone_run))
+def test_criterion_03_uc_energy(run):
+    passes(run, "uc_energy")
 
 
-def test_criterion_06_symmetry_preservation(cone_run):
-    report(check_symmetry(cone_run))
+def test_criterion_04_gradient_consistency(run):
+    passes(run, "gradient_consistency")
 
 
-def test_criterion_07_finite_time_touching(cone_run):
-    cp = critical_profile(0.02, UniformGrid(200))
-    res = check_touching(cone_run, inf_energy=cp.energy)
+def test_criterion_05_flow_inequalities(run):
+    passes(run, "flow_inequalities")
+
+
+def test_criterion_06_symmetry_preservation(run):
+    passes(run, "symmetry_preservation")
+
+
+def test_criterion_07_finite_time_touching(run):
+    measured = passes(run, "finite_time_touching")
     # the window bound is only informative if the flow actually touches
-    assert res.measured["first_touch_step"] is not None
-    assert np.isfinite(res.measured["L0"])
-    report(res)
+    assert measured["first_touch_step"] is not None
+    assert np.isfinite(measured["L0"])
 
 
-def test_criterion_08_hypergeometric_layer():
-    report(check_hypergeometric(n_pfaff=50, n_mono=100, n_dual=25))
+def test_criterion_08_hypergeometric_layer(run):
+    passes(run, "hypergeometric_layer")
 
 
-def test_criterion_09_critical_points():
-    report(check_critical_points(heights=(0.02, 0.05), n=400))
+def test_criterion_09_critical_points(run):
+    passes(run, "critical_point")
 
 
-def test_criterion_10_flow_convergence():
-    report(check_flow_convergence(stall_rate=1e-10))
+def test_criterion_10_flow_convergence(run):
+    passes(run, "flow_convergence")
 
 
-def test_criterion_11_talenti():
-    report(check_talenti(n_draws=20, n=200))
+def test_criterion_11_talenti(run):
+    passes(run, "talenti")
 
 
-def test_criterion_12_navier_boundary():
-    report(check_navier(ns=(100, 200, 400)))
+def test_criterion_12_navier_boundary(run):
+    passes(run, "navier_boundary")

@@ -93,6 +93,16 @@ def test_semantic_checks():
         parse_config(bad_json)
 
 
+@pytest.mark.parametrize("section", ["obstacle", "initial"])
+@pytest.mark.parametrize("value", [[], 5, "cone"])
+def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
+    path = write_cfg(tmp_path, {**MINIMAL, section: value})
+    assert main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {section} must be a JSON object, got {value!r}\n")
+
+
 def test_json_parse_error_reports_line(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"grid_n": 32,\n  "oops"\n}')

@@ -106,7 +106,7 @@ def test_grid_mismatch_is_one_domain_error():
     cfg = FlowConfig(tau=1e-3, t_end=1e-3)
     calls = (lambda: mm_step(u0, far, cfg),
              lambda: run_flow(u0, far, cfg),
-             lambda: check_critical(u0, far, tol=1e-5),
+             lambda: check_critical(u0, far),
              lambda: first_variation(u0, u_c_profile(0.5, other)))
     for call in calls:
         with pytest.raises(GridMismatchError) as excinfo:

@@ -1,15 +1,20 @@
 """Golden outputs: every slice of tests/golden/regen.py (`bendflow
 simulate` on a short acceptance-cone run and its resumption from the
 checkpoint, `rearrange` of its final profile, `specialfn eval` of the six
-functions), regenerated and compared with the files under tests/golden/.
+functions, and the fingerprints of `run_flow` on the ladder and on random
+draws), regenerated and compared with the files under tests/golden/.
 
 Bits depend on the numpy and scipy builds. Where the Python, numpy and
 scipy versions equal the ones recorded with the golden files, every file
-must match byte for byte. Everywhere, the files must have the same names,
-CSV headers, row counts and integer columns, and every other number must
+must match byte for byte: every iterate hash and Newton total of the
+fingerprints too. Everywhere, the files must have the same names, CSV
+headers, row counts and integer columns, and every other number must
 agree to 1e-12 relative: relative to the larger of the two values, or to
-the largest magnitude of its column in a CSV file. Neither comparison is
-ever skipped.
+the largest magnitude of its column in a CSV file. The fingerprints are
+compared there by their cases, each case's outcome (success, or failure
+type and step), and final energy and sup norm to 1e-9 relative: a flow
+step is fixed only to its solver tolerance, so another build may take an
+equally certified Newton path. Neither comparison is ever skipped.
 """
 
 import csv
@@ -23,6 +28,7 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
+REL_FLOW = 1e-9
 INT_COLUMNS = {"step", "coincidence_count", "inner_iters"}
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -31,8 +37,8 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 
-def _close(a: float, b: float, scale: float = 0.0) -> bool:
-    return a == b or abs(a - b) <= REL * max(abs(a), abs(b), scale)
+def _close(a: float, b: float, scale: float = 0.0, rel: float = REL) -> bool:
+    return a == b or abs(a - b) <= rel * max(abs(a), abs(b), scale)
 
 
 def _csv_differences(name: str, want: str, got: str) -> list[str]:
@@ -86,6 +92,24 @@ def _text_differences(name: str, want: str, got: str) -> list[str]:
     return [f"{name}: numbers differ beyond {REL:g} relative"]
 
 
+def _fingerprint_differences(want: dict, got: dict) -> list[str]:
+    """The same cases, outcomes, and final energies and sup norms to
+    REL_FLOW; hashes, Newton totals and messages are left to the bytes."""
+    if list(want) != list(got):
+        return [f"fingerprints: cases {list(got)} != {list(want)}"]
+    out = []
+    for name, w in want.items():
+        g = got[name]
+        outcome = [(c.get("failure"), c.get("step")) for c in (w, g)]
+        if outcome[0] != outcome[1]:
+            out.append(f"{name}: outcome {outcome[1]} != {outcome[0]}")
+        elif "failure" not in w:
+            out += [f"{name}: {k} {g[k]!r} != {w[k]!r}"
+                    for k in ("final_energy", "sup_norm")
+                    if not _close(w[k], g[k], rel=REL_FLOW)]
+    return out
+
+
 def structural_differences(want_dir: Path, got_dir: Path) -> list[str]:
     """Everything but the recorded environment, compared to REL."""
     names = sorted(p.name for p in want_dir.iterdir())
@@ -98,7 +122,9 @@ def structural_differences(want_dir: Path, got_dir: Path) -> list[str]:
             continue
         want = (want_dir / name).read_text()
         got = (got_dir / name).read_text()
-        if name.endswith(".csv"):
+        if name == f"{regen.FINGERPRINTS}.json":
+            out += _fingerprint_differences(json.loads(want), json.loads(got))
+        elif name.endswith(".csv"):
             out += _csv_differences(name, want, got)
         elif name.endswith(".json"):
             out += _json_differences(name, json.loads(want), json.loads(got))
@@ -107,7 +133,7 @@ def structural_differences(want_dir: Path, got_dir: Path) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("name", list(regen.SLICES))
+@pytest.mark.parametrize("name", [*regen.SLICES, regen.FINGERPRINTS])
 def test_slice_matches_golden(tmp_path, name):
     want_dir = GOLDEN / name
     got_dir = tmp_path / name
@@ -153,3 +179,24 @@ def test_structural_comparison_catches_changes(tmp_path):
                   lambda t: t.replace('"touched_at_step": 7', '"touched_at_step": 8'))
     assert edited("svg", "profiles.svg", lambda t: t.replace("70.00", "70.01", 1))
     assert edited("file", "final.csv", None)
+
+
+def test_fingerprint_comparison_catches_changes():
+    """Away from the recorded environment the fingerprints pass a change
+    below REL_FLOW, and fail a float beyond it, a changed outcome and a
+    missing case."""
+    want = json.loads((GOLDEN / regen.FINGERPRINTS
+                       / f"{regen.FINGERPRINTS}.json").read_text())
+    ok = next(k for k, c in want.items() if "failure" not in c)
+    failed = next(k for k, c in want.items() if "failure" in c)
+
+    def edited(name, **change):
+        return _fingerprint_differences(want, {**want, name: {**want[name], **change}})
+
+    energy = want[ok]["final_energy"]
+    assert edited(ok, sha256="0" * 64, newton=0) == []
+    assert edited(ok, final_energy=energy * (1 + 1e-12)) == []
+    assert edited(ok, final_energy=energy * (1 + 1e-8))
+    assert edited(failed, step=want[failed]["step"] + 1)
+    assert edited(ok, failure="StepConvergenceError", step=0)
+    assert _fingerprint_differences(want, {k: want[k] for k in list(want)[1:]})

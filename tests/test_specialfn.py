@@ -205,14 +205,29 @@ def test_h_of_a_domain():
         h_of_A(-0.1)
 
 
-def test_h_of_a_beyond_its_series_is_a_range_error(capsys):
+def test_h_of_a_beyond_its_range_is_a_range_error(capsys):
+    # the series up to A = 47, the quadrature route above, up to 2^19
     assert h_of_A(47.0) == _h_hyp(47.0)
-    with pytest.raises(RangeError, match=r"h_of_A: slope A=47\.5 "):
-        h_of_A(47.5)
-    for arg in ("1e3", "1e8", "1e200"):
+    assert h_of_A(47.5) == _h_quad(47.5)
+    assert h_of_A(2.0**19) == _h_quad(2.0**19)
+    with pytest.raises(RangeError, match=r"h_of_A: slope A=524288\.5 "):
+        h_of_A(2.0**19 + 0.5)
+    assert main(["specialfn", "eval", "--fn", "h", "--args", "1e3"]) == 0
+    assert capsys.readouterr().out == f"{_h_quad(1e3):.15g}\n"
+    for arg in ("1e6", "1e8", "1e200"):
         assert main(["specialfn", "eval", "--fn", "h", "--args", arg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: h_of_A: slope A={float(arg)} "), err
+
+
+def test_h_of_a_inverts_h_inv_up_to_0_83():
+    """Every slope h_inv returns is one h_of_A takes, and maps back to the
+    height within 1e-11 (measured: 1.2e-12 at most), across the switch of
+    h_inv from series to quadrature at A = 30 and of h_of_A at A = 47."""
+    edge = h_of_A(47.0)
+    for y in [*np.linspace(0.01, 0.83, 83), h_of_A(30.0), h_of_A(46.9),
+              edge, edge + 1e-12]:
+        assert abs(h_of_A(h_inv(y)) - y) <= 1e-11, y
 
 
 def test_h_strictly_increasing():
