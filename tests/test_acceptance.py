@@ -2,7 +2,9 @@
 
 `run_validation()`, the code behind `bendflow validate`, runs once at the
 full scale; each test asserts one check's verdict by name and prints one
-pass/fail line for it.
+pass/fail line for it. At that scale criterion 7's window L0 = 10.22 is
+longer than the horizon T = 2, so its scan of the windows is tested on
+hand-built trajectories.
 """
 
 from unittest import mock
@@ -10,8 +12,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bendflow import critical
-from bendflow.validate import run_validation
+from bendflow import (Trajectory, UniformGrid, cone_obstacle, critical,
+                      touch_window)
+from bendflow.validate import check_touching, run_validation
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +71,35 @@ def test_criterion_07_finite_time_touching(run):
     # the window bound is only informative if the flow actually touches
     assert measured["first_touch_step"] is not None
     assert np.isfinite(measured["L0"])
+
+
+def _touching(touched, tau):
+    """A trajectory with E0 = 0.25 that touches the obstacle at the steps
+    `touched` marks: all that check_touching reads."""
+    grid = UniformGrid(16)
+    return Trajectory(grid=grid, obstacle=cone_obstacle(0.02, grid), tau=tau,
+                      energies=np.full(len(touched), 0.25),
+                      coincidence_counts=np.array(touched, dtype=int))
+
+
+def test_criterion_07_window_scan():
+    """With L0 spanning 10 steps of the 60: a touch every 5 steps passes
+    all 51 windows; a gap of 12 steps leaves 2 windows without a touch and
+    fails; a horizon of 8 steps holds no window and passes vacuously."""
+    inf_energy = 0.02
+    tau = touch_window(0.25, inf_energy) / 10.5
+    res = check_touching(_touching([k % 5 == 0 for k in range(61)], tau),
+                         inf_energy)
+    assert res.passed
+    assert (res.measured["windows_checked"],
+            res.measured["windows_without_touch"]) == (51, 0)
+    res = check_touching(_touching([not 20 <= k < 32 for k in range(61)], tau),
+                         inf_energy)
+    assert not res.passed and res.measured["windows_without_touch"] == 2
+    res = check_touching(_touching([k == 1 for k in range(9)], tau),
+                         inf_energy)
+    assert res.passed and res.measured["windows_checked"] == 0
+    assert "vacuously" in res.detail
 
 
 def test_criterion_08_hypergeometric_layer(run):

@@ -129,20 +129,23 @@ def test_mm_step_nonconvergence_carries_partial():
 
 def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
     """Within a step every consumer at a trial point reads the tables built
-    for its Phi evaluation, so the stencils run once per Phi evaluation."""
+    for its Phi evaluation, and each exact Phi change builds the tables of
+    its step dv: the stencils run once per Phi evaluation plus once per
+    Phi change."""
     import bendflow.discretization as disc_mod
     import bendflow.flow as flow_mod
 
     traj, cfg, obstacle, u0 = cone_run
-    counts = {"_derivative_tables": 0, "_energy_raw": 0}
-    for name in counts:
-        original = getattr(disc_mod, name)
+    counts = {"_derivative_tables": 0, "_energy_raw": 0, "_phi_change": 0}
+    for mod, name in ((disc_mod, "_derivative_tables"),
+                      (disc_mod, "_energy_raw"), (flow_mod, "_phi_change")):
+        original = getattr(mod, name)
 
         def counted(*args, _name=name, _fn=original):
             counts[_name] += 1
             return _fn(*args)
-        for mod in (disc_mod, flow_mod):
-            monkeypatch.setattr(mod, name, counted)
+        for target in {mod, flow_mod}:
+            monkeypatch.setattr(target, name, counted)
 
     for start, newton in ((traj.iterates[-1], False), (u0, True)):
         for name in counts:
@@ -150,7 +153,9 @@ def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
         _, report = mm_step(start, obstacle, cfg)
         assert (report.inner_iterations > 0) == newton
         assert counts["_energy_raw"] >= 1
-        assert counts["_derivative_tables"] == counts["_energy_raw"]
+        assert (counts["_phi_change"] > 0) == newton
+        assert counts["_derivative_tables"] == (counts["_energy_raw"]
+                                                + counts["_phi_change"])
 
 
 def test_each_trial_point_evaluated_once(cone_run, monkeypatch):
@@ -555,12 +560,13 @@ def test_carried_certificate_does_not_skip_the_obstacle_check(cone_run):
         mm_step(rest, higher, cfg, carry=carry)
 
 
-def _symmetric_recipe_draw(seed):
-    """A symmetric random admissible datum on a cone, by the recipe of
-    ROADMAP.md ("Random draws"); its own tau draw is discarded."""
+def _recipe_draw(seed, symmetric):
+    """A random admissible datum on a cone and its time step, by the recipe
+    of ROADMAP.md ("Random draws"); a symmetric draw mirrors the left half
+    of the plain draw of the same seed."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(16, 65))
-    rng.uniform(-7, -3)
+    tau = 10 ** rng.uniform(-7, -3)
     height = rng.uniform(0.005, 0.1)
     coef = rng.normal(size=4) * 0.05 / np.arange(1, 5)
     grid = UniformGrid(n)
@@ -569,9 +575,10 @@ def _symmetric_recipe_draw(seed):
     u0 = np.maximum(obstacle.samples.values,
                     sum(coef[k] * np.sin((k + 1) * np.pi * x) for k in range(4)))
     u0[0] = u0[-1] = 0.0
-    m = n // 2
-    u0[n - m:] = u0[:m + 1][::-1]
-    return GridFunction(grid, u0), obstacle
+    if symmetric:
+        m = n // 2
+        u0[n - m:] = u0[:m + 1][::-1]
+    return GridFunction(grid, u0), obstacle, tau
 
 
 def test_carried_certificates_exact_on_symmetric_draws():
@@ -585,7 +592,7 @@ def test_carried_certificates_exact_on_symmetric_draws():
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-4.0, -3.0))
     def check(seed, log_tau):
-        u0, obstacle = _symmetric_recipe_draw(seed)
+        u0, obstacle, _ = _recipe_draw(seed, symmetric=True)
         tau = 10.0 ** log_tau
         cfg = FlowConfig(tau=tau, t_end=40 * tau)
         with mock.patch.object(flow_mod, "_build_report",
@@ -601,6 +608,92 @@ def test_carried_certificates_exact_on_symmetric_draws():
 
     check()
     assert sum(carried) > 0
+
+
+def test_quiet_steps_certify_a_step_phi_cannot_resolve():
+    """At c = 0.5, N = 1600, tau = 1e-7 the decrease the full Newton step
+    predicts falls below Phi's rounding slack while the residual is still
+    above its tolerance; the walk that tests the exact Phi change and the
+    residual instead certifies the step."""
+    import bendflow.flow as flow_mod
+
+    grid = UniformGrid(1600)
+    cfg = FlowConfig(tau=1e-7, t_end=1e-7)
+    with mock.patch.object(flow_mod, "_phi_change",
+                           wraps=flow_mod._phi_change) as changes:
+        _, report = mm_step(u_c_profile(0.5, grid),
+                            cone_obstacle(0.02, grid), cfg)
+    assert changes.called
+    assert report.satisfies(cfg.inner_tol)
+
+
+@pytest.mark.parametrize("seed, symmetric",
+                         [(0, False), (72, False), (240, True), (289, True)])
+def test_recipe_draws_certify_every_step(seed, symmetric):
+    """Ten steps from recipe draws that stopped with StepConvergenceError
+    (plain 0 and 72), or that a quiet walk asking for a residual drop of
+    0.9 instead of _QUIET_DROP stopped (symmetric 240 and 289): every step
+    certifies, and symmetric data stays symmetric to the bit."""
+    u0, obstacle, tau = _recipe_draw(seed, symmetric)
+    cfg = FlowConfig(tau=tau, t_end=10 * tau)
+    traj = run_flow(u0, obstacle, cfg)
+    assert traj.n_steps == 10
+    assert all(r.satisfies(cfg.inner_tol) for r in traj.kkt_reports)
+    assert not symmetric or not traj.symmetry_residuals.any()
+
+
+def _phi_oracle(u, f, h, tau):
+    """Phi(u) of the float data u, f, h and tau, by the discrete formulas
+    of E_h and the proximal term in 40-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        n = len(u) - 1
+        u = [mpmath.mpf(x) for x in u]
+        h = mpmath.mpf(h)
+        d1 = [(u[i + 1] - u[i - 1]) / (2 * h) for i in range(1, n)]
+        d2 = [((u[i + 1] + u[i - 1]) - 2 * u[i]) / h**2 for i in range(1, n)]
+        d1 = ([(-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)] + d1
+              + [(3 * u[n] - 4 * u[n - 1] + u[n - 2]) / (2 * h)])
+        d2 = ([(2 * u[0] - 5 * u[1] + 4 * u[2] - u[3]) / h**2] + d2
+              + [(2 * u[n] - 5 * u[n - 1] + 4 * u[n - 2] - u[n - 3]) / h**2])
+        w = [h / 2] + [h] * (n - 1) + [h / 2]
+        e = sum(wi * b**2 * (1 + a**2) ** mpmath.mpf(-2.5)
+                for wi, a, b in zip(w, d1, d2))
+        prox = sum(wi * (a - mpmath.mpf(b)) ** 2 for wi, a, b in zip(w, u, f))
+        return e + prox / (2 * mpmath.mpf(tau))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(16, 64), seed=st.integers(0, 2**32 - 1),
+       log_step=st.floats(-12.0, -2.0), log_tau=st.floats(-7.0, -3.0),
+       moved=st.booleans())
+def test_phi_change_matches_a_40_digit_oracle(n, seed, log_step, log_tau,
+                                              moved):
+    """The exact Phi change agrees with Phi(vt) - Phi(v) evaluated at 40
+    digits to 1e-12 relative, for steps down to 1e-12 of |v|, where the
+    float64 difference of the two Phi values is rounding noise (up to about
+    1e-3 relative at these sizes). f is v itself or v moved by up to 1e-2."""
+    import mpmath
+
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    rng = np.random.default_rng(seed)
+    grid = UniformGrid(n)
+    h, tau, x = grid.h, 10.0 ** log_tau, grid.nodes
+    v = 1e-3 * rng.normal(size=n + 1) + sum(
+        rng.normal() * 0.05 / k * np.sin(k * np.pi * x) for k in range(1, 5))
+    f = v + moved * 10 ** rng.uniform(-6, -2) * rng.normal(size=n + 1)
+    dv = 10.0 ** log_step * np.abs(v).max() * rng.normal(size=n + 1)
+    for a in (v, f, dv):
+        a[0] = a[-1] = 0.0
+    vt = v + dv
+    tables = disc_mod._derivative_tables(v, h)
+    got = flow_mod._phi_change(vt, v, tables, f, h, tau)
+    with mpmath.workdps(40):
+        want = _phi_oracle(vt, f, h, tau) - _phi_oracle(v, f, h, tau)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_kkt_active_set_is_read_only(cone_run):

@@ -162,18 +162,22 @@ def test_structural_comparison_catches_changes(tmp_path):
             path.write_text(edit(path.read_text()))
         return structural_differences(want_dir, got_dir)
 
-    def scale_energy(factor):
+    def edit_cell(column, change):
         def edit(text):
             rows = list(csv.reader(text.splitlines()))
-            rows[50][2] = repr(float(rows[50][2]) * factor)
+            j = rows[0].index(column)
+            rows[50][j] = change(rows[50][j])
             return "\n".join(",".join(r) for r in rows) + "\n"
         return edit
+
+    def scale_energy(factor):
+        return edit_cell("energy", lambda x: repr(float(x) * factor))
 
     assert edited("same", "trajectory.csv", lambda t: t) == []
     assert edited("tiny", "trajectory.csv", scale_energy(1 + 1e-15)) == []
     assert edited("float", "trajectory.csv", scale_energy(1 + 1e-10))
     assert edited("int", "trajectory.csv",
-                  lambda t: t.replace(",0,0,7,", ",0,0,8,", 1))
+                  edit_cell("inner_iters", lambda x: str(int(x) + 1)))
     assert edited("row", "final.csv", lambda t: t.rsplit("\n", 2)[0] + "\n")
     assert edited("json", "summary.json",
                   lambda t: t.replace('"touched_at_step": 7', '"touched_at_step": 8'))
