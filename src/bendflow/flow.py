@@ -79,24 +79,22 @@ Newton iteration starts, since only the line search reads it. A step at
 rest, which accepts its starting point after no Newton iteration, therefore
 builds no tables and evaluates none of E_h, its gradient and Phi. It is
 still certified: its KKT arrays and report are built from its own arrays,
-as for any step. If its result has the bits of its input, `mm_step` returns
-the input object itself, and `run_flow` records that iterate's step norm
-(0), contact count and symmetry residual without measuring it again.
+as for any step.
 
-One certificate per resting iterate: a step whose problem repeats the
-previous step's problem bit for bit (the same iterate array, obstacle array
-and config, after a step at rest that returned its input) carries a copy of
-that step's certificate. The step is a pure function of its problem, so the
-copy is exact; it skips the solve, the KKT arrays, the report and the
-admissibility check. So once the flow is at rest, each further step costs
-neither kernel nor KKT work.
+Rest: a step at rest whose result has the bits of its input returns the
+input object itself. Within `run_flow` the obstacle and the config are
+fixed and the step is a pure function of them and its input, so every
+later step would return that input too: from there on `run_flow` records
+that iterate and that step's report for each remaining step, with step
+norm 0 and its input's contact count and symmetry residual, and calls
+`mm_step` no more. Once the flow is at rest, a step costs no solver work.
 """
 
 from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -532,32 +530,21 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     inner_max_iter.
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
-    owned by the caller. After a successful step its slot holds
-    (u.values, cfg, evaluation of u, psi, report), the report only if the
-    step did not move and None otherwise. A later call whose f.values is
-    that very array, with the same tau, starts from the held evaluation
-    instead of evaluating f again. If a report is held, and psi is the held
-    array and cfg equals the held config, the problem repeats the previous
-    step's problem bit for bit: the step is a pure function of those, so it
-    returns f and a copy of the held certificate without solving, building
-    KKT arrays or checking admissibility again (the held step produced f
-    against this psi). The values arrays are read-only copies, so identity
-    means the same bits. Without `carry` every step evaluates f itself.
+    owned by the caller, holding (u.values, tau, evaluation of u) after a
+    successful step. A later call whose f.values is that very array (values
+    arrays are read-only copies, so identity means the same bits), with the
+    same tau, starts from the held evaluation instead of evaluating f again.
     """
     psi = obstacle.samples.values
     fv = f.values
-    held = carry[0] if carry else None
-    if (held and held[4] is not None and held[0] is fv and held[3] is psi
-            and held[1] == cfg):
-        return f, replace(held[4])
     _check_admissible(f, obstacle, "iterate")
-    start = held[2] if held and held[0] is fv and held[1].tau == cfg.tau else None
+    held = carry[0] if carry else None
+    start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
     v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
     report = _build_report(v, psi, cfg, r, scale, nit, pimax)
-    at_rest = nit == 0 and _same_bits(v, fv)
-    u = f if at_rest else GridFunction(f.grid, v)
+    u = f if nit == 0 and _same_bits(v, fv) else GridFunction(f.grid, v)
     if carry is not None:
-        carry[0] = (u.values, cfg, ev, psi, report if at_rest else None)
+        carry[0] = (u.values, cfg.tau, ev)
     return u, report
 
 
@@ -566,12 +553,9 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     """Iterate mm_step until t_end (or until the energy decrease per unit
     time falls below `stop_when_stall_rate`). Records all diagnostics.
 
-    Every step is certified, so the trajectory holds one KKTReport per
-    step. A step that does not move returns its input object, which the
-    trajectory then holds twice; its step norm is 0 and its contact count
-    and symmetry residual are those of its input. A step whose problem
-    repeats the previous step's problem bit for bit carries a copy of that
-    step's certificate (see `mm_step`). A
+    The trajectory holds one KKTReport per step. From the first step that
+    returns its input object on, every step records that iterate and that
+    report without calling mm_step (see the module docstring, "Rest"). A
     StepConvergenceError leaves tagged with `step_index`, its `partial`
     iterate kept and the solver frames it passed through cleared.
     """
@@ -619,19 +603,22 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
 
     u = u0
     carry = [None]  # evaluation of the latest iterate, for the next step
+    rest = False
     slow_streak = 0
     for k in range(n_steps):
-        try:
-            un, report = mm_step(u, obstacle, cfg, carry=carry)
-        except StepConvergenceError as err:
-            err.step_index = k
-            # the finished solver frames hold the step's work arrays
-            traceback.clear_frames(err.__traceback__)
-            raise
+        if not rest:
+            try:
+                un, report = mm_step(u, obstacle, cfg, carry=carry)
+            except StepConvergenceError as err:
+                err.step_index = k
+                # the finished solver frames hold the step's work arrays
+                traceback.clear_frames(err.__traceback__)
+                raise
+            rest = un is u
         times.append((k + 1) * cfg.tau)
         iterates.append(un)
         energies.append(carry[0][2].energy)
-        if un is u:  # the step did not move: its diagnostics are u's
+        if rest:  # the step did not move: its diagnostics are u's
             step_norms.append(0.0)
             counts.append(counts[-1])
             sym.append(sym[-1])

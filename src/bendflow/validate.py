@@ -211,15 +211,13 @@ def check_touching(traj: fl.Trajectory, inf_energy: float) -> CheckResult:
     tau = traj.tau
     touched = traj.coincidence_counts > 0
     first = int(np.argmax(touched)) if touched.any() else None
-    # scan every maximal window of length l0 inside [0, t_end]
-    n_windows = 0
-    violated = 0
+    # every maximal window of length l0 inside [0, t_end] spans k_span
+    # steps; its touches are a difference of the cumulative touch count
     k_span = int(math.floor(l0 / tau))
-    total = len(touched) - 1
-    for start in range(0, total - k_span + 1):
-        n_windows += 1
-        if not touched[start:start + k_span + 1].any():
-            violated += 1
+    n_windows = max(0, len(touched) - k_span)
+    seen = np.concatenate(([0], np.cumsum(touched)))
+    violated = int(np.count_nonzero(
+        seen[k_span + 1:] == seen[:n_windows]))
     passed = violated == 0 and e0 < G23_SQ_REF
     detail = ("no full window fits in the horizon; bound holds vacuously, "
               "first touch reported" if n_windows == 0 else "")
@@ -396,8 +394,9 @@ def run_validation(quick: bool = False, progress=None) -> ValidationReport:
     emit(_timed(check_uc_energy))
     emit(_timed(lambda: check_gradient_consistency(5 if quick else 20)))
 
+    # at full scale the horizon passes criterion 7's window L0 = 10.22
     t0 = time.perf_counter()
-    traj = run_cone(0.5 if quick else 2.0, None)
+    traj = run_cone(0.5 if quick else 12.0, None)
     run_elapsed = time.perf_counter() - t0
     res5 = check_flow_inequalities(traj)
     res5.runtime_s = run_elapsed

@@ -222,11 +222,10 @@ def _stepwise_flow(u0, obstacle, cfg):
 
 def _assert_carrying_exact(u0, obstacle, cfg):
     """run_flow, which hands each accepted iterate's evaluation to the next
-    step, measures an iterate that did not move only once and carries the
-    certificate of a step at rest to the step that repeats it, records the
-    same bits as the step-by-step loop and as a fresh measurement of each
-    iterate, failures too. Returns run_flow's trajectory, or None after a
-    failure."""
+    step, measures an iterate that did not move only once and stops calling
+    the solver once a step returns its input, records the same bits as the
+    step-by-step loop and as a fresh measurement of each iterate, failures
+    too. Returns run_flow's trajectory, or None after a failure."""
     try:
         iterates, energies, norms, reports = _stepwise_flow(u0, obstacle, cfg)
     except StepConvergenceError as err:
@@ -494,24 +493,23 @@ def test_step_at_rest_returns_its_input_and_certifies_it(cone_run):
 
 
 def test_one_values_array_per_move_and_one_report_per_step(cone_run):
-    """Steps at rest share their input's values array, and every step,
-    moving or not, carries a certificate of its own: a step whose problem
-    repeats the previous step's problem bit for bit carries a copy of that
-    step's certificate, not the same object."""
+    """Each step records a report, and steps at rest share their input's
+    values array and its report: the first step at rest makes one report,
+    which every later step records again."""
     traj, _, _, _ = cone_run
     moving = int(np.count_nonzero(traj.inner_iterations))
     assert traj.n_steps == 100 and 0 < moving < traj.n_steps
     assert len({id(u.values) for u in traj.iterates}) == 1 + moving
-    assert len({id(r) for r in traj.kkt_reports}) == traj.n_steps
+    assert len(traj.kkt_reports) == traj.n_steps
+    assert len({id(r) for r in traj.kkt_reports}) == moving + 1
 
 
-def test_certificate_carried_only_for_the_same_problem(cone_run, monkeypatch):
-    """From an iterate at rest, a chained step carries the held certificate
-    only while iterate array, obstacle array and config all repeat; a
-    change of any one (an equal but distinct obstacle array, tau,
-    inner_tol, inner_max_iter) solves and certifies afresh, with the
-    report of a step without carry, and the repeat after it carries
-    again."""
+def test_chained_step_at_rest_solves_every_problem(cone_run, monkeypatch):
+    """From an iterate at rest, a chained mm_step builds its KKT arrays
+    once per call for every problem (an equal but distinct obstacle array,
+    another tau, inner_tol or inner_max_iter, and the same problem again),
+    returns its input, and certifies it with the report of a step without
+    carry, bit for bit."""
     import bendflow.flow as flow_mod
 
     traj, cfg, obstacle, _ = cone_run
@@ -527,7 +525,7 @@ def test_certificate_carried_only_for_the_same_problem(cone_run, monkeypatch):
                            GridFunction(rest.grid, obstacle.samples.values),
                            height=obstacle.height)
     assert same_values.samples.values is not obstacle.samples.values
-    problems = [(obstacle, cfg), (same_values, cfg), (obstacle, cfg),
+    problems = [(obstacle, cfg), (obstacle, cfg), (same_values, cfg),
                 (obstacle, replace(cfg, tau=0.5 * cfg.tau)),
                 (obstacle, replace(cfg, inner_tol=2.0 * cfg.inner_tol)),
                 (obstacle, replace(cfg, inner_max_iter=cfg.inner_max_iter - 1)),
@@ -537,18 +535,31 @@ def test_certificate_carried_only_for_the_same_problem(cone_run, monkeypatch):
         kkt.clear()
         u, report = mm_step(rest, obst, step_cfg, carry=carry)
         assert u is rest and len(kkt) == 1, k
-        assert carry[0][4] is report
-        kkt.clear()
-        again, copy = mm_step(rest, obst, step_cfg, carry=carry)
-        assert again is rest and not kkt, k
-        assert copy is not report and copy.active_set is report.active_set
         _, fresh = mm_step(rest, obst, step_cfg)
-        _assert_same_report(copy, fresh)
+        _assert_same_report(report, fresh)
+
+
+def test_run_flow_stops_solving_at_a_fixed_point(cone_run):
+    """run_flow calls mm_step for each step up to and including the first
+    one that makes no Newton iteration, and for none after it, with and
+    without the stall stop."""
+    import bendflow.flow as flow_mod
+
+    _, cfg, obstacle, u0 = cone_run
+    for stall in (None, 1e-10):
+        with mock.patch.object(flow_mod, "mm_step",
+                               wraps=flow_mod.mm_step) as stepped:
+            traj = run_flow(u0, obstacle, cfg, stop_when_stall_rate=stall)
+        first_rest = int(np.argmin(traj.inner_iterations))
+        assert traj.inner_iterations[first_rest] == 0
+        assert stepped.call_count == first_rest + 1, stall
+        assert stall or first_rest + 1 < traj.n_steps
 
 
 def test_carried_certificate_does_not_skip_the_obstacle_check(cone_run):
     """An iterate at rest, chained with an obstacle that it lies below,
-    still raises DomainError."""
+    raises DomainError: a chained step checks admissibility on every
+    call."""
     traj, cfg, obstacle, _ = cone_run
     rest = traj.iterates[-1]
     carry = [None]
@@ -582,12 +593,12 @@ def _recipe_draw(seed, symmetric):
 
 
 def test_carried_certificates_exact_on_symmetric_draws():
-    """Forty steps from symmetric draws record the same bits with carried
-    certificates as without. A step carries a certificate exactly when the
-    step before it returned its input, and some draws get there."""
+    """Forty steps from symmetric draws record the same bits in run_flow
+    as step by step. run_flow builds no report for a step after one that
+    returned its input, and some draws get there."""
     import bendflow.flow as flow_mod
 
-    carried = []
+    resting = []
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-4.0, -3.0))
@@ -602,12 +613,12 @@ def test_carried_certificates_exact_on_symmetric_draws():
             return
         it = traj.iterates
         repeats = sum(it[k] is it[k - 1] for k in range(1, traj.n_steps))
-        # one report per step without carry, one per uncarried step with it
+        # a report per step in the stepwise loop, per solved step in run_flow
         assert built.call_count == 2 * traj.n_steps - repeats
-        carried.append(repeats)
+        resting.append(repeats)
 
     check()
-    assert sum(carried) > 0
+    assert sum(resting) > 0
 
 
 def test_quiet_steps_certify_a_step_phi_cannot_resolve():
