@@ -9,7 +9,7 @@ symmetry, rearrangement and convergence properties at desk scale.
 
 __version__ = "0.1.0"
 
-from .critical import CriticalPoint, check_critical, critical_profile, f_of_z, ode_residual
+from .critical import CriticalPoint, check_critical, critical_profile, f_of_z
 from .discretization import (
     GridFunction,
     Obstacle,

@@ -31,7 +31,7 @@ from . import specialfn as sf
 from .config import RunConfig, load_config, parse_config, read_json
 from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
-from .validate import run_validation
+from .validate import G23_SQ_REF, run_validation
 
 _F = "{:.15g}".format
 
@@ -87,7 +87,12 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     if outputs.get("trajectory_csv"):
         _write_trajectory_csv(out_dir / outputs["trajectory_csv"], traj)
     for t in outputs.get("snapshots", []):
-        u_t = fl.interpolate_linear(traj, float(t))
+        try:
+            u_t = fl.interpolate_linear(traj, float(t))
+        except DomainError:  # past the last step, as after a stall stop
+            traj.warnings.append(f"snapshot t={t:g} not written: the run "
+                                 f"stopped at t = {traj.t_end:.15g}")
+            continue
         _write_snapshot_csv(out_dir / f"snapshot_t{t:g}.csv", u_t,
                             obstacle.samples)
     if outputs.get("plot_svg"):
@@ -101,7 +106,6 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     touched_at = int(np.argmax(touched)) if touched.any() else None
     l0 = None
     e0 = float(traj.energies[0])
-    from .validate import G23_SQ_REF
     if 0.0 < e0 < G23_SQ_REF:
         inf_e = float(np.min(traj.energies))
         if obstacle.kind == "cone" and traj.grid.n % 2 == 0:
@@ -245,6 +249,13 @@ def _cmd_sweep(args) -> int:
     return code
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bendflow",
@@ -290,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--config", required=True,
                     help="JSON with 'base' config and named 'cases' overrides")
     pw.add_argument("--out", default="sweep_out")
-    pw.add_argument("--jobs", type=int, default=None)
+    pw.add_argument("--jobs", type=_positive_int, default=None)
     pw.set_defaults(handler=_cmd_sweep)
     return p
 

@@ -34,6 +34,7 @@ from .discretization import (
     cone_obstacle,
     energy,
     energy_gradient,
+    first_variation,
     second_diff,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
@@ -78,8 +79,8 @@ class CriticalPoint:
     `residuals` holds {vi_residual, ode_residual, concavity_min}: the worst
     directional derivative over admissible coordinate directions (should be
     >= -VI_TOL * scale), the sup-norm mismatch of u' against the
-    slope-from-height map, and the minimum of -u'' over the left-interior
-    nodes (> 0 means strictly concave there). `report` is the
+    slope-from-height map (see `_ode_residual`), and the minimum of -u''
+    over the interior nodes (> 0 means strictly concave). `report` is the
     `check_critical` report of the profile the residuals were read from.
     """
 
@@ -91,7 +92,6 @@ class CriticalPoint:
     energy: float
     residuals: dict
     report: CriticalityReport = field(repr=False)
-    _table: tuple = field(repr=False)
 
     @property
     def obstacle(self) -> Obstacle:
@@ -141,9 +141,9 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     variational inequality over coordinate directions exactly, including the
     contact node sitting bitwise on the cone tip. A polish that does not
     converge raises StepConvergenceError with the unconverged profile as
-    `partial`. The parametric table is kept for the slope and
-    first-order-equation cross-checks, and the polished profile's
-    `check_critical` report as `report`.
+    `partial`. The parametric table gives the slope profile and the
+    first-order-equation cross-check; the polished profile's
+    `check_critical` report is kept as `report`.
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
@@ -172,39 +172,32 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
         profile.values, obstacle.samples.values, grid.h, polish_cfg)[0]
     profile = GridFunction(grid, polished)
 
-    upp = second_diff(profile)
-    concavity_min = float(np.min(-upp[: m]))  # nodes x_1 .. x_m, i.e. (0, 1/2]
+    # symmetric to the bit: the report's min of -u'' is the one over (0, 1/2]
     report = check_critical(profile, obstacle)
     residuals = {
         "vi_residual": report.vi_residual,
-        "ode_residual": _ode_residual((xs, us, zs), grid),
-        "concavity_min": concavity_min,
+        "ode_residual": _ode_residual(us, zs, pu, pz, grid),
+        "concavity_min": report.concavity_min,
     }
     return CriticalPoint(
         height=float(height), A=a, grid=grid, profile=profile,
         slope_profile=slope, energy=energy(profile),
-        residuals=residuals, report=report, _table=(xs, us, zs),
+        residuals=residuals, report=report,
     )
 
 
-def ode_residual(cp: CriticalPoint) -> float:
+def _ode_residual(us, zs, height_of_x, slope_of_x, grid: UniformGrid) -> float:
     """sup over grid nodes x in [0.05, 0.45] of |u'(x) - J(u(x))|, where J
-    maps height to slope by inverting the monotone parametric height table.
+    maps height to slope by inverting the monotone parametric height table
+    (us, zs), and `height_of_x`, `slope_of_x` interpolate the table in x.
 
     Both sides come from the parametric table through independent
     interpolations (position -> slope versus height -> slope composed with
     position -> height), so a small residual cross-validates the quadrature
     construction against the first-order characterization u' = J(u)."""
-    return _ode_residual(cp._table, cp.grid)
-
-
-def _ode_residual(table: tuple, grid: UniformGrid) -> float:
-    xs, us, zs = table
     if np.any(np.diff(us) <= 0.0):
         raise ConvergenceError("height table is not strictly increasing")
     j_interp = PchipInterpolator(us, zs)
-    height_of_x = PchipInterpolator(xs, us)
-    slope_of_x = PchipInterpolator(xs, zs)
     x = grid.nodes
     mask = (x >= 0.05) & (x <= 0.45)
     xl = np.minimum(x[mask], 1.0 - x[mask])  # fold onto the left half
@@ -221,7 +214,6 @@ class CriticalityReport:
     multiplier_min: float
     concavity_min: float
     nonnegativity_min: float
-    coincidence: np.ndarray
     scale: float
 
     @property
@@ -258,7 +250,6 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
     vi = min(upward, downward)
 
     # global directions v - u for v = (1 +- delta) u clipped to the box
-    from .discretization import first_variation
     delta = 1e-3
     for factor in (1.0 + delta, 1.0 - delta):
         v = np.maximum(psi, factor * u.values)
@@ -278,6 +269,5 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
         multiplier_min=mult,
         concavity_min=float(np.min(-upp)),
         nonnegativity_min=float(np.min(u.values)),
-        coincidence=np.nonzero(act)[0],
         scale=scale,
     )

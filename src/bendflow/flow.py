@@ -72,14 +72,14 @@ therefore runs exactly as often as `_energy_raw` and `_phi_change`
 together.
 
 One evaluation per accepted iterate: the step returns the evaluation of the
-point it accepts (tables, E_h, grad E_h, residual floor), and `run_flow`
-hands it to the next step, which starts from that point, and takes the
-recorded energy from it. Phi at the starting point is formed only once a
-Newton iteration starts, since only the line search reads it. A step at
-rest, which accepts its starting point after no Newton iteration, therefore
-builds no tables and evaluates none of E_h, its gradient and Phi. It is
-still certified: its KKT arrays and report are built from its own arrays,
-as for any step.
+point it accepts (tables, E_h, grad E_h: none depends on tau), and
+`run_flow` hands it to the next step, which starts from that point, forms
+its residual floor from it and takes the recorded energy from it. Phi at
+the starting point is formed only once a Newton iteration starts, since
+only the line search reads it. A step at rest, which accepts its starting
+point after no Newton iteration, therefore builds no tables and evaluates
+none of E_h, its gradient and Phi. It is still certified: its KKT arrays
+and report are built from its own arrays, as for any step.
 
 Rest: a step at rest whose result has the bits of its input returns the
 input object itself. Within `run_flow` the obstacle and the config are
@@ -113,7 +113,7 @@ from .discretization import (
     trapezoid_weights,
 )
 from .errors import DomainError, GridMismatchError, StepConvergenceError
-from .specialfn import g, g_inv
+from .specialfn import c0, g, g_inv
 
 _BW = _HESS_BW
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
@@ -150,11 +150,11 @@ class FlowConfig:
 class KKTReport:
     """Certificate of the discrete variational inequality for one step.
 
-    r = (u - f)/tau + grad E_h(u) is the nodal residual. Nodes with gap
-    below `active_tol` (chosen to dominate the solver slack) are classified
-    active; a valid step has |r| <= tol on inactive nodes and r >= -tol on
-    active ones, with tol = inner_tol * scale and scale the natural size
-    1 + ||grad E_h||_inf + ||udot||_inf.
+    r = (u - f)/tau + grad E_h(u) is the nodal residual. Interior nodes
+    with gap u - psi <= 10 * inner_tol * scale (a bound that dominates the
+    solver slack) are active; a valid step has |r| <= tol on inactive nodes
+    and r >= -tol on active ones, with tol = inner_tol * scale and scale
+    the natural size 1 + ||grad E_h||_inf + ||udot||_inf.
     """
 
     stationarity_residual: float
@@ -162,7 +162,6 @@ class KKTReport:
     active_set: np.ndarray
     scale: float
     natural_residual: float
-    active_tol: float
     inner_iterations: int
 
     def satisfies(self, inner_tol: float) -> bool:
@@ -172,17 +171,15 @@ class KKTReport:
 
 @dataclass
 class Trajectory:
-    """Flow iterates with per-step diagnostics."""
+    """Flow iterates, iterate k at time k tau, with per-step diagnostics."""
 
     grid: UniformGrid
     obstacle: Obstacle
     tau: float
-    times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterates: list[GridFunction] = field(default_factory=list)
     energies: np.ndarray = field(default_factory=lambda: np.zeros(0))
     step_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     coincidence_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
-    inner_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, int))
     symmetry_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kkt_reports: list[KKTReport] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
@@ -192,8 +189,16 @@ class Trajectory:
         return len(self.iterates) - 1
 
     @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.tau
+
+    @property
     def t_end(self) -> float:
-        return float(self.times[-1])
+        return self.n_steps * self.tau
+
+    @property
+    def inner_iterations(self) -> np.ndarray:
+        return np.array([r.inner_iterations for r in self.kkt_reports], dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +307,12 @@ def _phi_change(vt: np.ndarray, v: np.ndarray, tables, f: np.ndarray,
 
 @dataclass(frozen=True)
 class _Eval:
-    """One evaluation of an iterate: its stencil tables (u', u''), E_h,
-    grad E_h and residual floor (the floor for one tau)."""
+    """One evaluation of an iterate: its stencil tables (u', u''), E_h and
+    grad E_h."""
 
     tables: tuple[np.ndarray, np.ndarray]
     energy: float
     grad: np.ndarray
-    floor: float
 
 
 def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
@@ -328,8 +332,9 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     evaluation of v).
 
     `start`, if given, is the evaluation of f, which must then be a point a
-    previous step with the same tau accepted (so f is its own projection
-    onto the constraints); otherwise the starting point is evaluated here.
+    previous step accepted (so f is its own projection onto the
+    constraints); else f is evaluated here. The residual floor, which
+    depends on tau, is formed here either way.
 
     Drives the natural-map residual pi = v - Pi_box(v - r) below a quarter
     of inner_tol * scale, the headroom being for the certificate. Two stops
@@ -360,10 +365,9 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     if start is None:
         tables = _derivative_tables(v, h)
         start = _Eval(tables, _energy_raw(*tables, h),
-                      _energy_gradient_raw(*tables, h),
-                      _residual_floor(v, tables[1], h, tau))
+                      _energy_gradient_raw(*tables, h))
     tv, ev, gv = start.tables, start.energy, start.grad
-    fot = start.floor / cfg.inner_tol
+    fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
 
     def arc(alpha):
@@ -470,7 +474,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             partial=v,
         )
     if v is not v0:
-        start = _Eval(tv, ev, gv, _residual_floor(v, tv[1], h, tau))
+        start = _Eval(tv, ev, gv)
     return v, r, pimax, scale, nit, start
 
 
@@ -482,9 +486,7 @@ def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
 
 def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
                   natural_residual: float) -> KKTReport:
-    active_tol = 10.0 * cfg.inner_tol * scale
-    gap = v - psi
-    act = gap <= active_tol
+    act = v - psi <= 10.0 * cfg.inner_tol * scale
     act[0] = act[-1] = False
     inact = ~act
     inact[0] = inact[-1] = False
@@ -496,7 +498,6 @@ def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
         active_set=active_set,
         scale=scale,
         natural_residual=natural_residual,
-        active_tol=active_tol,
         inner_iterations=nit,
     )
 
@@ -530,21 +531,21 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     inner_max_iter.
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
-    owned by the caller, holding (u.values, tau, evaluation of u) after a
+    owned by the caller, holding (u.values, evaluation of u) after a
     successful step. A later call whose f.values is that very array (values
-    arrays are read-only copies, so identity means the same bits), with the
-    same tau, starts from the held evaluation instead of evaluating f again.
+    arrays are read-only copies, so identity means the same bits), for any
+    tau, starts from the held evaluation instead of evaluating f again.
     """
     psi = obstacle.samples.values
     fv = f.values
     _check_admissible(f, obstacle, "iterate")
     held = carry[0] if carry else None
-    start = held[2] if held and held[0] is fv and held[1] == cfg.tau else None
+    start = held[1] if held and held[0] is fv else None
     v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
     report = _build_report(v, psi, cfg, r, scale, nit, pimax)
     u = f if nit == 0 and _same_bits(v, fv) else GridFunction(f.grid, v)
     if carry is not None:
-        carry[0] = (u.values, cfg.tau, ev)
+        carry[0] = (u.values, ev)
     return u, report
 
 
@@ -559,46 +560,42 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     StepConvergenceError leaves tagged with `step_index`, its `partial`
     iterate kept and the solver frames it passed through cleared.
     """
-    from .specialfn import c0  # local import keeps module load light
-
     _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
     psi = obstacle.samples.values
-
-    traj = Trajectory(grid=grid, obstacle=obstacle, tau=cfg.tau)
     e0 = energy(u0)
+    warnings = []
     threshold = c0() ** 2 / 4.0
     if e0 >= threshold:
-        traj.warnings.append(
+        warnings.append(
             f"initial energy {e0:.6g} is not below the well-posedness "
             f"threshold c0^2/4 = {threshold:.6g}; run is outside the proven regime"
         )
     elif e0 > g(2.0) ** 2:
-        traj.warnings.append(
+        warnings.append(
             f"initial energy {e0:.6g} exceeds G(2)^2 = {g(2.0) ** 2:.6g}; the "
             "limit is the unique symmetric critical point but is not proven "
             "to be a minimizer at this energy"
         )
     if not obstacle.assumption1_ok:
-        traj.warnings.append(
+        warnings.append(
             "obstacle violates the sign assumption (negative ends, positive "
             "maximum); constrained-run interpretation is off"
         )
     if cfg.tau > 10.0 * grid.h**2:
-        traj.warnings.append(
+        warnings.append(
             f"tau={cfg.tau:.3g} exceeds 10 h^2 = {10 * grid.h**2:.3g}; the scheme "
             "stays energy-stable but variational-inequality residuals blur"
         )
 
     ctol = 10.0 * cfg.inner_tol * math.sqrt(grid.h)
     n_steps = int(round(cfg.t_end / cfg.tau))
-    times = [0.0]
     iterates = [u0]
     energies = [e0]
     step_norms = []
     counts = [int(np.sum((u0.values - psi) <= ctol))]
-    inner = []
     sym = [symmetry_residual(u0)]
+    reports = []
     w = trapezoid_weights(grid)
 
     u = u0
@@ -615,9 +612,8 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
                 traceback.clear_frames(err.__traceback__)
                 raise
             rest = un is u
-        times.append((k + 1) * cfg.tau)
         iterates.append(un)
-        energies.append(carry[0][2].energy)
+        energies.append(carry[0][1].energy)
         if rest:  # the step did not move: its diagnostics are u's
             step_norms.append(0.0)
             counts.append(counts[-1])
@@ -627,8 +623,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             step_norms.append(dn)
             counts.append(int(np.sum((un.values - psi) <= ctol)))
             sym.append(symmetry_residual(un))
-        inner.append(report.inner_iterations)
-        traj.kkt_reports.append(report)
+        reports.append(report)
         u = un
         if stop_when_stall_rate is not None:
             rate = (energies[-2] - energies[-1]) / cfg.tau
@@ -637,14 +632,13 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             if slow_streak >= 3:
                 break
 
-    traj.times = np.array(times)
-    traj.iterates = iterates
-    traj.energies = np.array(energies)
-    traj.step_norms = np.array(step_norms)
-    traj.coincidence_counts = np.array(counts, dtype=int)
-    traj.inner_iterations = np.array(inner, dtype=int)
-    traj.symmetry_residuals = np.array(sym)
-    return traj
+    return Trajectory(
+        grid=grid, obstacle=obstacle, tau=cfg.tau, iterates=iterates,
+        energies=np.array(energies), step_norms=np.array(step_norms),
+        coincidence_counts=np.array(counts, dtype=int),
+        symmetry_residuals=np.array(sym), kkt_reports=reports,
+        warnings=warnings,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +646,11 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
 # ---------------------------------------------------------------------------
 
 def interpolate_linear(traj: Trajectory, t: float) -> GridFunction:
-    """Piecewise-linear interpolant between consecutive iterates."""
-    if not (0.0 <= t <= traj.t_end):
+    """Piecewise-linear interpolant between consecutive iterates. A time
+    past the last one by rounding only (1e-12 relative) reads the last."""
+    if not (0.0 <= t <= traj.t_end * (1.0 + 1e-12)):
         raise DomainError(f"t={t} outside [0, {traj.t_end}]")
+    t = min(t, traj.t_end)
     k = min(int(t / traj.tau), traj.n_steps - 1)
     lam = (t - k * traj.tau) / traj.tau
     a = traj.iterates[k].values
@@ -666,9 +662,7 @@ def interpolate_linear(traj: Trajectory, t: float) -> GridFunction:
 class DissipationReport:
     lhs: float              # E(u_K) + sum ||du||^2 / (2 tau)
     rhs: float              # E(u_0) + n_steps * slack
-    slack_per_step: float
     dissipated_sum: float   # sum ||du||^2 / tau, bounded by 2 E(u_0)
-    udot_bound: float       # 2 E(u_0)
     holds: bool
     udot_bound_holds: bool
 
@@ -687,9 +681,8 @@ def dissipation_report(traj: Trajectory, slack_per_step: float | None = None
     dsum = sumsq / traj.tau
     bound = 2.0 * float(traj.energies[0])
     return DissipationReport(
-        lhs=lhs, rhs=rhs, slack_per_step=slack_per_step,
-        dissipated_sum=dsum, udot_bound=bound,
-        holds=lhs <= rhs, udot_bound_holds=dsum <= bound + traj.n_steps * slack_per_step,
+        lhs=lhs, rhs=rhs, dissipated_sum=dsum, holds=lhs <= rhs,
+        udot_bound_holds=dsum <= bound + traj.n_steps * slack_per_step,
     )
 
 

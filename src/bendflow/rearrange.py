@@ -79,7 +79,6 @@ def talenti_comparison(f: GridFunction) -> GridFunction:
 class TalentiReport:
     min_gap: float          # min over nodes of v - u_*
     tol_mesh: float
-    f_sup: float
     holds: bool
 
 
@@ -110,7 +109,6 @@ def talenti_inequality_check(u: GridFunction) -> TalentiReport:
     tol_mesh = 5.0 * h * (1.0 + float(np.max(f.values)))
     min_gap = float(np.min(comp.values - u_star.values))
     return TalentiReport(min_gap=min_gap, tol_mesh=tol_mesh,
-                         f_sup=float(np.max(f.values)),
                          holds=min_gap >= -tol_mesh)
 
 

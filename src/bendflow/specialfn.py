@@ -280,9 +280,10 @@ def _h_eval(a_slope: float) -> float:
 def h_inv(height: float) -> float:
     """Unique A in (0, 2^19] with H(A) = height; residual below 1e-10.
 
-    Bracketing by doubling, bisection refinement, then a secant polish, on
-    H by `_h_eval`, without h_of_A's cross-check of the two routes. Heights
-    above H(2^19) = 0.83462456, just below the supremum, raise RangeError.
+    Bracketing by doubling, then bisection on H by `_h_eval` (without
+    h_of_A's cross-check of the two routes) down to adjacent floats lo < hi
+    with H(lo) < height <= H(hi); A is one of the two. Heights above
+    H(2^19) = 0.83462456, just below the supremum, raise RangeError.
     """
     height = float(height)
     if not (height > 0.0):
@@ -305,12 +306,6 @@ def h_inv(height: float) -> float:
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    # secant polish on the bracket endpoints
-    fa, fb = _h_eval(lo) - height, _h_eval(hi) - height
-    if fb != fa:
-        a2 = hi - fb * (hi - lo) / (fb - fa)
-        if lo < a2 < hi and abs(_h_eval(a2) - height) < abs(_h_eval(a) - height):
-            a = a2
     if abs(_h_eval(a) - height) > 1e-10 * max(1.0, height):
         raise ConvergenceError(f"h_inv: residual above 1e-10 at height {height}")
     return a

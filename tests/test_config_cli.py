@@ -257,6 +257,54 @@ def test_cli_sweep(tmp_path, capsys):
         assert (tmp_path / "runs" / name / "summary.json").exists()
 
 
+def test_cli_snapshot_at_the_last_step_within_rounding(tmp_path, capsys):
+    """Three steps of 0.3 end at 0.8999999999999999, not at t_end = 0.9:
+    the snapshot at 0.9 is the last iterate, and the run writes every
+    output and exits 0."""
+    data = dict(MINIMAL, tau=0.3, t_end=0.9, outputs={"snapshots": [0.9]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "snapshot_t0.9.csv") as fh:
+        snap = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+    with open(out / "final.csv") as fh:
+        final = np.array([float(r[1]) for r in list(csv.reader(fh))[1:]])
+    assert np.allclose(snap, final, rtol=1e-12, atol=0.0)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps"] == 3
+    assert not any("snapshot" in w for w in summary["warnings"])
+
+
+def test_cli_snapshot_past_a_stall_stop_is_named_not_written(tmp_path, capsys):
+    """A run that stalls at t = 0.013 writes no snapshot past that time,
+    names each one in the summary's warnings, still writes summary.json
+    and final.csv, and exits 0."""
+    data = dict(MINIMAL, grid_n=64, tau=1e-3, t_end=5.0,
+                stop_when_stall_rate=1e-6, outputs={"snapshots": [0.05, 4.0]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    assert "snapshot t=4 not written" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["t_final"] < 0.05
+    skipped = [w for w in summary["warnings"] if "not written" in w]
+    assert len(skipped) == 2 and "t=0.05" in skipped[0]
+    assert (out / "final.csv").exists()
+    assert not list(out.glob("snapshot_t*.csv"))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    """--jobs below 1 is a usage error, exit 2 naming --jobs, before any
+    case runs."""
+    p = write_cfg(tmp_path, {"base": MINIMAL, "cases": {"a": {}}}, "sweep.json")
+    assert main(["sweep", "--config", str(p), "--out", str(tmp_path / "runs"),
+                 "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_sweep_bad_config_file_exits_2(tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"base": {}, "cases": ')

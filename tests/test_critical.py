@@ -18,7 +18,6 @@ from bendflow import (
     f_of_z,
     h_inv,
     h_of_A,
-    ode_residual,
     run_flow,
     u_c_profile,
 )
@@ -74,7 +73,6 @@ def test_profile_strictly_concave_left_half(cp005):
 
 
 def test_ode_residual_small(cp005):
-    assert ode_residual(cp005) <= 1e-6
     assert cp005.residuals["ode_residual"] <= 1e-6
     # residual vanishes at the midpoint by construction: slope and J both 0
     assert abs(cp005.slope_profile.values[cp005.grid.midpoint_index]) < 1e-14

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import traceback
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -33,6 +35,12 @@ from bendflow import (
 )
 
 from conftest import mirrored
+
+# the recipe of ROADMAP.md ("Random draws"), as the golden fingerprints draw it
+_spec = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
 
 
 @pytest.fixture(scope="module")
@@ -571,27 +579,6 @@ def test_carried_certificate_does_not_skip_the_obstacle_check(cone_run):
         mm_step(rest, higher, cfg, carry=carry)
 
 
-def _recipe_draw(seed, symmetric):
-    """A random admissible datum on a cone and its time step, by the recipe
-    of ROADMAP.md ("Random draws"); a symmetric draw mirrors the left half
-    of the plain draw of the same seed."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(16, 65))
-    tau = 10 ** rng.uniform(-7, -3)
-    height = rng.uniform(0.005, 0.1)
-    coef = rng.normal(size=4) * 0.05 / np.arange(1, 5)
-    grid = UniformGrid(n)
-    obstacle = cone_obstacle(height, grid)
-    x = grid.nodes
-    u0 = np.maximum(obstacle.samples.values,
-                    sum(coef[k] * np.sin((k + 1) * np.pi * x) for k in range(4)))
-    u0[0] = u0[-1] = 0.0
-    if symmetric:
-        m = n // 2
-        u0[n - m:] = u0[:m + 1][::-1]
-    return GridFunction(grid, u0), obstacle, tau
-
-
 def test_carried_certificates_exact_on_symmetric_draws():
     """Forty steps from symmetric draws record the same bits in run_flow
     as step by step. run_flow builds no report for a step after one that
@@ -603,7 +590,8 @@ def test_carried_certificates_exact_on_symmetric_draws():
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-4.0, -3.0))
     def check(seed, log_tau):
-        u0, obstacle, _ = _recipe_draw(seed, symmetric=True)
+        u0, obstacle, _ = regen.random_draw(seed, symmetric=True)
+        u0 = GridFunction(obstacle.grid, u0)
         tau = 10.0 ** log_tau
         cfg = FlowConfig(tau=tau, t_end=40 * tau)
         with mock.patch.object(flow_mod, "_build_report",
@@ -645,7 +633,8 @@ def test_recipe_draws_certify_every_step(seed, symmetric):
     (plain 0 and 72), or that a quiet walk asking for a residual drop of
     0.9 instead of _QUIET_DROP stopped (symmetric 240 and 289): every step
     certifies, and symmetric data stays symmetric to the bit."""
-    u0, obstacle, tau = _recipe_draw(seed, symmetric)
+    u0, obstacle, tau = regen.random_draw(seed, symmetric)
+    u0 = GridFunction(obstacle.grid, u0)
     cfg = FlowConfig(tau=tau, t_end=10 * tau)
     traj = run_flow(u0, obstacle, cfg)
     assert traj.n_steps == 10

@@ -23,7 +23,8 @@ from bendflow import (
     u_c_value,
 )
 from bendflow.cli import main
-from bendflow.specialfn import _SERIES_MAX_TERMS, _SERIES_TOL, _h_hyp, _h_quad
+from bendflow.specialfn import (_SERIES_MAX_TERMS, _SERIES_TOL, _h_eval, _h_hyp,
+                                _h_quad)
 
 from conftest import simpson_adaptive
 
@@ -228,6 +229,20 @@ def test_h_of_a_inverts_h_inv_up_to_0_83():
     for y in [*np.linspace(0.01, 0.83, 83), h_of_A(30.0), h_of_A(46.9),
               edge, edge + 1e-12]:
         assert abs(h_of_A(h_inv(y)) - y) <= 1e-11, y
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=st.floats(1e-8, 0.834))
+@example(y=1e-8)
+@example(y=0.834)
+def test_h_inv_is_a_float_bracket(y):
+    """h_inv(y) is an end of the float bracket of y: either H(prev(a)) <
+    y <= H(a) or H(a) < y <= H(next(a)), with H by `_h_eval` and prev,
+    next the adjacent floats. No float lies strictly inside the bracket."""
+    a = h_inv(y)
+    below, above = np.nextafter(a, 0.0), np.nextafter(a, np.inf)
+    ha = _h_eval(a)
+    assert _h_eval(below) < y <= ha or ha < y <= _h_eval(above)
 
 
 def test_h_strictly_increasing():
