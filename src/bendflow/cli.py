@@ -46,10 +46,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_trajectory_csv(path, traj: fl.Trajectory) -> None:
+def _write_trajectory_csv(path, traj: fl.Trajectory, steps_offset: int,
+                          t_offset: float) -> None:
+    """One row per step, its step number and time counted from the start
+    of the run that `traj` continues (offsets 0 on a fresh run)."""
     reports = traj.kkt_reports
     disc.write_csv(path, _TRAJ_HEADER, [
-        np.arange(1, traj.n_steps + 1), traj.times[1:], traj.energies[1:],
+        np.arange(steps_offset + 1, steps_offset + traj.n_steps + 1),
+        t_offset + traj.times[1:], traj.energies[1:],
         traj.step_norms, traj.coincidence_counts[1:],
         traj.symmetry_residuals[1:], traj.inner_iterations,
         [rep.stationarity_residual for rep in reports],
@@ -85,15 +89,20 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
 
     outputs = cfg.outputs
     if outputs.get("trajectory_csv"):
-        _write_trajectory_csv(out_dir / outputs["trajectory_csv"], traj)
+        _write_trajectory_csv(out_dir / outputs["trajectory_csv"], traj,
+                              steps_offset, t_offset)
+    # snapshot times count from the start of this run; file names and
+    # warnings count from the start of the run it continues, as summary.json
+    t_final = traj.t_end + t_offset
     for t in outputs.get("snapshots", []):
+        t_abs = t_offset + t
         try:
             u_t = fl.interpolate_linear(traj, float(t))
         except DomainError:  # past the last step, as after a stall stop
-            traj.warnings.append(f"snapshot t={t:g} not written: the run "
-                                 f"stopped at t = {traj.t_end:.15g}")
+            traj.warnings.append(f"snapshot t={t_abs:g} not written: the run "
+                                 f"stopped at t = {t_final:.15g}")
             continue
-        _write_snapshot_csv(out_dir / f"snapshot_t{t:g}.csv", u_t,
+        _write_snapshot_csv(out_dir / f"snapshot_t{t_abs:g}.csv", u_t,
                             obstacle.samples)
     if outputs.get("plot_svg"):
         profiles = [("initial", traj.iterates[0]),
@@ -123,7 +132,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
         "l0_formula": "Ginv(sqrt(E0))^2 / (2 infE) / (5/(1 + Ginv(sqrt(E0))^2) - 3)",
         "warnings": list(traj.warnings),
         "steps": traj.n_steps + steps_offset,
-        "t_final": traj.t_end + t_offset,
+        "t_final": t_final,
     }
     _write_json(out_dir / summary_name, summary)
     disc.write_profile_csv(out_dir / "final.csv", traj.iterates[-1])

@@ -5,19 +5,20 @@ Everything here derives from the slope-compression function
     G(s) = int_0^s (1 + t^2)^(-5/4) dt,
 
 which is odd, strictly increasing and saturates at +-c0/2 where
-c0 = int_R (1 + t^2)^(-5/4) dt. On top of G the module provides its inverse,
-the saturation constant c0, a minimal Gauss hypergeometric series 2F1 (direct
-summation on [0,1) plus the Pfaff map for negative arguments), the cone
-height map H(A) relating the midpoint height of the symmetric critical
-profile to its initial slope A, the inverse of H, and the explicit low-energy
-profile u_c whose elastic energy equals c^2.
+c0 = int_R (1 + t^2)^(-5/4) dt = B(1/2, 3/4). On top of G the module
+provides its inverse, the saturation constant c0 by that closed form, a
+minimal Gauss hypergeometric series 2F1 (direct summation on [0,1) plus the
+Pfaff map for negative arguments), the cone height map H(A) relating the
+midpoint height of the symmetric critical profile to its initial slope A,
+the inverse of H, and the explicit low-energy profile u_c whose elastic
+energy equals c^2. H has one evaluation route, `_h_eval` (series up to
+A = 30, quadrature above), which h_of_A and h_inv both use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -26,7 +27,6 @@ from .discretization import GridFunction, UniformGrid
 from .errors import ConvergenceError, DomainError, RangeError
 
 _QUAD_TOL = 1e-13
-_TAIL_CUTOFF = 1.0e6  # quadrature window [-M, M] for c0; tail bound added analytically
 
 
 def _g_integrand(t: float) -> float:
@@ -60,26 +60,14 @@ def g(s: float) -> float:
     return val if s > 0 else -val
 
 
-@lru_cache(maxsize=1)
 def c0() -> float:
     """The saturation constant c0 = int_R (1+t^2)^(-5/4) dt, about 2.39628.
 
-    Computed once by two routes that must agree to 1e-10:
-    adaptive quadrature on [-M, M] plus the analytic two-sided tail bound
-    2 int_M^inf t^(-5/2) dt = (4/3) M^(-3/2), and twice the large-argument
-    limit of g with the same tail correction.
+    By its closed form: t = tan(theta) turns the integral into
+    2 int_0^(pi/2) cos(theta)^(1/2) dtheta = B(1/2, 3/4)
+    = Gamma(1/2) Gamma(3/4) / Gamma(5/4).
     """
-    m = _TAIL_CUTOFF
-    tail = (4.0 / 3.0) * m**-1.5
-    direct, _ = quad(_g_integrand, -m, m, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                     limit=400, points=[-10.0, 0.0, 10.0])
-    via_g = 2.0 * g(m)
-    a, b = direct + tail, via_g + tail
-    if abs(a - b) > 1e-10:
-        raise ConvergenceError(
-            f"c0 cross-check failed: {a!r} vs {b!r}, difference {abs(a - b):.3e}"
-        )
-    return a
+    return math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
 
 
 _GINV_GUARD_FRACTION = 1e-9  # guard band eps = 1e-9 * c0 around saturation
@@ -240,8 +228,15 @@ def _h_quad(a_slope: float) -> float:
     return 0.5 * num / den
 
 
-_H_SERIES_MAX_SLOPE = 47.0  # the series for H ends within its term budget up to A = 47.26
+_H_SWITCH_SLOPE = 30.0  # H by the series up to here, by quadrature above
 _H_MAX_SLOPE = 2.0**19  # _h_quad is within 1e-10 up to here, off by 1.5e-2 at 8e5
+
+
+def _h_eval(a_slope: float) -> float:
+    """H by the series up to A = 30, where it is cheap, and by quadrature
+    above, where the series argument approaches 1 and its convergence
+    degrades. The one route to H that h_of_A and h_inv share."""
+    return _h_hyp(a_slope) if a_slope <= _H_SWITCH_SLOPE else _h_quad(a_slope)
 
 
 def h_of_A(a_slope: float) -> float:
@@ -250,9 +245,9 @@ def h_of_A(a_slope: float) -> float:
     small A and saturates near 0.8346 as A grows.
 
     Supported for 0 <= A <= 2^19, the range `h_inv` searches; a larger A
-    is a RangeError. Up to A = 47 the hypergeometric value is returned,
-    cross-checked against the quadrature route to 1e-9; above 47, where the
-    series runs out of terms, the quadrature value, unchecked, as in h_inv.
+    is a RangeError. Returns `_h_eval(A)`, the H that h_inv inverts: up to
+    A = 30 the series value, cross-checked against the quadrature route to
+    1e-9; above 30 the quadrature value, unchecked.
     """
     a = float(a_slope)
     if not math.isfinite(a) or a < 0.0:
@@ -260,30 +255,24 @@ def h_of_A(a_slope: float) -> float:
     if a > _H_MAX_SLOPE:
         raise RangeError(f"h_of_A: slope A={a} is above {_H_MAX_SLOPE:g}, the "
                          f"largest for which H is supported")
-    if a > _H_SERIES_MAX_SLOPE:
-        return _h_quad(a)
-    hv = _h_hyp(a)
-    qv = _h_quad(a)
-    if abs(hv - qv) > 1e-9 * max(1.0, abs(hv)):
-        raise ConvergenceError(
-            f"h_of_A({a}): evaluation routes disagree, {hv!r} vs {qv!r}"
-        )
+    hv = _h_eval(a)
+    if a <= _H_SWITCH_SLOPE:
+        qv = _h_quad(a)
+        if abs(hv - qv) > 1e-9 * max(1.0, abs(hv)):
+            raise ConvergenceError(
+                f"h_of_A({a}): evaluation routes disagree, {hv!r} vs {qv!r}"
+            )
     return hv
-
-
-def _h_eval(a_slope: float) -> float:
-    """H by the series where it is cheap, by quadrature for large slopes
-    (the series argument approaches 1 and its convergence degrades)."""
-    return _h_hyp(a_slope) if a_slope <= 30.0 else _h_quad(a_slope)
 
 
 def h_inv(height: float) -> float:
     """Unique A in (0, 2^19] with H(A) = height; residual below 1e-10.
 
-    Bracketing by doubling, then bisection on H by `_h_eval` (without
-    h_of_A's cross-check of the two routes) down to adjacent floats lo < hi
-    with H(lo) < height <= H(hi); A is one of the two. Heights above
-    H(2^19) = 0.83462456, just below the supremum, raise RangeError.
+    Bracketing by doubling, then bisection on H by `_h_eval`, the route
+    h_of_A returns (without its cross-check of the series against
+    quadrature), down to adjacent floats lo < hi with H(lo) < height <=
+    H(hi); A is one of the two. Heights above H(2^19) = 0.83462456, just
+    below the supremum, raise RangeError.
     """
     height = float(height)
     if not (height > 0.0):

@@ -91,7 +91,7 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 
 def check_constants() -> CheckResult:
-    c0 = sf.c0()  # raises internally if its two routes disagree beyond 1e-10
+    c0 = sf.c0()
     err = abs(c0 - C0_REF)
     err_sq = abs(c0**2 / 4.0 - C0_SQ4_REF)
     passed = err <= 1e-10 and err_sq <= 1e-9
@@ -99,7 +99,7 @@ def check_constants() -> CheckResult:
         "constants", passed,
         {"c0": c0, "c0_sq_over_4": c0**2 / 4.0, "error": err},
         f"c0 = {C0_REF}", "1e-10",
-        "dual-route agreement enforced inside c0()",
+        "c0() is the closed form B(1/2, 3/4); C0_REF is quadrature",
     )
 
 
@@ -159,14 +159,14 @@ def check_gradient_consistency(n_pairs: int) -> CheckResult:
     )
 
 
-def run_cone(t_end: float, stall_rate: float | None) -> fl.Trajectory:
-    """The flow over the acceptance cone to t_end, stopped once the energy
-    decrease per unit time falls below `stall_rate` if that is not None."""
+def run_cone(t_end: float) -> fl.Trajectory:
+    """The flow from u_c over the acceptance cone to t_end: the one run
+    that criteria 5, 6, 7 and 10 all read."""
     grid = disc.UniformGrid(CONE_N)
     obstacle = disc.cone_obstacle(CONE_HEIGHT, grid)
     u0 = sf.u_c_profile(CONE_C, grid)
     cfg = fl.FlowConfig(tau=CONE_TAU, t_end=t_end, inner_tol=CONE_INNER_TOL)
-    return fl.run_flow(u0, obstacle, cfg, stop_when_stall_rate=stall_rate)
+    return fl.run_flow(u0, obstacle, cfg)
 
 
 def check_flow_inequalities(traj: fl.Trajectory) -> CheckResult:
@@ -292,17 +292,18 @@ def check_critical_points() -> CheckResult:
     )
 
 
-def check_flow_convergence(stall_rate: float, cp: crit.CriticalPoint
+def check_flow_convergence(traj: fl.Trajectory, cp: crit.CriticalPoint
                            ) -> CheckResult:
-    """The cone flow, stopped at `stall_rate` or T = 10, against `cp`, the
-    critical point over the acceptance cone."""
-    traj = run_cone(10.0, stall_rate)
+    """The final iterate of the acceptance run `traj` against `cp`, the
+    critical point over the acceptance cone. On the acceptance cone the
+    flow is at rest from step 15 on, so the final iterate is the state the
+    flow converged to, to the bit, at both horizons of run_validation."""
     sup = float(np.max(np.abs(traj.iterates[-1].values - cp.profile.values)))
     e_final = float(traj.energies[-1])
     passed = sup <= 5e-3
     return CheckResult(
         "flow_convergence", passed,
-        {"sup_distance": sup, "stalled_at_t": traj.t_end,
+        {"sup_distance": sup, "t_end": traj.t_end,
          "steps": traj.n_steps, "flow_energy": e_final,
          "critical_energy": cp.energy,
          "energy_gap": cp.energy - e_final},
@@ -396,7 +397,7 @@ def run_validation(quick: bool = False, progress=None) -> ValidationReport:
 
     # at full scale the horizon passes criterion 7's window L0 = 10.22
     t0 = time.perf_counter()
-    traj = run_cone(0.5 if quick else 12.0, None)
+    traj = run_cone(0.5 if quick else 12.0)
     run_elapsed = time.perf_counter() - t0
     res5 = check_flow_inequalities(traj)
     res5.runtime_s = run_elapsed
@@ -414,8 +415,7 @@ def run_validation(quick: bool = False, progress=None) -> ValidationReport:
         n_pfaff=10 if quick else 50, n_mono=25 if quick else 100,
         n_dual=8 if quick else 25)))
     emit(_timed(check_critical_points))
-    emit(_timed(lambda: check_flow_convergence(
-        1e-8 if quick else 1e-10, cone_cp)))
+    emit(_timed(lambda: check_flow_convergence(traj, cone_cp)))
     emit(_timed(lambda: check_talenti(5 if quick else 20)))
     emit(_timed(lambda: check_navier((100, 200) if quick else (100, 200, 400))))
     return report

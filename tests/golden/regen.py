@@ -13,7 +13,9 @@ produced the bytes.
   and 0.1: 14 steps that do Newton work, then 86 steps at rest.
 - cone_resume: the same `simulate`, resumed from cone_short's checkpoint
   (`--resume`) on to T = 0.2: one step that does Newton work, on the
-  profile read back from final.csv, then 99 steps at rest.
+  profile read back from final.csv, then 99 steps at rest. Its files
+  count time from the start of cone_short, as summary.json does:
+  snapshot_t0.15.csv and snapshot_t0.2.csv, trajectory steps 101-200.
 - rearrange: `bendflow rearrange` of cone_short's final.csv.
 - specialfn: `bendflow specialfn eval` of each of the six functions.
 - fingerprints: `run_flow` on the ladder (the acceptance cone with c = 0.5,

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bendflow import (Trajectory, UniformGrid, cone_obstacle, critical,
+from bendflow import (Trajectory, UniformGrid, cone_obstacle, critical, flow,
                       touch_window)
 from bendflow.validate import check_touching, run_validation
 
@@ -22,9 +22,10 @@ def run():
     with mock.patch.object(critical, "critical_profile",
                            wraps=critical.critical_profile) as profiles, \
             mock.patch.object(critical, "check_critical",
-                              wraps=critical.check_critical) as reports:
+                              wraps=critical.check_critical) as reports, \
+            mock.patch.object(flow, "run_flow", wraps=flow.run_flow) as flows:
         checks = {c.name: c for c in run_validation().checks}
-    return checks, profiles.call_count, reports.call_count
+    return checks, profiles.call_count, reports.call_count, flows.call_count
 
 
 def passes(run, name):
@@ -38,7 +39,13 @@ def passes(run, name):
 def test_each_critical_point_is_built_once(run):
     # criteria 7 and 10 share the acceptance cone's critical point, and each
     # critical point carries the one check_critical report of its profile
-    assert run[1:] == (3, 3)
+    assert run[1:3] == (3, 3)
+
+
+def test_the_acceptance_cone_flows_once(run):
+    # criteria 5, 6, 7 and 10 read one run over the acceptance cone; the
+    # other three flows are criterion 12's grids
+    assert run[3] == 4
 
 
 def test_criterion_01_constants(run):

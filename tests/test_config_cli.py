@@ -201,6 +201,33 @@ def test_cli_simulate_resume(tmp_path, capsys):
     assert abs(s2["t_final"] - 2 * s1["t_final"]) < 1e-12
 
 
+def test_cli_resumed_run_names_its_files_by_absolute_time(tmp_path, capsys):
+    """A resumed run writes snapshots and trajectory rows on the time base
+    of summary.json: the snapshot 0.005 into the second run of 0.01 is
+    snapshot_t0.015.csv, and its first trajectory row is step 11."""
+    data = dict(MINIMAL, outputs={"snapshots": [0.005],
+                                  "trajectory_csv": "trajectory.csv"})
+    cfg_path = write_cfg(tmp_path, data)
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", str(cfg_path), "--out",
+                 str(out1)]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out2),
+                 "--resume", str(out1)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out2.glob("snapshot_t*.csv")) == [
+        "snapshot_t0.015.csv"]
+    with open(out1 / "trajectory.csv") as fh:
+        first = list(csv.DictReader(fh))
+    with open(out2 / "trajectory.csv") as fh:
+        second = list(csv.DictReader(fh))
+    assert [r["step"] for r in first] == [str(k) for k in range(1, 11)]
+    assert [r["step"] for r in second] == [str(k) for k in range(11, 21)]
+    assert float(second[0]["time"]) == pytest.approx(0.011, rel=1e-12)
+    summary = json.loads((out2 / "summary.json").read_text())
+    assert float(second[-1]["time"]) == pytest.approx(summary["t_final"],
+                                                      rel=1e-12)
+
+
 def test_cli_simulate_summary_json_name(tmp_path, capsys):
     data = dict(MINIMAL, t_end=0.002, outputs={"summary_json": "other.json"})
     cfg_path = write_cfg(tmp_path, data)
@@ -292,6 +319,16 @@ def test_cli_snapshot_past_a_stall_stop_is_named_not_written(tmp_path, capsys):
     assert len(skipped) == 2 and "t=0.05" in skipped[0]
     assert (out / "final.csv").exists()
     assert not list(out.glob("snapshot_t*.csv"))
+    # resumed, the warnings count time from the start of the first run
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(again), "--resume", str(out)]) == 0
+    capsys.readouterr()
+    resumed = json.loads((again / "summary.json").read_text())
+    t_final = resumed["t_final"]
+    assert t_final > summary["t_final"]
+    assert (f"snapshot t={summary['t_final'] + 0.05:g} not written: the run "
+            f"stopped at t = {t_final:.15g}") in resumed["warnings"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -25,11 +26,12 @@ from bendflow import (
 from bendflow.cli import main
 from bendflow.specialfn import (_SERIES_MAX_TERMS, _SERIES_TOL, _h_eval, _h_hyp,
                                 _h_quad)
+from bendflow.validate import (C0_REF, C0_SQ4_REF, E_PARABOLA_REF,
+                               G23_SQ_REF)
 
 from conftest import simpson_adaptive
 
 # frozen references, computed with 30-digit quadrature of (1+t^2)^(-5/4)
-C0_REF = 2.3962804694711844
 G1_REF = 0.7443030797604929          # G(1)
 G2_REF = 0.9892840095005784          # G(2)
 H_SMALL_REF = 0.0033332698439632937  # H(0.01), hypergeometric series
@@ -93,6 +95,28 @@ def test_c0_value_and_saturation():
     assert abs(c0() ** 2 / 4 - 1.4355400220922600) < 1e-9
     gap = c0() / 2 - g(1e6)
     assert 0.0 < gap < 1e-6
+
+
+def _is_correctly_rounded(x, exact):
+    """x is the double nearest to the mpmath number `exact`."""
+    err = abs(mpmath.mpf(x) - exact)
+    return all(err <= abs(mpmath.mpf(np.nextafter(x, to)) - exact)
+               for to in (-np.inf, np.inf))
+
+
+def test_c0_and_the_frozen_references_at_40_digits():
+    """c0's closed form is within 1 ulp of B(1/2, 3/4) (measured: 0.67 ulp
+    below), and each frozen reference of validate is the correctly rounded
+    double of its value."""
+    with mpmath.workdps(40):
+        beta = mpmath.beta(mpmath.mpf(1) / 2, mpmath.mpf(3) / 4)
+        g23 = mpmath.quad(lambda t: (1 + t * t) ** mpmath.mpf(-1.25),
+                          [0, mpmath.sqrt(mpmath.mpf(2) / 3)])
+        assert abs(mpmath.mpf(c0()) - beta) <= math.ulp(c0())
+        for ref, exact in ((C0_REF, beta), (C0_SQ4_REF, beta**2 / 4),
+                           (E_PARABOLA_REF, 20 / (3 * mpmath.mpf(2) ** 1.5)),
+                           (G23_SQ_REF, g23**2)):
+            assert _is_correctly_rounded(ref, exact), (ref, exact)
 
 
 def test_c0_against_oracle():
@@ -207,9 +231,10 @@ def test_h_of_a_domain():
 
 
 def test_h_of_a_beyond_its_range_is_a_range_error(capsys):
-    # the series up to A = 47, the quadrature route above, up to 2^19
-    assert h_of_A(47.0) == _h_hyp(47.0)
-    assert h_of_A(47.5) == _h_quad(47.5)
+    # the series up to A = 30, the quadrature route above, up to 2^19
+    assert h_of_A(30.0) == _h_hyp(30.0)
+    assert h_of_A(30.5) == _h_quad(30.5)
+    assert h_of_A(47.0) == _h_quad(47.0)
     assert h_of_A(2.0**19) == _h_quad(2.0**19)
     with pytest.raises(RangeError, match=r"h_of_A: slope A=524288\.5 "):
         h_of_A(2.0**19 + 0.5)
@@ -223,12 +248,22 @@ def test_h_of_a_beyond_its_range_is_a_range_error(capsys):
 
 def test_h_of_a_inverts_h_inv_up_to_0_83():
     """Every slope h_inv returns is one h_of_A takes, and maps back to the
-    height within 1e-11 (measured: 1.2e-12 at most), across the switch of
-    h_inv from series to quadrature at A = 30 and of h_of_A at A = 47."""
-    edge = h_of_A(47.0)
-    for y in [*np.linspace(0.01, 0.83, 83), h_of_A(30.0), h_of_A(46.9),
-              edge, edge + 1e-12]:
+    height within 1e-11, on both sides of the one switch from series to
+    quadrature at A = 30 that h_of_A and h_inv share."""
+    edge = h_of_A(30.0)
+    for y in [*np.linspace(0.01, 0.83, 83), h_of_A(29.9), edge, edge + 1e-12,
+              h_of_A(47.0)]:
         assert abs(h_of_A(h_inv(y)) - y) <= 1e-11, y
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(0.0, 2.0**19))
+@example(a=47.0)
+@example(a=30.0)
+@example(a=np.nextafter(30.0, np.inf))
+def test_h_of_a_is_h_eval_bitwise(a):
+    """h_of_A and h_inv evaluate H by the same route at every slope."""
+    assert np.float64(h_of_A(a)).tobytes() == np.float64(_h_eval(a)).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
