@@ -68,8 +68,7 @@ def talenti_comparison(f: GridFunction) -> GridFunction:
     n, h = f.grid.n, f.grid.h
     fstar = decreasing_rearrangement(f).values
     inner = 0.5 * _cumtrapz(fstar, h)               # (1/2) int_0^s f*(r) dr
-    ginv_vals = np.array([g_inv(val) for val in inner])
-    outer = _cumtrapz(ginv_vals, h)                  # int_0^s Ginv(...)
+    outer = _cumtrapz(g_inv(inner), h)              # int_0^s Ginv(...)
     idx = np.abs(2 * np.arange(n + 1) - n)
     v = 0.5 * (outer[-1] - outer[idx])
     return GridFunction(f.grid, v)
@@ -167,7 +166,7 @@ def _source_term(u: GridFunction) -> GridFunction:
     """
     n, h = u.grid.n, u.grid.h
     up = first_diff(u)
-    gp = np.array([g(s) for s in up])
+    gp = g(up)
     f_vals = np.empty(n + 1)
     f_vals[1:-1] = -((gp[2:] - gp[:-2]) / (2.0 * h))
     f_vals[0] = -((gp[1] - gp[0]) / h)

@@ -1,18 +1,30 @@
-"""Scalar special functions of the obstacle-flow problem.
+"""Special functions of the obstacle-flow problem.
 
 Everything here derives from the slope-compression function
 
     G(s) = int_0^s (1 + t^2)^(-5/4) dt,
 
 which is odd, strictly increasing and saturates at +-c0/2 where
-c0 = int_R (1 + t^2)^(-5/4) dt = B(1/2, 3/4). On top of G the module
-provides its inverse, the saturation constant c0 by that closed form, a
-minimal Gauss hypergeometric series 2F1 (direct summation on [0,1) plus the
-Pfaff map for negative arguments), the cone height map H(A) relating the
-midpoint height of the symmetric critical profile to its initial slope A,
-the inverse of H, and the explicit low-energy profile u_c whose elastic
-energy equals c^2. H has one evaluation route, `_h_eval` (series up to
-A = 30, quadrature above), which h_of_A and h_inv both use.
+c0 = int_R (1 + t^2)^(-5/4) dt = B(1/2, 3/4). With t = tan(theta) and
+x = sin(theta)^2 the integral becomes half an incomplete beta integral:
+
+    G(s) = sign(s) (c0/2) I_x(1/2, 3/4),    x = s^2 / (1 + s^2),
+
+with I the regularized incomplete beta ratio (DiDonato and Morris, ACM
+TOMS 18, 1992), which scipy.special evaluates, and inverts, on whole
+arrays. So G and its inverse are closed forms that take a float or an
+array. Once x >= 1/2 (|s| >= 1) both use the complement
+I_x(1/2, 3/4) = 1 - I_q(3/4, 1/2) with q = 1/(1 + s^2) = 1 - x, formed
+without subtracting from 1, so nothing cancels in the tail.
+
+On top of G the module provides its inverse, the saturation constant c0
+by its closed form, a minimal Gauss hypergeometric series 2F1 (direct
+summation on [0,1) plus the Pfaff map for negative arguments), the cone
+height map H(A) relating the midpoint height of the symmetric critical
+profile to its initial slope A, the inverse of H, and the explicit
+low-energy profile u_c whose elastic energy equals c^2. H has one
+evaluation route, `_h_eval` (series up to A = 30, quadrature above), which
+h_of_A and h_inv both use.
 """
 
 from __future__ import annotations
@@ -22,42 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import betainc, betainccinv, betaincinv
 
 from .discretization import GridFunction, UniformGrid
 from .errors import ConvergenceError, DomainError, RangeError
 
 _QUAD_TOL = 1e-13
-
-
-def _g_integrand(t: float) -> float:
-    return (1.0 + t * t) ** -1.25
-
-
-def g(s: float) -> float:
-    """G(s) by adaptive quadrature at absolute tolerance 1e-13.
-
-    Odd, strictly increasing, |G| < c0/2. Beyond s = 2 the tail is
-    integrated in the variable v = 1/t, where the integrand becomes the
-    smooth compactly supported sqrt(v) (1 + v^2)^(-5/4); this keeps the
-    adaptive rule from missing the mass on very long intervals.
-    """
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError(f"g: non-finite argument {s}")
-    if s == 0.0:
-        return 0.0
-    a = abs(s)
-    if a <= 2.0:
-        val, _ = quad(_g_integrand, 0.0, a, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                      limit=200)
-    else:
-        head, _ = quad(_g_integrand, 0.0, 2.0, epsabs=_QUAD_TOL,
-                       epsrel=_QUAD_TOL, limit=200)
-        tail, _ = quad(lambda v: math.sqrt(v) * (1.0 + v * v) ** -1.25,
-                       1.0 / a, 0.5, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                       limit=200)
-        val = head + tail
-    return val if s > 0 else -val
 
 
 def c0() -> float:
@@ -70,51 +52,82 @@ def c0() -> float:
     return math.gamma(0.5) * math.gamma(0.75) / math.gamma(1.25)
 
 
+_HALF_C0 = c0() / 2.0
+_TINY = 2.0**-500  # below this G(s) and Ginv(y) round to s and y
+_A_ONE = float(betainc(0.5, 0.75, 0.5))  # 2 G(1) / c0, the split of Ginv
 _GINV_GUARD_FRACTION = 1e-9  # guard band eps = 1e-9 * c0 around saturation
 
 
-def g_inv(y: float) -> float:
-    """Inverse of G on (-c0/2, c0/2), to residual |G(s) - y| <= 1e-12.
+def _as_array(z, name: str) -> np.ndarray:
+    """z as a 1-d float array (a copy); DomainError on a non-finite entry.
+    Scalars go through the same array loops as arrays, so the two agree
+    to the bit."""
+    arr = np.array(z, dtype=float, ndmin=1)
+    if not np.isfinite(arr).all():
+        bad = arr[~np.isfinite(arr)][0]
+        raise DomainError(f"{name}: non-finite argument {bad}")
+    return arr
 
-    Newton with the analytic derivative G'(s) = (1+s^2)^(-5/4) and a
-    bisection fallback; the initial guess y / (1 - (2y/c0)^2) blows up
-    toward saturation exactly as the true inverse does, which keeps plain
-    Newton out of the flat tail.
+
+def _like(out: np.ndarray, z):
+    """A Python float for a scalar argument z, else the array."""
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
+def g(s):
+    """G(s) = sign(s) (c0/2) I_x(1/2, 3/4), x = s^2/(1+s^2), for a float
+    or an array.
+
+    Below |s| = 1 (x < 1/2) by `betainc`; from there on as
+    c0/2 - (c0/2) I_q(3/4, 1/2) with q = 1/(1+s^2), by `betainc` too, so
+    the tail never forms 1 - x. Below |s| = 2^-500, G(s) = s - 5 s^3/12
+    + ... rounds to s, which g returns, before s^2 underflows. Odd,
+    strictly increasing, |G| < c0/2. A float in gives a float out; a
+    non-finite element is a DomainError.
     """
-    y = float(y)
-    if not math.isfinite(y):
-        raise DomainError(f"g_inv: non-finite argument {y}")
-    half = c0() / 2.0
-    guard = _GINV_GUARD_FRACTION * c0()
-    if abs(y) >= half - guard:
+    arr = _as_array(s, "g")
+    a = np.abs(arr)
+    out = a.copy()  # the tiny entries keep G(s) = s
+    head = (a >= _TINY) & (a < 1.0)
+    tail = a >= 1.0
+    sq = a[head] * a[head]
+    out[head] = _HALF_C0 * betainc(0.5, 0.75, sq / (1.0 + sq))
+    with np.errstate(over="ignore"):  # 1/(1 + s^2) = 0 once s^2 overflows
+        q = 1.0 / (1.0 + a[tail] * a[tail])
+    out[tail] = _HALF_C0 - _HALF_C0 * betainc(0.75, 0.5, q)
+    np.negative(out, out=out, where=arr < 0.0)
+    return _like(out, s)
+
+
+def g_inv(y):
+    """Inverse of G on (-c0/2, c0/2), for a float or an array.
+
+    With a = 2|y|/c0 = I_x(1/2, 3/4) and the split of `g`: below
+    a = 2G(1)/c0, x = betaincinv(1/2, 3/4, a) gives |s| = sqrt(x/(1-x));
+    from there on q = betainccinv(3/4, 1/2, a), the q = 1 - x with
+    1 - I_q(3/4, 1/2) = a, gives |s| = sqrt((1-q)/q). Below |y| = 2^-500,
+    Ginv(y) rounds to y, which g_inv returns. A non-finite element is a
+    DomainError, and an element within 1e-9 c0 of saturation,
+    |y| >= c0/2 - 1e-9 c0, a RangeError.
+    """
+    arr = _as_array(y, "g_inv")
+    ay = np.abs(arr)
+    over = ay >= _HALF_C0 - _GINV_GUARD_FRACTION * c0()
+    if over.any():
         raise RangeError(
-            f"g_inv: |y|={abs(y):.17g} is within the guard band of the "
-            f"saturation value c0/2={half:.17g}"
+            f"g_inv: |y|={ay[over][0]:.17g} is within the guard band of the "
+            f"saturation value c0/2={_HALF_C0:.17g}"
         )
-    if y == 0.0:
-        return 0.0
-    s = y / (1.0 - (2.0 * y / c0()) ** 2)
-    lo, hi = 0.0, None  # bracket for |y|; work on the positive branch
-    ay = abs(y)
-    t = abs(s)
-    for _ in range(100):
-        r = g(t) - ay
-        if abs(r) <= 1e-13:
-            break
-        if r > 0:
-            hi = t
-        else:
-            lo = t
-        step = r * (1.0 + t * t) ** 1.25
-        tn = t - step
-        if hi is not None and not (lo < tn < hi):
-            tn = 0.5 * (lo + hi)
-        elif hi is None and tn <= lo:
-            tn = 2.0 * t + 1.0
-        t = tn
-    else:
-        raise ConvergenceError(f"g_inv: no convergence for y={y!r}")
-    return t if y > 0 else -t
+    a = ay / _HALF_C0
+    out = ay.copy()  # the tiny entries keep Ginv(y) = y
+    head = (ay >= _TINY) & (a < _A_ONE)
+    tail = a >= _A_ONE
+    x = betaincinv(0.5, 0.75, a[head])
+    out[head] = np.sqrt(x / (1.0 - x))
+    q = betainccinv(0.75, 0.5, a[tail])
+    out[tail] = np.sqrt((1.0 - q) / q)
+    np.negative(out, out=out, where=arr < 0.0)
+    return _like(out, y)
 
 
 _SERIES_TOL = 1e-14  # 2F1 sum ends after two terms below this share of it
@@ -307,9 +320,11 @@ def _u_c_parameter(c) -> float:
     return c
 
 
-def _u_c_term(c: float, s: float) -> float:
-    """2 / (c (1 + Ginv(s)^2)^(1/4)), the building block of u_c."""
-    return 2.0 / (c * (1.0 + g_inv(s) ** 2) ** 0.25)
+def _u_c_terms(c: float, s: np.ndarray) -> np.ndarray:
+    """2 / (c (1 + Ginv(s)^2)^(1/4)) for an array s, by one g_inv call:
+    the building block of u_c."""
+    gi = g_inv(s)
+    return 2.0 / (c * (1.0 + gi * gi) ** 0.25)
 
 
 def u_c_value(c: float, x: float) -> float:
@@ -319,21 +334,22 @@ def u_c_value(c: float, x: float) -> float:
                - 2 / (c (1 + Ginv(c/2)^2)^(1/4)),
 
     nonnegative, symmetric about 1/2, vanishing at both ends, with elastic
-    energy exactly c^2 in the continuum.
+    energy exactly c^2 in the continuum. Both terms come from one array
+    call of the expression u_c_profile uses, so the two agree to the bit.
     """
     c = _u_c_parameter(c)
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"u_c: x must lie in [0,1], got {x}")
-    return _u_c_term(c, c / 2.0 - c * x) - _u_c_term(c, c / 2.0)
+    term, base = _u_c_terms(c, np.array([c / 2.0 - c * x, c / 2.0]))
+    return float(term - base)
 
 
 def u_c_profile(c: float, grid: UniformGrid) -> GridFunction:
     """u_c sampled on a grid, mirrored from the left half so the nodal data
-    is reversal-symmetric to the bit. Equals u_c_value node by node, with
-    the constant term computed once."""
+    is reversal-symmetric to the bit. Equals u_c_value node by node: the
+    left half and the constant term come from one g_inv call."""
     c = _u_c_parameter(c)
-    base = _u_c_term(c, c / 2.0)
-    left = [_u_c_term(c, c / 2.0 - c * x) - base
-            for x in grid.nodes[: grid.n // 2 + 1].tolist()]
-    return GridFunction.from_symmetric_half(grid, np.array(left))
+    x = grid.nodes[: grid.n // 2 + 1]
+    terms = _u_c_terms(c, np.append(c / 2.0 - c * x, c / 2.0))
+    return GridFunction.from_symmetric_half(grid, terms[:-1] - terms[-1])

@@ -93,7 +93,7 @@ def test_talenti_comparison_solves_equation_to_first_order():
         grid = UniformGrid(n)
         f = GridFunction.constant(grid, 1.0)
         v = talenti_comparison(f)
-        gp = np.array([g(s) for s in first_diff(v)])
+        gp = g(first_diff(v))
         resid = -(gp[2:] - gp[:-2]) / (2 * grid.h) - 1.0
         errs[n] = float(np.max(np.abs(resid)))
     assert errs[400] < errs[200]
@@ -197,3 +197,35 @@ def test_trapezoid_norms_preserved_to_quadrature_error():
         b = float(np.sum(w * us.values**p)) ** (1 / p)
         assert abs(a - b) <= 5.0 * grid.h
     assert abs(l2_norm(u) - l2_norm(us)) <= 5.0 * grid.h
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_one_g_call_per_profile(n, monkeypatch):
+    """Each profile-wide use of G or Ginv is one array call, whatever N:
+    _source_term makes one g call, talenti_comparison one g_inv call and
+    u_c_profile one g_inv call."""
+    import bendflow.rearrange as re_
+    import bendflow.specialfn as sf
+
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append(f"{module.__name__}.{name}")
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((re_, "g"), (re_, "g_inv"), (sf, "g_inv")):
+        counted(module, name)
+    grid = UniformGrid(n)
+    u = sf.u_c_profile(0.5, grid)
+    assert calls == ["bendflow.specialfn.g_inv"]
+    calls.clear()
+    f = re_._source_term(u)
+    assert calls == ["bendflow.rearrange.g"]
+    calls.clear()
+    talenti_comparison(f)
+    assert calls == ["bendflow.rearrange.g_inv"]

@@ -90,6 +90,69 @@ def test_ginv_range_guard():
         g_inv(-c0() / 2 + 1e-12)
 
 
+def _g_40_digits(s):
+    """G(s) = s 2F1(1/2, 5/4; 3/2; -s^2) at 40 digits: a route independent
+    of the incomplete beta identity g uses."""
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        return s * mpmath.hyp2f1(0.5, 1.25, 1.5, -s * s)
+
+
+def test_g_against_40_digits_on_twelve_decades():
+    """On +-s in [1e-8, 1e6], log-spaced over both branches of g (|s| < 1
+    and |s| >= 1), G is within 1e-15 relative of its 40-digit value."""
+    s = np.logspace(-8.0, 6.0, 141)
+    for sign in (1.0, -1.0):
+        got = g(sign * s)
+        for si, gi in zip(sign * s, got):
+            exact = _g_40_digits(si)
+            assert abs(mpmath.mpf(gi) - exact) <= 1e-15 * abs(exact), si
+
+
+_Y_MAX = (1.0 - 1e-8) * c0() / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.floats(-_Y_MAX, _Y_MAX))
+@example(y=_Y_MAX)
+@example(y=-_Y_MAX)
+@example(y=G1_REF)  # the split of g_inv, at s = 1
+@example(y=1e-200)  # Ginv(y) = y below 2^-500
+def test_g_of_g_inv_round_trips_to_4e_15(y):
+    assert abs(g(g_inv(y)) - y) <= 4e-15 * abs(y)
+
+
+def test_g_and_g_inv_arrays_equal_scalar_calls_bitwise():
+    """One array call gives the bits of the element-by-element calls, on
+    both branches, at zero and below 2^-500; a float in gives a float
+    out."""
+    rng = np.random.default_rng(7)
+    s = np.concatenate([rng.normal(scale=10.0, size=200),
+                        np.logspace(-9, 9, 37), -np.logspace(-300, 300, 13),
+                        [0.0, -0.0, 1.0, -1.0]])
+    got = g(s)
+    assert got.tobytes() == np.array([g(float(x)) for x in s]).tobytes()
+    # G(1e5) is 2.1e-8 below c0/2, off g_inv's guard band of 2.4e-9
+    y = np.concatenate([got[np.abs(s) <= 1e5], [G1_REF, -G1_REF]])
+    back = g_inv(y)
+    assert back.tobytes() == np.array([g_inv(float(x)) for x in y]).tobytes()
+    assert type(g(0.5)) is float and type(g_inv(0.5)) is float
+
+
+def test_g_and_g_inv_check_every_element():
+    """A non-finite element anywhere is a DomainError; an element of g_inv
+    within the guard band 1e-9 c0 of saturation a RangeError."""
+    ok = np.linspace(-1.0, 1.0, 9)
+    for bad in (np.nan, np.inf, -np.inf):
+        for fn in (g, g_inv):
+            with pytest.raises(DomainError):
+                fn(np.append(ok, bad))
+    edge = c0() / 2 - 0.5e-9 * c0()
+    for y in (edge, -edge, c0() / 2):
+        with pytest.raises(RangeError, match="guard band"):
+            g_inv(np.insert(ok, 4, y))
+
+
 def test_c0_value_and_saturation():
     assert abs(c0() - C0_REF) < 1e-10
     assert abs(c0() ** 2 / 4 - 1.4355400220922600) < 1e-9
