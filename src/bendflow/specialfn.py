@@ -18,13 +18,15 @@ I_x(1/2, 3/4) = 1 - I_q(3/4, 1/2) with q = 1/(1 + s^2) = 1 - x, formed
 without subtracting from 1, so nothing cancels in the tail.
 
 On top of G the module provides its inverse, the saturation constant c0
-by its closed form, a minimal Gauss hypergeometric series 2F1 (direct
-summation on [0,1) plus the Pfaff map for negative arguments), the cone
-height map H(A) relating the midpoint height of the symmetric critical
-profile to its initial slope A, the inverse of H, and the explicit
-low-energy profile u_c whose elastic energy equals c^2. H has one
-evaluation route, `_h_eval` (series up to A = 30, quadrature above), which
-h_of_A and h_inv both use.
+by its closed form, the cone height map H(A) relating the midpoint height
+of the symmetric critical profile to its initial slope A, the inverse of
+H, and the explicit low-energy profile u_c whose elastic energy equals
+c^2. H has one route, a closed form in two Gauss hypergeometric functions
+of -A^2 that scipy.special.hyp2f1 evaluates; h_of_A and h_inv both use
+it. The module's own 2F1, a minimal Gauss series (direct summation on
+[0,1) plus the Pfaff map for negative arguments), computes nothing on the
+run paths: validate's criterion 8 keeps it as the check of scipy's 2F1,
+independent of the library H depends on.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betainccinv, betaincinv
+from scipy.special import hyp2f1 as _scipy_hyp2f1
 
 from .discretization import GridFunction, UniformGrid
 from .errors import ConvergenceError, DomainError, RangeError
-
-_QUAD_TOL = 1e-13
 
 
 def c0() -> float:
@@ -203,53 +203,26 @@ def hyp2f1(p: HypergeometricParams, z: float) -> float:
     )
 
 
-def _h_hyp(a_slope: float) -> float:
-    """H(A) via the hypergeometric representation
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call, as scipy.integrate
+    takes about 0.3 s to load; `critical.f_of_z` is the one caller. The
+    name stays because bench/tracing.py counts calls to it here and in
+    critical."""
+    from scipy.integrate import quad as scipy_quad
 
-        H(A) = (A/3) 2F1(1, 1/4; 7/4; x) / 2F1(1, 1/4; 3/4; x),
-        x = A^2 / (1 + A^2).
-    """
-    if a_slope == 0.0:
-        return 0.0
-    x = a_slope * a_slope / (1.0 + a_slope * a_slope)
-    num = hyp2f1(HypergeometricParams(1.0, 0.25, 1.75), x)
-    den = hyp2f1(HypergeometricParams(1.0, 0.25, 0.75), x)
-    return a_slope / 3.0 * num / den
+    return scipy_quad(*args, **kwargs)
 
 
-def _h_quad(a_slope: float) -> float:
-    """H(A) as the ratio of the two endpoint-singular integrals
-
-        H(A) = (1/2) [int_0^A z (A-z)^(-1/2) (1+z^2)^(-5/4) dz]
-                    / [int_0^A   (A-z)^(-1/2) (1+z^2)^(-5/4) dz],
-
-    desingularized by z = A - w^2 so both integrands are smooth in w.
-    """
-    if a_slope == 0.0:
-        return 0.0
-    a = a_slope
-    sa = math.sqrt(a)
-    # for large A the integrand mass sits in a thin shell near w = sqrt(A)
-    # (where A - w^2 is O(1)); tell the adaptive rule where to look
-    pts = [math.sqrt(a - 10.0)] if a > 10.0 else None
-    num, _ = quad(lambda w: 2.0 * (a - w * w) * (1.0 + (a - w * w) ** 2) ** -1.25,
-                  0.0, sa, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-                  points=pts)
-    den, _ = quad(lambda w: 2.0 * (1.0 + (a - w * w) ** 2) ** -1.25,
-                  0.0, sa, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200,
-                  points=pts)
-    return 0.5 * num / den
+# the end of H's supported range, whose RangeError the CLI reports; the
+# closed form of H is within 5.1e-16 of 40-digit values up to here
+_H_MAX_SLOPE = 2.0**19
 
 
-_H_SWITCH_SLOPE = 30.0  # H by the series up to here, by quadrature above
-_H_MAX_SLOPE = 2.0**19  # _h_quad is within 1e-10 up to here, off by 1.5e-2 at 8e5
-
-
-def _h_eval(a_slope: float) -> float:
-    """H by the series up to A = 30, where it is cheap, and by quadrature
-    above, where the series argument approaches 1 and its convergence
-    degrades. The one route to H that h_of_A and h_inv share."""
-    return _h_hyp(a_slope) if a_slope <= _H_SWITCH_SLOPE else _h_quad(a_slope)
+def _h(a_slope: float) -> float:
+    """H(A) by its closed form, the one route h_of_A and h_inv share."""
+    z = -a_slope * a_slope
+    return float(a_slope / 3.0 * _scipy_hyp2f1(1.0, 1.5, 1.75, z)
+                 / _scipy_hyp2f1(1.0, 0.5, 0.75, z))
 
 
 def h_of_A(a_slope: float) -> float:
@@ -257,10 +230,15 @@ def h_of_A(a_slope: float) -> float:
     profile with initial slope A >= 0. Strictly increasing; H(A) ~ A/3 for
     small A and saturates near 0.8346 as A grows.
 
-    Supported for 0 <= A <= 2^19, the range `h_inv` searches; a larger A
-    is a RangeError. Returns `_h_eval(A)`, the H that h_inv inverts: up to
-    A = 30 the series value, cross-checked against the quadrature route to
-    1e-9; above 30 the quadrature value, unchecked.
+    H(A) = (1/2) int_0^A z W / int_0^A W with W = (A - z)^(-1/2)
+    (1 + z^2)^(-5/4); each integral is a 2F1 of -A^2, so
+
+        H(A) = (A/3) 2F1(1, 3/2; 7/4; -A^2) / 2F1(1, 1/2; 3/4; -A^2),
+
+    by scipy.special.hyp2f1, within 5.1e-16 of 40-digit values on
+    [1e-6, 2^19]. Supported for 0 <= A <= 2^19, the range `h_inv`
+    searches; a larger A is a RangeError. Validate's criterion 8 compares
+    H with the Gauss-Legendre integrals of `critical._parametric_table`.
     """
     a = float(a_slope)
     if not math.isfinite(a) or a < 0.0:
@@ -268,22 +246,14 @@ def h_of_A(a_slope: float) -> float:
     if a > _H_MAX_SLOPE:
         raise RangeError(f"h_of_A: slope A={a} is above {_H_MAX_SLOPE:g}, the "
                          f"largest for which H is supported")
-    hv = _h_eval(a)
-    if a <= _H_SWITCH_SLOPE:
-        qv = _h_quad(a)
-        if abs(hv - qv) > 1e-9 * max(1.0, abs(hv)):
-            raise ConvergenceError(
-                f"h_of_A({a}): evaluation routes disagree, {hv!r} vs {qv!r}"
-            )
-    return hv
+    return _h(a)
 
 
 def h_inv(height: float) -> float:
     """Unique A in (0, 2^19] with H(A) = height; residual below 1e-10.
 
-    Bracketing by doubling, then bisection on H by `_h_eval`, the route
-    h_of_A returns (without its cross-check of the series against
-    quadrature), down to adjacent floats lo < hi with H(lo) < height <=
+    Bracketing by doubling, then bisection on the closed form of H that
+    h_of_A returns, down to adjacent floats lo < hi with H(lo) < height <=
     H(hi); A is one of the two. Heights above H(2^19) = 0.83462456, just
     below the supremum, raise RangeError.
     """
@@ -291,7 +261,7 @@ def h_inv(height: float) -> float:
     if not (height > 0.0):
         raise RangeError(f"h_inv: height must be positive, got {height}")
     hi = 1.0
-    while _h_eval(hi) < height:
+    while _h(hi) < height:
         hi *= 2.0
         if hi > _H_MAX_SLOPE:
             raise RangeError(
@@ -303,12 +273,12 @@ def h_inv(height: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _h_eval(mid) < height:
+        if _h(mid) < height:
             lo = mid
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    if abs(_h_eval(a) - height) > 1e-10 * max(1.0, height):
+    if abs(_h(a) - height) > 1e-10 * max(1.0, height):
         raise ConvergenceError(f"h_inv: residual above 1e-10 at height {height}")
     return a
 

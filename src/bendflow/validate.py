@@ -247,12 +247,13 @@ def check_hypergeometric(n_pfaff: int, n_mono: int, n_dual: int) -> CheckResult:
             worst_pfaff = max(worst_pfaff, abs(lhs - rhs))
     # strict monotonicity of H on (0, 10]
     a_mono = np.linspace(1e-3, 10.0, n_mono)
-    hv = np.array([sf._h_hyp(a) for a in a_mono])
+    hv = np.array([sf.h_of_A(a) for a in a_mono])
     min_slope = float(np.min(np.diff(hv) / np.diff(a_mono)))
-    # dual-method agreement on (0, 5]
+    # dual-method agreement on (0, 5]: H against its Gauss-Legendre table
     worst_dual = 0.0
     for a in np.linspace(0.2, 5.0, n_dual):
-        worst_dual = max(worst_dual, abs(sf._h_hyp(a) - sf._h_quad(a)))
+        table_h = crit._parametric_table(a)[1][-1]  # the midpoint height
+        worst_dual = max(worst_dual, abs(sf.h_of_A(a) - table_h))
     passed = worst_pfaff <= 1e-10 and min_slope > 0.0 and worst_dual <= 1e-9
     return CheckResult(
         "hypergeometric_layer", passed,

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bendflow
 from bendflow import (
     ConfigError,
     DomainError,
@@ -360,6 +365,39 @@ def test_cli_validate_quick(tmp_path, capsys):
     assert len(report["checks"]) == 12
     names = {c["name"] for c in report["checks"]}
     assert "flow_convergence" in names and "talenti" in names
+
+
+_IMPORT_PROBE = """
+import json, sys
+SLOW = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+from bendflow.cli import main
+loaded = {"import": [m for m in sys.modules if m.startswith(SLOW)]}
+assert main(["validate", "--quick", "--out", sys.argv[1] + "/validate"]) == 0
+loaded["validate"] = [m for m in sys.modules if m.startswith(SLOW)]
+assert main(["simulate", "--config", sys.argv[2], "--out",
+             sys.argv[1] + "/simulate"]) == 0
+loaded["simulate"] = [m for m in sys.modules if m.startswith(SLOW)]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_paths_load_no_integrate_interpolate_or_optimize(tmp_path):
+    """`import bendflow.cli`, `validate --quick` and the 64-cell cone
+    `simulate` load none of scipy.integrate, scipy.interpolate and
+    scipy.optimize: together they take about 0.3 s to import, which
+    every run would pay. Run in a fresh interpreter, since the test
+    suite itself imports them."""
+    cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64, "outputs": {
+        "snapshots": [0.005], "trajectory_csv": "trajectory.csv"}})
+    src = Path(bendflow.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path),
+                           str(cfg)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "validate": [], "simulate": []}
 
 
 def test_emit_plot_deterministic(tmp_path):

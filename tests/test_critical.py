@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from bendflow import (
     DomainError,
@@ -21,6 +24,7 @@ from bendflow import (
     run_flow,
     u_c_profile,
 )
+from bendflow.critical import _parametric_table, _pchip
 
 
 @pytest.fixture(scope="module")
@@ -112,13 +116,70 @@ def test_check_critical_rejects_inadmissible():
 
 def test_parametric_table_matches_f_of_z():
     # the Gauss-Legendre table against the adaptive-quadrature reference
-    from bendflow.critical import _parametric_table
-
     for height in (0.02, 0.1, 0.5):
         a = h_inv(height)
         xs, _, zs = _parametric_table(a)
         for j in range(0, len(zs), 97):
             assert abs(xs[j] - f_of_z(zs[j], a)) <= 1e-14
+
+
+def _assert_pchip_like_scipy(x, y, xq):
+    """_pchip against scipy's PchipInterpolator within 4 ulp of max|y| at
+    the points xq (they sum the same cubic in the same order), and equal
+    to y at every knot but the last. There the last cell's cubic gives
+    y[-1] to rounding: within 16 ulp (5 is the worst seen)."""
+    ulp = np.spacing(np.max(np.abs(y)))
+    with np.errstate(over="ignore"):  # scipy's harmonic mean at tiny secants
+        ref = PchipInterpolator(x, y)(xq)
+    assert np.max(np.abs(_pchip(x, y, xq) - ref)) <= 4.0 * ulp
+    at_knots = _pchip(x, y, x)
+    assert np.array_equal(at_knots[:-1], y[:-1])
+    assert abs(at_knots[-1] - y[-1]) <= 16.0 * ulp
+
+
+@pytest.mark.parametrize("height", [0.02, 0.05])
+def test_pchip_matches_scipy_on_the_critical_tables(height):
+    """The three interpolants critical_profile builds from its table,
+    evaluated where it evaluates them, on grids of 200 to 3200 cells."""
+    xs, us, zs = _parametric_table(h_inv(height))
+    for n in (200, 400, 800, 1600, 3200):
+        left_x = UniformGrid(n).nodes[: n // 2 + 1]
+        _assert_pchip_like_scipy(xs, us, left_x)
+        _assert_pchip_like_scipy(xs, zs, left_x)
+        _assert_pchip_like_scipy(us, zs, _pchip(xs, us, left_x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dx=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=30),
+       data=st.data(), sign=st.sampled_from([1.0, -1.0]))
+def test_pchip_keeps_monotone_data_monotone(dx, data, sign):
+    """On monotone data, flat cells included: scipy's values, the knots,
+    and an interpolant monotone on a fine sample up to rounding (16 ulp of
+    max|y|; 5 is the worst seen)."""
+    steps = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(dx),
+                               max_size=len(dx)))
+    x = np.concatenate(([0.0], np.cumsum(dx)))
+    y = sign * np.concatenate(([0.0], np.cumsum(steps)))
+    xq = np.sort(np.concatenate((x, np.linspace(x[0], x[-1], 2001))))
+    _assert_pchip_like_scipy(x, y, xq)
+    vals = sign * _pchip(x, y, xq)
+    assert np.all(np.diff(vals) >= -16.0 * np.spacing(np.max(np.abs(y))))
+
+
+@pytest.mark.parametrize("y, end, slope", [
+    ([0.0, 0.1, 2.0], 0, 0.0),     # three-point estimate -0.8 flips sign: 0
+    ([2.0, 0.1, 0.0], -1, 0.0),
+    ([0.0, 1.0, -3.0], 0, 3.0),    # secants differ in sign, estimate 3.5: 3 m0
+    ([-3.0, 1.0, 0.0], -1, -3.0),
+])
+def test_pchip_end_slopes(y, end, slope):
+    x = np.array([0.0, 1.0, 2.0])
+    y = np.array(y)
+    s = 2.0**-20
+    near = x[end] + (s if end == 0 else -s)
+    estimate = (_pchip(x, y, np.array([near]))[0] - y[end]) / (near - x[end])
+    assert abs(estimate - slope) <= 1e-4
+    _assert_pchip_like_scipy(x, y, np.linspace(0.0, 2.0, 101))
 
 
 def test_profile_raises_no_integration_warning():
