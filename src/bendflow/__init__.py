@@ -57,7 +57,6 @@ from .rearrange import (
     talenti_inequality_check,
 )
 from .specialfn import (
-    HypergeometricParams,
     c0,
     g,
     g_inv,

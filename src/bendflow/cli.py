@@ -28,7 +28,7 @@ from . import discretization as disc
 from . import flow as fl
 from . import rearrange as re_
 from . import specialfn as sf
-from .config import RunConfig, load_config, parse_config, read_json
+from .config import RunConfig, is_number, load_config, parse_config, read_json
 from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
 from .validate import G23_SQ_REF, run_validation
@@ -75,15 +75,20 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     steps_offset = 0
     summary_name = cfg.outputs.get("summary_json", "summary.json")
     if resume is not None:
+        summary_path = resume / summary_name
         try:
-            prev = read_json(resume / summary_name)
+            prev = read_json(summary_path)
         except ConfigError as err:  # a checkpoint is not a run config
             raise DomainError(str(err)) from err
+        steps = prev.get("steps") if isinstance(prev, dict) else None
+        if not (type(steps) is int and steps >= 0
+                and is_number(prev.get("t_final"))):
+            raise DomainError(f"{summary_path}: a checkpoint summary needs a "
+                              f"number t_final and an integer steps >= 0")
         u0 = disc.read_profile_csv(resume / "final.csv")
         if u0.grid.n != cfg.grid_n:
             raise ConfigError("checkpoint grid does not match configuration")
-        t_offset = prev["t_final"]
-        steps_offset = prev["steps"]
+        t_offset, steps_offset = prev["t_final"], steps
     traj = fl.run_flow(u0, obstacle, cfg.flow,
                        stop_when_stall_rate=cfg.stop_when_stall_rate)
 

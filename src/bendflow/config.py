@@ -39,21 +39,24 @@ def _scaled_bump(scale, grid: UniformGrid) -> GridFunction:
     return GridFunction.from_symmetric_half(grid, left)
 
 
-# One table per section: type -> (the one field it takes, builder(value, grid))
+# One table per section: type -> (the one field it takes, that field's
+# kind, "number" or "string", and builder(value, grid))
 _OBSTACLE_TYPES = {
-    "cone": ("height", cone_obstacle),
-    "table": ("path", lambda p, grid: table_obstacle(_read_table("obstacle", p, grid))),
-    "constant": ("level", constant_obstacle)}
+    "cone": ("height", "number", cone_obstacle),
+    "table": ("path", "string",
+              lambda p, grid: table_obstacle(_read_table("obstacle", p, grid))),
+    "constant": ("level", "number", constant_obstacle)}
 # u_c_profile is looked up at each call, so a wrapper put on this module's
 # binding, as bench/tracing.py puts one, sees every call.
 _INITIAL_TYPES = {
-    "uc": ("c", lambda c, grid: u_c_profile(c, grid)),
-    "table": ("path", lambda p, grid: _read_table("initial", p, grid)),
-    "scaled_bump": ("scale", _scaled_bump)}
+    "uc": ("c", "number", lambda c, grid: u_c_profile(c, grid)),
+    "table": ("path", "string",
+              lambda p, grid: _read_table("initial", p, grid)),
+    "scaled_bump": ("scale", "number", _scaled_bump)}
 
 
 def _build(spec: dict, types: dict, grid: UniformGrid):
-    field_name, builder = types[spec["type"]]
+    field_name, _, builder = types[spec["type"]]
     return builder(spec[field_name], grid)
 
 
@@ -95,18 +98,28 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_section(sec: dict, types: dict, where: str) -> None:
-    """A JSON object with a known `type` and exactly the one field it takes."""
+    """A JSON object with a known `type` and exactly the one field it
+    takes, of that field's kind."""
     _require(isinstance(sec, dict),
              f"{where} must be a JSON object, got {sec!r}")
-    _reject_unknown(sec, {"type"} | {f for f, _ in types.values()}, where)
+    _reject_unknown(sec, {"type"} | {f for f, _, _ in types.values()}, where)
     kind = sec.get("type")
     _require(isinstance(kind, str) and kind in types,
              f"{where}.type must be {'|'.join(types)}, got {kind!r}")
-    needed = types[kind][0]
+    needed, value_kind, _ = types[kind]
     _require(needed in sec, f"{where} of type {kind} needs '{needed}'")
     extra = set(sec) - {"type", needed}
     _require(not extra, f"{where} of type {kind} does not take {sorted(extra)}")
+    value = sec[needed]
+    _require(is_number(value) if value_kind == "number"
+             else isinstance(value, str),
+             f"{where}.{needed} must be a {value_kind}, got {value!r}")
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -122,6 +135,9 @@ def parse_config(data: dict) -> RunConfig:
              f"grid_n must be an integer >= 16 for flow runs, got {grid_n!r}")
 
     flow_kwargs = {k: data[k] for k in _FLOW_KEYS if k in data}
+    for key in ("tau", "t_end", "inner_tol"):
+        _require(key not in data or is_number(data[key]),
+                 f"{key} must be a number, got {data.get(key)!r}")
     try:
         flow = FlowConfig(**flow_kwargs)
     except Exception as err:
@@ -132,11 +148,13 @@ def parse_config(data: dict) -> RunConfig:
     _check_section(init, _INITIAL_TYPES, "initial")
 
     outputs = data.get("outputs", {})
+    _require(isinstance(outputs, dict),
+             f"outputs must be a JSON object, got {outputs!r}")
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
     if "snapshots" in outputs:
         snaps = outputs["snapshots"]
         _require(isinstance(snaps, list) and all(
-            isinstance(t, (int, float)) and 0 <= t <= data["t_end"] for t in snaps
+            is_number(t) and 0 <= t <= data["t_end"] for t in snaps
         ), "outputs.snapshots must be a list of times within [0, t_end]")
     for key in ("trajectory_csv", "summary_json", "plot_svg"):
         # an empty trajectory_csv or plot_svg skips that file
@@ -150,8 +168,12 @@ def parse_config(data: dict) -> RunConfig:
 
     stall = data.get("stop_when_stall_rate")
     if stall is not None:
-        _require(isinstance(stall, (int, float)) and stall > 0,
+        _require(is_number(stall) and stall > 0,
                  "stop_when_stall_rate must be a positive number")
+
+    allow = data.get("allow_invalid_obstacle", False)
+    _require(isinstance(allow, bool),
+             f"allow_invalid_obstacle must be true or false, got {allow!r}")
 
     return RunConfig(
         grid_n=grid_n,
@@ -159,7 +181,7 @@ def parse_config(data: dict) -> RunConfig:
         obstacle_spec=ob,
         initial_spec=init,
         outputs=outputs,
-        allow_invalid_obstacle=bool(data.get("allow_invalid_obstacle", False)),
+        allow_invalid_obstacle=allow,
         stop_when_stall_rate=stall,
     )
 

@@ -154,6 +154,9 @@ class FlowConfig:
             raise DomainError("t_end must be at least one step")
         if not (self.inner_tol > 0):
             raise DomainError("inner_tol must be positive")
+        if not (type(self.inner_max_iter) is int and self.inner_max_iter >= 0):
+            raise DomainError(f"inner_max_iter must be an integer >= 0, "
+                              f"got {self.inner_max_iter!r}")
 
 
 @dataclass(frozen=True)

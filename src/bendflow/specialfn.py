@@ -23,17 +23,15 @@ of the symmetric critical profile to its initial slope A, the inverse of
 H, and the explicit low-energy profile u_c whose elastic energy equals
 c^2. H has one route, a closed form in two Gauss hypergeometric functions
 of -A^2 that scipy.special.hyp2f1 evaluates; h_of_A and h_inv both use
-it. The module's own 2F1, a minimal Gauss series (direct summation on
-[0,1) plus the Pfaff map for negative arguments), computes nothing on the
-run paths: validate's criterion 8 keeps it as the check of scipy's 2F1,
-independent of the library H depends on.
+it. The module's own 2F1 is a plain Gauss series on [0, 1), summed
+term by term. It computes nothing on the run paths: validate's criterion
+8 keeps it as the independent check of scipy's 2F1 at -A^2, which the
+criterion maps onto [0, 1) by the Pfaff transformation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import betainc, betainccinv, betaincinv
 from scipy.special import hyp2f1 as _scipy_hyp2f1
@@ -134,71 +132,33 @@ _SERIES_TOL = 1e-14  # 2F1 sum ends after two terms below this share of it
 _SERIES_MAX_TERMS = 50000  # ConvergenceError beyond this many terms
 
 
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameters for the Gauss series 2F1(a, b; c; z)."""
+def hyp2f1(a: float, b: float, c: float, x: float) -> float:
+    """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n on
+    [0, 1), summed term by term.
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0 and float(self.c) == int(self.c):
-            raise DomainError(f"2F1 parameter c={self.c} is a nonpositive integer")
-
-
-def hyp2f1(p: HypergeometricParams, z: float) -> float:
-    """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) z^n.
-
-    Direct summation for z in [0,1); for z < 0 the Pfaff transformation
-    2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) maps the argument
-    into [0,1). No continuation beyond that range. A negative z whose
-    factor (1-z)^(-a) overflows, or whose image z/(z-1) rounds to 1, is a
-    DomainError naming the z given.
+    Validate's criterion 8 keeps it as the check of scipy's 2F1 through
+    the Pfaff map, independent of the library H depends on. The sum ends
+    at the second of two consecutive terms below _SERIES_TOL of the
+    partial sum; a series still going after _SERIES_MAX_TERMS terms is a
+    ConvergenceError. A nonpositive integer c, or x outside [0, 1), is a
+    DomainError.
     """
-    z = float(z)
-    if not math.isfinite(z) or z >= 1.0:
-        raise DomainError(f"hyp2f1: argument z={z} outside (-inf, 1)")
-    if z < 0.0:
-        try:
-            scale = (1.0 - z) ** (-p.a)
-        except OverflowError as err:
-            raise DomainError(
-                f"hyp2f1: (1-z)^(-a) overflows at a={p.a}, z={z}") from err
-        x = z / (z - 1.0)
-        if x >= 1.0:
-            raise DomainError(
-                f"hyp2f1: the Pfaff image z/(z-1) of z={z} rounds to 1")
-        return scale * hyp2f1(HypergeometricParams(p.a, p.c - p.b, p.c), x)
-    # The sum ends at the second of two consecutive terms below _SERIES_TOL
-    # of the partial sum. Most series end within 64 terms, which are summed
-    # one by one; longer ones go on 512 terms at a time: the term ratios of
-    # a chunk are formed at once, the carried term folded into the first,
-    # and cumprod and cumsum run in order, so every term and partial sum
-    # has the bits of the term-by-term recurrence.
+    if c <= 0 and float(c).is_integer():
+        raise DomainError(f"hyp2f1: parameter c={c} is a nonpositive integer")
+    x = float(x)
+    if not 0.0 <= x < 1.0:
+        raise DomainError(f"hyp2f1: argument x={x} outside [0, 1)")
     s = term = 1.0
     small_before = False  # the latest term was below tolerance
-    for n in range(64):
-        term *= (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
+    for n in range(_SERIES_MAX_TERMS):
+        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
         s += term
         small = abs(term) <= _SERIES_TOL * abs(s)
         if small and small_before:
             return s
         small_before = small
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n0 in range(64, _SERIES_MAX_TERMS, 512):
-            n = np.arange(n0, min(n0 + 512, _SERIES_MAX_TERMS), dtype=float)
-            ratios = (p.a + n) * (p.b + n) / ((p.c + n) * (n + 1.0)) * z
-            ratios[0] *= term
-            terms = np.cumprod(ratios)
-            sums = np.cumsum(np.concatenate(([s], terms)))[1:]
-            small = np.abs(terms) <= _SERIES_TOL * np.abs(sums)
-            stop = small & np.concatenate(([small_before], small[:-1]))
-            if stop.any():
-                return float(sums[stop.argmax()])
-            term, s, small_before = terms[-1], sums[-1], small[-1]
     raise ConvergenceError(
-        f"hyp2f1: series at z={z} not below tol {_SERIES_TOL} "
+        f"hyp2f1: series at x={x} not below tol {_SERIES_TOL} "
         f"within {_SERIES_MAX_TERMS} terms"
     )
 

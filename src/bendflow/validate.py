@@ -242,8 +242,7 @@ def check_hypergeometric(n_pfaff: int, n_mono: int, n_dual: int) -> CheckResult:
         x = a * a / (1.0 + a * a)
         for b, c in ((0.5, 0.75), (1.5, 1.75)):
             lhs = float(scipy.special.hyp2f1(1.0, b, c, -a * a))
-            rhs = (1.0 / (1.0 + a * a)) * sf.hyp2f1(
-                sf.HypergeometricParams(1.0, c - b, c), x)
+            rhs = (1.0 / (1.0 + a * a)) * sf.hyp2f1(1.0, c - b, c, x)
             worst_pfaff = max(worst_pfaff, abs(lhs - rhs))
     # strict monotonicity of H on (0, 10]
     a_mono = np.linspace(1e-3, 10.0, n_mono)

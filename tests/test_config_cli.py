@@ -98,7 +98,7 @@ def test_semantic_checks():
         parse_config(bad_json)
 
 
-@pytest.mark.parametrize("section", ["obstacle", "initial"])
+@pytest.mark.parametrize("section", ["obstacle", "initial", "outputs"])
 @pytest.mark.parametrize("value", [[], 5, "cone"])
 def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
     path = write_cfg(tmp_path, {**MINIMAL, section: value})
@@ -106,6 +106,33 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value)
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"config error: {section} must be a JSON object, got {value!r}\n")
+
+
+@pytest.mark.parametrize("key, override", [
+    ("height", {"obstacle": {"type": "cone", "height": "0.02"}}),
+    ("height", {"obstacle": {"type": "cone", "height": True}}),
+    ("level", {"obstacle": {"type": "constant", "level": None}}),
+    ("path", {"obstacle": {"type": "table", "path": 5}}),
+    ("scale", {"initial": {"type": "scaled_bump", "scale": "x"}}),
+    ("c", {"initial": {"type": "uc", "c": "0.5"}}),
+    ("inner_max_iter", {"inner_max_iter": "80"}),
+    ("inner_max_iter", {"inner_max_iter": -1}),
+    ("inner_max_iter", {"inner_max_iter": 2.5}),
+    ("tau", {"tau": True}),
+    ("inner_tol", {"inner_tol": True}),
+    ("stop_when_stall_rate", {"stop_when_stall_rate": True}),
+    ("snapshots", {"outputs": {"snapshots": [True]}}),
+    ("allow_invalid_obstacle", {"allow_invalid_obstacle": "false"}),
+], ids=lambda v: None if isinstance(v, dict) else v)
+def test_value_of_the_wrong_kind_exits_2(tmp_path, capsys, key, override):
+    """A config value of the wrong kind is a configuration error naming
+    its key, not a traceback, a coerced value or an ignored cap."""
+    path = write_cfg(tmp_path, {**MINIMAL, **override})
+    assert main(["simulate", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert key in err
 
 
 def test_json_parse_error_reports_line(tmp_path):
@@ -504,9 +531,18 @@ def test_resume_without_summary_exits_2(tmp_path, capsys):
     naming the file, with the prefix of every other bad input file."""
     checkpoint = tmp_path / "checkpoint"
     checkpoint.mkdir()
+    summary = checkpoint / "summary.json"
     assert _resume_from(tmp_path, checkpoint) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {checkpoint / 'summary.json'}: ")
+    assert capsys.readouterr().err.startswith(f"error: {summary}: ")
+    # nor does a summary without a number t_final and an integer steps
+    # serve: each is the same error, not a traceback
+    write_profile_csv(checkpoint / "final.csv",
+                      GridFunction(UniformGrid(32), np.zeros(33)))
+    for content in ({}, [], {"t_final": "x", "steps": 5},
+                    {"t_final": 0.01, "steps": 2.5}):
+        summary.write_text(json.dumps(content))
+        assert _resume_from(tmp_path, checkpoint) == 2, content
+        assert capsys.readouterr().err.startswith(f"error: {summary}: ")
 
 
 @pytest.mark.parametrize("content", [None, "x,value\n0,zero\n"],
