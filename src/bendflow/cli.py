@@ -70,11 +70,12 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
                   resume: Path | None = None) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     obstacle = cfg.build_obstacle()
-    u0 = cfg.build_initial()
     t_offset = 0.0
     steps_offset = 0
     summary_name = cfg.outputs.get("summary_json", "summary.json")
-    if resume is not None:
+    if resume is None:  # a resumed run starts from the checkpoint alone
+        u0 = cfg.build_initial()
+    else:
         summary_path = resume / summary_name
         try:
             prev = read_json(summary_path)

@@ -31,7 +31,6 @@ from .discretization import (
     Obstacle,
     UniformGrid,
     cone_obstacle,
-    energy,
     energy_gradient,
     first_variation,
     second_diff,
@@ -78,9 +77,10 @@ class CriticalPoint:
     `residuals` holds {vi_residual, ode_residual, concavity_min}: the worst
     directional derivative over admissible coordinate directions (should be
     >= -VI_TOL * scale), the sup-norm mismatch of u' against the
-    slope-from-height map (see `_ode_residual`), and the minimum of -u''
+    slope-from-height map (see `critical_profile`), and the minimum of -u''
     over the interior nodes (> 0 means strictly concave). `report` is the
-    `check_critical` report of the profile the residuals were read from.
+    `check_critical` report of the profile the residuals were read from,
+    and `obstacle` the cone the polish ran over.
     """
 
     height: float
@@ -91,10 +91,7 @@ class CriticalPoint:
     energy: float
     residuals: dict
     report: CriticalityReport = field(repr=False)
-
-    @property
-    def obstacle(self) -> Obstacle:
-        return cone_obstacle(self.height, self.grid)
+    obstacle: Obstacle = field(repr=False)
 
 
 def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
@@ -171,65 +168,53 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     variational inequality over coordinate directions exactly, including the
     contact node sitting bitwise on the cone tip. A polish that does not
     converge raises StepConvergenceError with the unconverged profile as
-    `partial`. The parametric table gives the slope profile and the
-    first-order-equation cross-check; the polished profile's
+    `partial`. The energy is the polish's evaluation of its result, whose
     `check_critical` report is kept as `report`.
+
+    The table also gives the slope profile and the cross-check
+    `ode_residual` = sup over nodes x in [0.05, 0.45] of |u'(x) - J(u(x))|,
+    with J the inverse of the monotone height table (us, zs). The two sides
+    are independent interpolations of the table (position -> slope against
+    height -> slope composed with position -> height), so a small residual
+    cross-validates the quadrature against the first-order equation u' = J(u).
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
     a = h_inv(height)
     xs, us, zs = _parametric_table(a)
-    m = grid.n // 2
-    left_x = grid.nodes[: m + 1]
+    if np.any(np.diff(us) <= 0.0):
+        raise ConvergenceError("height table is not strictly increasing")
+    left_x = grid.nodes[: grid.n // 2 + 1]
     left_u = _pchip(xs, us, left_x)
+    left_z = _pchip(xs, zs, left_x)
+    mask = (left_x >= 0.05) & (left_x <= 0.45)
+    ode = float(np.max(np.abs(left_z[mask] - _pchip(us, zs, left_u[mask]))))
     left_u[0] = 0.0
     left_u[-1] = height
-    left_z = _pchip(xs, zs, left_x)
     left_z[0] = a
     left_z[-1] = 0.0
     profile = GridFunction.from_symmetric_half(grid, left_u)
-    slope_vals = np.empty(grid.n + 1)
-    slope_vals[: m + 1] = left_z
-    slope_vals[m:] = -left_z[::-1]
-    slope = GridFunction(grid, slope_vals)
+    slope = GridFunction(grid, np.concatenate([left_z[:-1], -left_z[::-1]]))
 
     from .flow import FlowConfig, _mm_step_raw
     obstacle = cone_obstacle(height, grid)
     polish_cfg = FlowConfig(tau=1e6, t_end=1e6, inner_tol=1e-9)
-    polished = _mm_step_raw(
-        profile.values, obstacle.samples.values, grid.h, polish_cfg)[0]
+    polished, _, evaluation = _mm_step_raw(
+        profile.values, obstacle.samples.values, grid.h, polish_cfg)
     profile = GridFunction(grid, polished)
 
     # symmetric to the bit: the report's min of -u'' is the one over (0, 1/2]
     report = check_critical(profile, obstacle)
     residuals = {
         "vi_residual": report.vi_residual,
-        "ode_residual": _ode_residual(xs, us, zs, grid),
+        "ode_residual": ode,
         "concavity_min": report.concavity_min,
     }
     return CriticalPoint(
         height=float(height), A=a, grid=grid, profile=profile,
-        slope_profile=slope, energy=energy(profile),
-        residuals=residuals, report=report,
+        slope_profile=slope, energy=evaluation.energy,
+        residuals=residuals, report=report, obstacle=obstacle,
     )
-
-
-def _ode_residual(xs, us, zs, grid: UniformGrid) -> float:
-    """sup over grid nodes x in [0.05, 0.45] of |u'(x) - J(u(x))|, where J
-    maps height to slope by inverting the monotone parametric height table
-    (us, zs), and u, u' interpolate the table (xs, us, zs) in x.
-
-    Both sides come from the parametric table through independent
-    interpolations (position -> slope versus height -> slope composed with
-    position -> height), so a small residual cross-validates the quadrature
-    construction against the first-order characterization u' = J(u)."""
-    if np.any(np.diff(us) <= 0.0):
-        raise ConvergenceError("height table is not strictly increasing")
-    x = grid.nodes
-    mask = (x >= 0.05) & (x <= 0.45)
-    xl = np.minimum(x[mask], 1.0 - x[mask])  # fold onto the left half
-    j_of_u = _pchip(us, zs, _pchip(xs, us, xl))
-    return float(np.max(np.abs(_pchip(xs, zs, xl) - j_of_u)))
 
 
 @dataclass(frozen=True)

@@ -80,15 +80,16 @@ tables of its step dv = vt - v, once. Within a step `_derivative_tables`
 therefore runs exactly as often as `_energy_raw` and `_phi_change`
 together.
 
-One evaluation per accepted iterate: the step returns the evaluation of the
-point it accepts (tables, E_h, grad E_h: none depends on tau), and
-`run_flow` hands it to the next step, which starts from that point, forms
-its residual floor from it and takes the recorded energy from it. Phi at
-the starting point is formed only once a Newton iteration starts, since
-only the line search reads it. A step at rest, which accepts its starting
-point after no Newton iteration, therefore builds no tables and evaluates
-none of E_h, its gradient and Phi. It is still certified: its KKT arrays
-and report are built from its own arrays, as for any step.
+One evaluation per accepted iterate: `_mm_step_raw` returns the point it
+accepts with its KKT report and its evaluation (tables, E_h, grad E_h:
+none depends on tau), all from the pass that certified it. `run_flow`
+hands the evaluation to the next step, which starts from that point,
+forms its residual floor from it and takes the recorded energy from it.
+Phi at the starting point is formed only once a Newton iteration starts,
+since only the line search reads it. A step at rest, which accepts its
+starting point after no Newton iteration, therefore builds no tables and
+evaluates none of E_h, its gradient and Phi. It is still certified: its
+KKT arrays and report are built from its own arrays, as for any step.
 
 Rest: a step at rest whose result has the bits of its input returns the
 input object itself. Within `run_flow` the obstacle and the config are
@@ -187,7 +188,6 @@ class Trajectory:
     """Flow iterates, iterate k at time k tau, with per-step diagnostics."""
 
     grid: UniformGrid
-    obstacle: Obstacle
     tau: float
     iterates: list[GridFunction] = field(default_factory=list)
     energies: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -341,8 +341,7 @@ def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
 
 def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
                  start: _Eval | None = None):
-    """Solve one proximal step; returns (v, r, max|pi|, scale, iterations,
-    evaluation of v).
+    """Solve one proximal step; returns (v, KKTReport of v, evaluation of v).
 
     `start`, if given, is the evaluation of f, which must then be a point a
     previous step accepted (so f is its own projection onto the
@@ -357,7 +356,8 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     docstring) ends once within it. A residual above inner_tol * scale at
     exit raises StepConvergenceError with the last iterate as `partial`, so
     every caller (mm_step, the polish of `critical_profile`) gets either a
-    converged point or a typed error.
+    converged point or a typed error. A certified exit returns v's report
+    from v's own KKT arrays and the evaluation the search accepted v with.
     """
     n = len(f) - 1
     tau = cfg.tau
@@ -374,12 +374,11 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
-    v0 = v
     if start is None:
-        tables = _derivative_tables(v, h)
-        start = _Eval(tables, _energy_raw(*tables, h),
-                      _energy_gradient_raw(*tables, h))
-    tv, ev, gv = start.tables, start.energy, start.grad
+        tv = _derivative_tables(v, h)
+        ev, gv = _energy_raw(*tv, h), _energy_gradient_raw(*tv, h)
+    else:
+        tv, ev, gv = start.tables, start.energy, start.grad
     fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
 
@@ -490,9 +489,8 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             f"(tolerance {tol:.3e})",
             partial=v,
         )
-    if v is not v0:
-        start = _Eval(tv, ev, gv)
-    return v, r, pimax, scale, nit, start
+    return (v, _build_report(v, psi, cfg, r, scale, nit, pimax),
+            _Eval(tv, ev, gv))
 
 
 def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
@@ -532,7 +530,8 @@ def _check_admissible(u: GridFunction, obstacle: Obstacle, what: str) -> None:
 
 def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
             carry: list | None = None):
-    """One minimizing-movement step from f. Returns (iterate, KKTReport).
+    """One minimizing-movement step from f. Returns (iterate, KKTReport),
+    as `_mm_step_raw` certified them.
 
     Guarantees Phi(u) <= Phi(f) + s, with s = 1e-13 * max(1, E_h(f)) the
     line search's no-rise slack (E_h rose within s in 3 of the 154 runs that
@@ -558,9 +557,9 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     _check_admissible(f, obstacle, "iterate")
     held = carry[0] if carry else None
     start = held[1] if held and held[0] is fv else None
-    v, r, pimax, scale, nit, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
-    report = _build_report(v, psi, cfg, r, scale, nit, pimax)
-    u = f if nit == 0 and _same_bits(v, fv) else GridFunction(f.grid, v)
+    v, report, ev = _mm_step_raw(fv, psi, f.grid.h, cfg, start)
+    u = (f if report.inner_iterations == 0 and _same_bits(v, fv)
+         else GridFunction(f.grid, v))
     if carry is not None:
         carry[0] = (u.values, ev)
     return u, report
@@ -650,7 +649,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
                 break
 
     return Trajectory(
-        grid=grid, obstacle=obstacle, tau=cfg.tau, iterates=iterates,
+        grid=grid, tau=cfg.tau, iterates=iterates,
         energies=np.array(energies), step_norms=np.array(step_norms),
         coincidence_counts=np.array(counts, dtype=int),
         symmetry_residuals=np.array(sym), kkt_reports=reports,

@@ -11,8 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bendflow import (Trajectory, UniformGrid, cone_obstacle, critical, flow,
-                      touch_window)
+from bendflow import Trajectory, UniformGrid, critical, flow, touch_window
 from bendflow.validate import check_touching, run_validation
 
 
@@ -85,8 +84,7 @@ def _touching(touched, tau):
     """A trajectory with E0 = 0.25 that touches the obstacle at the steps
     `touched` marks: all that check_touching reads."""
     grid = UniformGrid(16)
-    return Trajectory(grid=grid, obstacle=cone_obstacle(0.02, grid), tau=tau,
-                      energies=np.full(len(touched), 0.25),
+    return Trajectory(grid=grid, tau=tau, energies=np.full(len(touched), 0.25),
                       coincidence_counts=np.array(touched, dtype=int))
 
 

@@ -12,8 +12,14 @@ import bendflow
 from bendflow import (
     ConfigError,
     DomainError,
+    FlowConfig,
     GridFunction,
     UniformGrid,
+    cone_obstacle,
+    read_profile_csv,
+    run_flow,
+    table_obstacle,
+    u_c_profile,
     write_profile_csv,
 )
 from bendflow.cli import main
@@ -258,6 +264,60 @@ def test_cli_resumed_run_names_its_files_by_absolute_time(tmp_path, capsys):
     summary = json.loads((out2 / "summary.json").read_text())
     assert float(second[-1]["time"]) == pytest.approx(summary["t_final"],
                                                       rel=1e-12)
+
+
+def test_cli_resume_needs_no_initial_table(tmp_path, capsys):
+    """A resumed run starts from its checkpoint alone: with the config's
+    initial table deleted it exits 0 and writes what it writes with the
+    table present."""
+    table = tmp_path / "init.csv"
+    write_profile_csv(table, u_c_profile(0.5, UniformGrid(MINIMAL["grid_n"])))
+    data = dict(MINIMAL, initial={"type": "table", "path": str(table)},
+                outputs={"snapshots": [0.005],
+                         "trajectory_csv": "trajectory.csv"})
+    cfg_path = str(write_cfg(tmp_path, data))
+    first, kept, gone = (tmp_path / d for d in ("first", "kept", "gone"))
+    assert main(["simulate", "--config", cfg_path, "--out", str(first)]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", str(kept),
+                 "--resume", str(first)]) == 0
+    table.unlink()
+    assert main(["simulate", "--config", cfg_path, "--out", str(gone),
+                 "--resume", str(first)]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in kept.iterdir())
+    assert names == sorted(p.name for p in gone.iterdir())
+    for name in names:
+        assert (kept / name).read_bytes() == (gone / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("section", ["initial_table", "scaled_bump",
+                                     "obstacle_table"])
+def test_cli_simulate_runs_each_table_and_bump(tmp_path, capsys, section):
+    """A run from a table or a bump, or over a table obstacle, goes to the
+    end and prints the final energy run_flow gives on the same inputs."""
+    grid = UniformGrid(MINIMAL["grid_n"])
+    table = tmp_path / "table.csv"
+    obstacle = cone_obstacle(0.02, grid)
+    u0 = u_c_profile(0.5, grid)
+    if section == "initial_table":
+        write_profile_csv(table, u0)
+        u0 = read_profile_csv(table)
+        data = dict(MINIMAL, initial={"type": "table", "path": str(table)})
+    elif section == "scaled_bump":
+        xl = grid.nodes[: grid.n // 2 + 1]
+        u0 = GridFunction.from_symmetric_half(grid, 0.1 * 4.0 * xl * (1.0 - xl))
+        data = dict(MINIMAL, initial={"type": "scaled_bump", "scale": 0.1})
+    else:
+        # the cone's ends are negative, as an admissible obstacle's must be
+        write_profile_csv(table, obstacle.samples)
+        obstacle = table_obstacle(read_profile_csv(table))
+        data = dict(MINIMAL, obstacle={"type": "table", "path": str(table)})
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(tmp_path / "out")]) == 0
+    cfg = FlowConfig(tau=MINIMAL["tau"], t_end=MINIMAL["t_end"])
+    want = run_flow(u0, obstacle, cfg).energies[-1]
+    assert capsys.readouterr().out.startswith(
+        f"final energy {want:.15g} after 10 steps")
 
 
 def test_cli_simulate_summary_json_name(tmp_path, capsys):

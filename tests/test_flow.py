@@ -731,6 +731,25 @@ def test_failed_run_releases_solver_frames():
     assert len(frames) == 1 and frames[0].f_locals == {}
 
 
+def test_no_descent_direction_raises_with_the_start(monkeypatch):
+    """A Newton system that no damping makes solvable gives no descent
+    direction: the Newton loop stops there, and a start above tolerance
+    leaves as a typed failure carrying that start."""
+    import bendflow.flow as flow_mod
+
+    def singular(ab, b):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(flow_mod, "_solve_banded_mirror", singular)
+    grid = UniformGrid(64)
+    u0 = u_c_profile(0.5, grid)
+    cfg = FlowConfig(tau=1e-5, t_end=1e-4)
+    with pytest.raises(StepConvergenceError) as excinfo:
+        run_flow(u0, cone_obstacle(0.02, grid), cfg)
+    assert excinfo.value.step_index == 0
+    assert np.array_equal(excinfo.value.partial, u0.values)
+
+
 def test_run_flow_constant_trajectory():
     grid = UniformGrid(32)
     obstacle = constant_obstacle(-1.0, grid)
