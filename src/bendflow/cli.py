@@ -211,7 +211,7 @@ def _cmd_validate(args) -> int:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name} ({res.runtime_s:.2f}s)")
 
-    report = run_validation(quick=args.quick, progress=progress)
+    report = run_validation(progress=progress)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validation_report.json", report.to_json())
@@ -308,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="run the acceptance checks")
     pv.add_argument("--out", default="out")
-    pv.add_argument("--quick", action="store_true",
-                    help="reduced horizons and sample counts")
     pv.set_defaults(handler=_cmd_validate)
 
     pw = sub.add_parser("sweep", help="run many configs concurrently")

@@ -30,10 +30,10 @@ from .discretization import (
     GridFunction,
     Obstacle,
     UniformGrid,
+    _derivative_tables,
+    _energy_gradient_raw,
+    _first_variation_raw,
     cone_obstacle,
-    energy_gradient,
-    first_variation,
-    second_diff,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .specialfn import h_inv, h_of_A, quad
@@ -168,8 +168,8 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     variational inequality over coordinate directions exactly, including the
     contact node sitting bitwise on the cone tip. A polish that does not
     converge raises StepConvergenceError with the unconverged profile as
-    `partial`. The energy is the polish's evaluation of its result, whose
-    `check_critical` report is kept as `report`.
+    `partial`. The energy, and the `check_critical` report kept as
+    `report`, come from the polish's evaluation of its result.
 
     The table also gives the slope profile and the cross-check
     `ode_residual` = sup over nodes x in [0.05, 0.45] of |u'(x) - J(u(x))|,
@@ -204,7 +204,8 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     profile = GridFunction(grid, polished)
 
     # symmetric to the bit: the report's min of -u'' is the one over (0, 1/2]
-    report = check_critical(profile, obstacle)
+    report = _criticality_report(profile, obstacle.samples.values,
+                                 evaluation.tables, evaluation.grad)
     residuals = {
         "vi_residual": report.vi_residual,
         "ode_residual": ode,
@@ -248,7 +249,14 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
     psi = obstacle.samples.values
     if np.any(u.values < psi - 1e-12):
         raise DomainError("candidate is not admissible (below the obstacle)")
-    ge = energy_gradient(u).values
+    tables = _derivative_tables(u.values, u.grid.h)
+    return _criticality_report(u, psi, tables,
+                               _energy_gradient_raw(*tables, u.grid.h))
+
+
+def _criticality_report(u: GridFunction, psi, tables, ge) -> CriticalityReport:
+    """check_critical's report of the admissible u over the obstacle
+    samples psi, from the tables (u', u'') of u and its gradient ge."""
     scale = 1.0 + float(np.max(np.abs(ge)))
     gap = u.values - psi
     # gap classification lives in solution units, not gradient units
@@ -270,17 +278,16 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
         d = v - u.values
         norm = float(np.max(np.abs(d)))
         if norm > 0:
-            fv = first_variation(u, GridFunction(u.grid, d / norm))
+            fv = _first_variation_raw(*tables, d / norm, u.grid.h)
             vi = min(vi, fv / u.grid.h)  # same nodal scaling as ge
 
     stat = float(np.max(np.abs(ge[inact]))) if inact.any() else 0.0
     mult = float(np.min(ge[act])) if act.any() else math.inf
-    upp = second_diff(u)
     return CriticalityReport(
         vi_residual=vi,
         stationarity_inactive=stat,
         multiplier_min=mult,
-        concavity_min=float(np.min(-upp)),
+        concavity_min=float(np.min(-tables[1][1:-1])),
         nonnegativity_min=float(np.min(u.values)),
         scale=scale,
     )

@@ -324,15 +324,18 @@ def first_variation(u: GridFunction, phi: GridFunction) -> float:
     """
     if u.grid != phi.grid:
         raise GridMismatchError("u and phi on different grids")
-    pv = phi.values
+    h = u.grid.h
+    return _first_variation_raw(*_derivative_tables(u.values, h), phi.values, h)
+
+
+def _first_variation_raw(up, upp, pv, h: float) -> float:
+    """`first_variation` from the tables (u', u'') of u and phi's values pv."""
     if max(abs(pv[0]), abs(pv[-1])) > 1e-12 * max(1.0, np.max(np.abs(pv))):
         raise DomainError("test function must vanish at the endpoints")
-    h = u.grid.h
-    up, upp = _derivative_tables(u.values, h)
     pvv = pv.copy()
     pvv[0] = pvv[-1] = 0.0
     pp, ppp = _derivative_tables(pvv, h)
-    w = trapezoid_weights(u.grid)
+    w = _trapezoid_weights(len(pv) - 1, h)
     t1 = 2.0 * float(np.sum(w * upp * ppp * (1.0 + up**2) ** -2.5))
     t2 = 5.0 * float(np.sum(w * upp**2 * up * pp * (1.0 + up**2) ** -3.5))
     return t1 - t2

@@ -174,8 +174,8 @@ def quad(*args, **kwargs):
 
 
 # the end of H's supported range, whose RangeError the CLI reports; the
-# closed form of H is within 5.1e-16 of 40-digit values up to here
-_H_MAX_SLOPE = 2.0**19
+# closed form of H is within _H_ABS_ERR of 40-digit values up to here
+_H_MAX_SLOPE, _H_ABS_ERR = 2.0**19, 5.1e-16
 
 
 def _h(a_slope: float) -> float:
@@ -195,7 +195,7 @@ def h_of_A(a_slope: float) -> float:
 
         H(A) = (A/3) 2F1(1, 3/2; 7/4; -A^2) / 2F1(1, 1/2; 3/4; -A^2),
 
-    by scipy.special.hyp2f1, within 5.1e-16 of 40-digit values on
+    by scipy.special.hyp2f1, within 5.1e-16 (_H_ABS_ERR) of 40-digit values on
     [1e-6, 2^19]. Supported for 0 <= A <= 2^19, the range `h_inv`
     searches; a larger A is a RangeError. Validate's criterion 8 compares
     H with the Gauss-Legendre integrals of `critical._parametric_table`.
@@ -214,20 +214,19 @@ def h_inv(height: float) -> float:
 
     Bracketing by doubling, then bisection on the closed form of H that
     h_of_A returns, down to adjacent floats lo < hi with H(lo) < height <=
-    H(hi); A is one of the two. Heights above H(2^19) = 0.83462456, just
-    below the supremum, raise RangeError.
+    H(hi); A is one of the two. H is flat to rounding near 2^19, where
+    h_of_A gives heights up to H(2^19) + 2 _H_ABS_ERR (H(2^19) = 0.83462456,
+    just below the supremum); higher heights raise RangeError.
     """
     height = float(height)
     if not (height > 0.0):
         raise RangeError(f"h_inv: height must be positive, got {height}")
     hi = 1.0
-    while _h(hi) < height:
+    while _h(hi) < height and hi < _H_MAX_SLOPE:
         hi *= 2.0
-        if hi > _H_MAX_SLOPE:
-            raise RangeError(
-                f"h_inv: height {height} is above H({_H_MAX_SLOPE:g}), the "
-                f"largest height supported"
-            )
+    if height > _h(hi) + 2.0 * _H_ABS_ERR:
+        raise RangeError(f"h_inv: height {height} is above H({_H_MAX_SLOPE:g}), "
+                         f"the largest height supported")
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

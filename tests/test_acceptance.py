@@ -20,8 +20,8 @@ def run():
     """The checks of one full run by name, and the calls it made."""
     with mock.patch.object(critical, "critical_profile",
                            wraps=critical.critical_profile) as profiles, \
-            mock.patch.object(critical, "check_critical",
-                              wraps=critical.check_critical) as reports, \
+            mock.patch.object(critical, "_criticality_report",
+                              wraps=critical._criticality_report) as reports, \
             mock.patch.object(flow, "run_flow", wraps=flow.run_flow) as flows:
         checks = {c.name: c for c in run_validation().checks}
     return checks, profiles.call_count, reports.call_count, flows.call_count
@@ -37,7 +37,7 @@ def passes(run, name):
 
 def test_each_critical_point_is_built_once(run):
     # criteria 7 and 10 share the acceptance cone's critical point, and each
-    # critical point carries the one check_critical report of its profile
+    # critical point carries the one criticality report of its profile
     assert run[1:3] == (3, 3)
 
 
@@ -91,7 +91,8 @@ def _touching(touched, tau):
 def test_criterion_07_window_scan():
     """With L0 spanning 10 steps of the 60: a touch every 5 steps passes
     all 51 windows; a gap of 12 steps leaves 2 windows without a touch and
-    fails; a horizon of 8 steps holds no window and passes vacuously."""
+    fails; a horizon of 8 steps holds no window and fails, since it checks
+    nothing."""
     inf_energy = 0.02
     tau = touch_window(0.25, inf_energy) / 10.5
     res = check_touching(_touching([k % 5 == 0 for k in range(61)], tau),
@@ -104,8 +105,8 @@ def test_criterion_07_window_scan():
     assert not res.passed and res.measured["windows_without_touch"] == 2
     res = check_touching(_touching([k == 1 for k in range(9)], tau),
                          inf_energy)
-    assert res.passed and res.measured["windows_checked"] == 0
-    assert "vacuously" in res.detail
+    assert not res.passed and res.measured["windows_checked"] == 0
+    assert res.detail == ""
 
 
 def test_criterion_08_hypergeometric_layer(run):

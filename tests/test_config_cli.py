@@ -25,6 +25,7 @@ from bendflow import (
 from bendflow.cli import main
 from bendflow.config import load_config, parse_config
 from bendflow.svgplot import emit_plot
+from bendflow.validate import run_validation
 
 MINIMAL = {
     "grid_n": 32,
@@ -444,14 +445,23 @@ def test_cli_sweep_bad_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_cli_validate_quick(tmp_path, capsys):
-    assert main(["validate", "--out", str(tmp_path), "--quick"]) == 0
+def _without_runtimes(report: dict) -> dict:
+    return {**report, "checks": [{k: v for k, v in c.items() if k != "runtime_s"}
+                                 for c in report["checks"]]}
+
+
+def test_cli_validate(tmp_path, capsys):
+    """`validate` has one profile: its report is run_validation's, and the
+    old `--quick` flag is a usage error."""
+    assert main(["validate", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     report = json.loads((tmp_path / "validation_report.json").read_text())
     assert report["overall"] == "pass"
     assert len(report["checks"]) == 12
-    names = {c["name"] for c in report["checks"]}
-    assert "flow_convergence" in names and "talenti" in names
+    assert (_without_runtimes(report)
+            == _without_runtimes(run_validation().to_json()))
+    assert main(["validate", "--quick", "--out", str(tmp_path)]) == 2
+    assert "--quick" in capsys.readouterr().err
 
 
 _IMPORT_PROBE = """
@@ -459,7 +469,7 @@ import json, sys
 SLOW = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
 from bendflow.cli import main
 loaded = {"import": [m for m in sys.modules if m.startswith(SLOW)]}
-assert main(["validate", "--quick", "--out", sys.argv[1] + "/validate"]) == 0
+assert main(["validate", "--out", sys.argv[1] + "/validate"]) == 0
 loaded["validate"] = [m for m in sys.modules if m.startswith(SLOW)]
 assert main(["simulate", "--config", sys.argv[2], "--out",
              sys.argv[1] + "/simulate"]) == 0
@@ -469,7 +479,7 @@ print(json.dumps(loaded))
 
 
 def test_cli_paths_load_no_integrate_interpolate_or_optimize(tmp_path):
-    """`import bendflow.cli`, `validate --quick` and the 64-cell cone
+    """`import bendflow.cli`, `validate` and the 64-cell cone
     `simulate` load none of scipy.integrate, scipy.interpolate and
     scipy.optimize: together they take about 0.3 s to import, which
     every run would pay. Run in a fresh interpreter, since the test

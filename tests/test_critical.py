@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bendflow import (
     run_flow,
     u_c_profile,
 )
+from bendflow import critical
 from bendflow.critical import _parametric_table, _pchip
 
 
@@ -89,6 +91,20 @@ def test_vi_residual_of_computed_profile(cp005):
     assert report.stationarity_inactive <= 1e-5 * report.scale
     assert report.multiplier_min > 0.0
     assert report.nonnegativity_min >= 0.0
+
+
+@pytest.mark.parametrize("height, n", [(0.02, 200), (0.1, 64)])
+def test_report_comes_from_the_polish_evaluation(height, n):
+    """critical_profile's report is check_critical's, field for field,
+    built from the tables and gradient of the polish's evaluation: it
+    builds neither again for the polished profile."""
+    with mock.patch.object(critical, "_derivative_tables",
+                           wraps=critical._derivative_tables) as tables, \
+            mock.patch.object(critical, "_energy_gradient_raw",
+                              wraps=critical._energy_gradient_raw) as grads:
+        cp = critical_profile(height, UniformGrid(n))
+    assert (tables.call_count, grads.call_count) == (0, 0)
+    assert cp.report == check_critical(cp.profile, cp.obstacle)
 
 
 def test_parabola_is_not_critical():

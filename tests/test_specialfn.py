@@ -339,13 +339,13 @@ def test_h_of_a_inverts_h_inv_up_to_0_83():
 @example(a=1e-6)
 @example(a=30.0)
 @example(a=2.0**19)
+@example(a=math.nextafter(2.0**19, 0))  # H(a) > H(2^19), flat to rounding
 def test_h_inv_round_trips_h_of_a(a):
     """h_of_A(h_inv(H(A))) gives H(A) back within 4e-15 relative: h_inv
     bisects the H that h_of_A returns, down to adjacent floats. Near the
-    cap H is flat to rounding, and a height above H(2^19) is h_inv's
-    RangeError."""
+    cap H is flat to rounding, and h_inv takes the heights there that
+    h_of_A returns above H(2^19)."""
     y = h_of_A(a)
-    assume(y <= h_of_A(2.0**19))
     assert abs(h_of_A(h_inv(y)) - y) <= 4e-15 * y
     if a <= 1.0:  # where H' >= 0.2, the slope comes back too
         assert abs(h_inv(y) - a) <= 1e-14 * a
@@ -385,6 +385,20 @@ def test_h_inv_range_errors():
         h_inv(-0.3)
     with pytest.raises(RangeError):
         h_inv(0.9)  # above the supremum of H (about 0.8346)
+    with pytest.raises(RangeError, match=r"^h_inv: height 0\.8347 is above "
+                                         r"H\(524288\), the largest height "
+                                         r"supported$"):
+        h_inv(0.8347)
+
+
+def test_cli_h_inv_takes_the_flat_end_of_h(capsys):
+    """H(prev(2^19)) is above H(2^19) by rounding; `specialfn eval --fn
+    hinv` takes it, and exits 2 on a height above every H."""
+    y = h_of_A(math.nextafter(2.0**19, 0))
+    assert y == 0.8346245593413439 > h_of_A(2.0**19)
+    assert main(["specialfn", "eval", "--fn", "hinv", "--args", repr(y)]) == 0
+    assert capsys.readouterr().out == f"{h_inv(y):.15g}\n"
+    assert main(["specialfn", "eval", "--fn", "hinv", "--args", "0.8347"]) == 2
 
 
 def test_u_c_endpoints_and_symmetry():
