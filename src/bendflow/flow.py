@@ -102,12 +102,15 @@ norm 0 and its input's contact count and symmetry residual, and calls
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .discretization import (
     GridFunction,
@@ -130,7 +133,35 @@ _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 _QUIET_DROP = 0.5  # residual factor a quiet walk asks for (0.9 lets it stall)
 _BACKTRACK = 0.5  # step-length factor between line-search tries
 _EPS = float(np.finfo(float).eps)
-_PBSV, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))  # double precision
+
+
+def _lapack_pbsv():
+    """LAPACK dpbsv from scipy's compiled LAPACK wrapper, the extension
+    scipy/linalg/_flapack, loaded from its file: the routine that
+    scipy.linalg.get_lapack_funcs(("pbsv",)) returns for float64, without
+    the 0.3 s of imports that scipy.linalg's package brings. The scipy
+    package is located by importlib.util.find_spec, which does not import
+    it, and the extension is registered under its own name, so a later
+    import of scipy.linalg shares it."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec("scipy")
+        folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+        paths = [os.path.join(folder, "_flapack" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.exists(p)), None)
+        if path is None:
+            raise ImportError(f"no {name} extension in {folder}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader))
+        loader.exec_module(module)
+        sys.modules[name] = module
+    return module.dpbsv
+
+
+_PBSV = _lapack_pbsv()  # double precision banded Cholesky solve
 
 
 @dataclass(frozen=True)

@@ -5,36 +5,43 @@ Everything here derives from the slope-compression function
     G(s) = int_0^s (1 + t^2)^(-5/4) dt,
 
 which is odd, strictly increasing and saturates at +-c0/2 where
-c0 = int_R (1 + t^2)^(-5/4) dt = B(1/2, 3/4). With t = tan(theta) and
-x = sin(theta)^2 the integral becomes half an incomplete beta integral:
+c0 = int_R (1 + t^2)^(-5/4) dt = B(1/2, 3/4), half an incomplete beta
+integral (DiDonato and Morris, ACM TOMS 18, 1992). G is evaluated by
+fixed 16-point Gauss-Legendre sums, nodes u_j and weights w_j on [0, 1],
+on whole arrays:
 
-    G(s) = sign(s) (c0/2) I_x(1/2, 3/4),    x = s^2 / (1 + s^2),
+    |s| < 1:   G(s) = s sum_j w_j (1 + s^2 u_j^2)^(-5/4),       by t = s u;
+    |s| >= 1:  G(s) = c0/2 - 2 |s|^(-3/2) sum_j w_j u_j^2 (1 + u_j^4/s^2)^(-5/4),
+               by t = s/u^2, which maps (0, 1] onto the tail [s, inf).
 
-with I the regularized incomplete beta ratio (DiDonato and Morris, ACM
-TOMS 18, 1992), which scipy.special evaluates, and inverts, on whole
-arrays. So G and its inverse are closed forms that take a float or an
-array. Once x >= 1/2 (|s| >= 1) both use the complement
-I_x(1/2, 3/4) = 1 - I_q(3/4, 1/2) with q = 1/(1 + s^2) = 1 - x, formed
-without subtracting from 1, so nothing cancels in the tail.
+Both integrands are analytic on a neighbourhood of [0, 1] that does not
+shrink as |s| moves within its branch, so the sums are within 3.8e-16
+relative of G; the tail form needs no 1 - x and does not overflow. Each
+row of the node table is summed by `(m * w).sum(axis=1)`, so a float and
+an array give the same bits (a BLAS product `m @ w` would not). G's
+inverse is two Halley steps on that G from closed-form starts (see
+`g_inv`).
 
-On top of G the module provides its inverse, the saturation constant c0
-by its closed form, the cone height map H(A) relating the midpoint height
-of the symmetric critical profile to its initial slope A, the inverse of
-H, and the explicit low-energy profile u_c whose elastic energy equals
-c^2. H has one route, a closed form in two Gauss hypergeometric functions
-of -A^2 that scipy.special.hyp2f1 evaluates; h_of_A and h_inv both use
-it. The module's own 2F1 is a plain Gauss series on [0, 1), summed
-term by term. It computes nothing on the run paths: validate's criterion
-8 keeps it as the independent check of scipy's 2F1 at -A^2, which the
-criterion maps onto [0, 1) by the Pfaff transformation.
+On top of G the module provides the saturation constant c0 by its
+closed form, the cone height map H(A) relating the midpoint height of the
+symmetric critical profile to its initial slope A, the inverse of H, and
+the explicit low-energy profile u_c whose elastic energy equals c^2. H is
+a ratio of two Gauss hypergeometric functions; after the Pfaff map both
+are series in x = A^2/(1+A^2), summed by Horner's rule on coefficients
+fixed at import, and once x > 1/2 the connection formula (Abramowitz and
+Stegun 15.3.6) turns them into series in w = 1 - x (see `h_of_A`).
+h_of_A and h_inv both use that route. Nothing here imports scipy but
+`quad`, on its first call. The module's own `hyp2f1` is a plain Gauss
+series on [0, 1), summed term by term. It computes nothing on the run
+paths: validate's criterion 8 keeps it as the right side of the Pfaff
+identity, whose left side is an independent quadrature of Euler's
+integral.
 """
 
 from __future__ import annotations
 
 import math
 import numpy as np
-from scipy.special import betainc, betainccinv, betaincinv
-from scipy.special import hyp2f1 as _scipy_hyp2f1
 
 from .discretization import GridFunction, UniformGrid
 from .errors import ConvergenceError, DomainError, RangeError
@@ -51,9 +58,12 @@ def c0() -> float:
 
 
 _HALF_C0 = c0() / 2.0
-_TINY = 2.0**-500  # below this G(s) and Ginv(y) round to s and y
-_A_ONE = float(betainc(0.5, 0.75, 0.5))  # 2 G(1) / c0, the split of Ginv
-_GINV_GUARD_FRACTION = 1e-9  # guard band eps = 1e-9 * c0 around saturation
+
+# the 16-point Gauss-Legendre rule on [0, 1] both branches of G sum with
+_GL_U, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_U, _GL_W = 0.5 * _GL_U + 0.5, 0.5 * _GL_W
+_GL_U2, _GL_U4 = _GL_U**2, _GL_U**4
+_GL_2WU2 = 2.0 * _GL_W * _GL_U2
 
 
 def _as_array(z, name: str) -> np.ndarray:
@@ -72,58 +82,99 @@ def _like(out: np.ndarray, z):
     return float(out[0]) if np.ndim(z) == 0 else out
 
 
-def g(s):
-    """G(s) = sign(s) (c0/2) I_x(1/2, 3/4), x = s^2/(1+s^2), for a float
-    or an array.
+def _g_head(a: np.ndarray) -> np.ndarray:
+    """G(a) for an array 0 <= a <= 1. Below a = 1e-8 every term rounds to
+    its weight, the weights sum to 1 row by row, and G(a) = a to the bit."""
+    m = (1.0 + np.multiply.outer(a * a, _GL_U2)) ** -1.25
+    return a * (m * _GL_W).sum(axis=1)
 
-    Below |s| = 1 (x < 1/2) by `betainc`; from there on as
-    c0/2 - (c0/2) I_q(3/4, 1/2) with q = 1/(1+s^2), by `betainc` too, so
-    the tail never forms 1 - x. Below |s| = 2^-500, G(s) = s - 5 s^3/12
-    + ... rounds to s, which g returns, before s^2 underflows. Odd,
-    strictly increasing, |G| < c0/2. A float in gives a float out; a
-    non-finite element is a DomainError.
+
+def _g_tail(a: np.ndarray) -> np.ndarray:
+    """c0/2 - G(a) for an array a >= 1, without forming a^2."""
+    ia = 1.0 / a
+    m = (1.0 + np.multiply.outer(ia * ia, _GL_U4)) ** -1.25
+    return a ** -1.5 * (m * _GL_2WU2).sum(axis=1)
+
+
+def g(s):
+    """G(s) for a float or an array, by the Gauss-Legendre sums of the
+    module docstring: below |s| = 1 the head sum, from there on c0/2
+    minus the tail sum. Within 3.8e-16 relative of 40-digit values on
+    +-[1e-8, 1e6], and G(s) = s to the bit below |s| = 1e-8. Odd, strictly
+    increasing, |G| < c0/2. A float in gives a float out; a non-finite
+    element is a DomainError.
     """
     arr = _as_array(s, "g")
     a = np.abs(arr)
-    out = a.copy()  # the tiny entries keep G(s) = s
-    head = (a >= _TINY) & (a < 1.0)
-    tail = a >= 1.0
-    sq = a[head] * a[head]
-    out[head] = _HALF_C0 * betainc(0.5, 0.75, sq / (1.0 + sq))
-    with np.errstate(over="ignore"):  # 1/(1 + s^2) = 0 once s^2 overflows
-        q = 1.0 / (1.0 + a[tail] * a[tail])
-    out[tail] = _HALF_C0 - _HALF_C0 * betainc(0.75, 0.5, q)
+    out = np.empty_like(a)
+    head = a < 1.0
+    part = a[head]
+    if part.size:
+        out[head] = _g_head(part)
+    tail = ~head
+    part = a[tail]
+    if part.size:
+        out[tail] = _HALF_C0 - _g_tail(part)
     np.negative(out, out=out, where=arr < 0.0)
     return _like(out, s)
+
+
+_G_ONE = float(_g_head(np.ones(1))[0])  # G(1), the split of g_inv
+_GINV_LIMIT = _HALF_C0 - 1e-9 * c0()  # g_inv's guard band 1e-9 c0 starts here
+_GINV_STEPS = 2  # Halley steps from the starts of g_inv
+
+
+def _halley(s: np.ndarray, residual) -> np.ndarray:
+    """_GINV_STEPS Halley steps on residual(s) = G(s) - y from s, with
+    G' = (1 + s^2)^(-5/4) and G''/G' = -5s/(2(1 + s^2))."""
+    for _ in range(_GINV_STEPS):
+        q = 1.0 + s * s
+        d = residual(s) * q**1.25  # the Newton step (G(s) - y) / G'(s)
+        s = s - d / (1.0 + 1.25 * d * s / q)
+    return s
 
 
 def g_inv(y):
     """Inverse of G on (-c0/2, c0/2), for a float or an array.
 
-    With a = 2|y|/c0 = I_x(1/2, 3/4) and the split of `g`: below
-    a = 2G(1)/c0, x = betaincinv(1/2, 3/4, a) gives |s| = sqrt(x/(1-x));
-    from there on q = betainccinv(3/4, 1/2, a), the q = 1 - x with
-    1 - I_q(3/4, 1/2) = a, gives |s| = sqrt((1-q)/q). Below |y| = 2^-500,
-    Ginv(y) rounds to y, which g_inv returns. A non-finite element is a
-    DomainError, and an element within 1e-9 c0 of saturation,
-    |y| >= c0/2 - 1e-9 c0, a RangeError.
+    Two Halley steps on the G of `g`, split as g is at |y| = G(1). With
+    G(theta) = int_0^theta cos^(1/2) for s = tan(theta), the starts invert
+    the first terms of its two expansions:
+      - |y| < G(1): theta = y + y^3/12 + 11 y^5/480, s = tan(theta);
+      - |y| >= G(1): r = c0/2 - |y| = (2/3) e^(3/2) (1 - e^2/28
+        + e^4/5280 - ...) in e = pi/2 - theta, so with p = (3r/2)^(2/3),
+        e = p (1 + p^2/42 + 37 p^4/21560) and s = 1/tan(e); the tail
+        steps take r - (c0/2 - G(s)) as the residual, with no c0/2 - G(s)
+        subtracted from y.
+    The start is within 3e-3 relative, and two steps leave Ginv(y) within
+    1.33 eps (1 + kappa) relative of its 40-digit value, kappa =
+    |y| (1+s^2)^(5/4)/|s| the condition number of Ginv (measured worst on
+    G(+-[1e-8, 1e6])). Below |y| = 1e-8, Ginv(y) = y to the bit. A
+    non-finite element is a DomainError, and an element within 1e-9 c0
+    of saturation, |y| >= c0/2 - 1e-9 c0, a RangeError.
     """
     arr = _as_array(y, "g_inv")
     ay = np.abs(arr)
-    over = ay >= _HALF_C0 - _GINV_GUARD_FRACTION * c0()
+    over = ay >= _GINV_LIMIT
     if over.any():
         raise RangeError(
             f"g_inv: |y|={ay[over][0]:.17g} is within the guard band of the "
             f"saturation value c0/2={_HALF_C0:.17g}"
         )
-    a = ay / _HALF_C0
-    out = ay.copy()  # the tiny entries keep Ginv(y) = y
-    head = (ay >= _TINY) & (a < _A_ONE)
-    tail = a >= _A_ONE
-    x = betaincinv(0.5, 0.75, a[head])
-    out[head] = np.sqrt(x / (1.0 - x))
-    q = betainccinv(0.75, 0.5, a[tail])
-    out[tail] = np.sqrt((1.0 - q) / q)
+    out = np.empty_like(ay)
+    head = ay < _G_ONE
+    yh = ay[head]
+    if yh.size:
+        y2 = yh * yh
+        s = np.tan(yh * (1.0 + y2 * (1.0 / 12.0 + y2 * (11.0 / 480.0))))
+        out[head] = _halley(s, lambda s: _g_head(s) - yh)
+    tail = ~head
+    r = _HALF_C0 - ay[tail]
+    if r.size:
+        p = (1.5 * r) ** (2.0 / 3.0)
+        p2 = p * p
+        e = p * (1.0 + p2 * (1.0 / 42.0 + p2 * (37.0 / 21560.0)))
+        out[tail] = _halley(1.0 / np.tan(e), lambda s: r - _g_tail(s))
     np.negative(out, out=out, where=arr < 0.0)
     return _like(out, y)
 
@@ -136,11 +187,11 @@ def hyp2f1(a: float, b: float, c: float, x: float) -> float:
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n on
     [0, 1), summed term by term.
 
-    Validate's criterion 8 keeps it as the check of scipy's 2F1 through
-    the Pfaff map, independent of the library H depends on. The sum ends
-    at the second of two consecutive terms below _SERIES_TOL of the
-    partial sum; a series still going after _SERIES_MAX_TERMS terms is a
-    ConvergenceError. A nonpositive integer c, or x outside [0, 1), is a
+    Validate's criterion 8 keeps it as the right side of the Pfaff
+    identity, against an independent quadrature of Euler's integral. The
+    sum ends at the second of two consecutive terms below _SERIES_TOL of
+    the partial sum; a series still going after _SERIES_MAX_TERMS terms is
+    a ConvergenceError. A nonpositive integer c, or x outside [0, 1), is a
     DomainError.
     """
     if c <= 0 and float(c).is_integer():
@@ -174,15 +225,51 @@ def quad(*args, **kwargs):
 
 
 # the end of H's supported range, whose RangeError the CLI reports; the
-# closed form of H is within _H_ABS_ERR of 40-digit values up to here
+# route of H is within _H_ABS_ERR of 40-digit values up to here
 _H_MAX_SLOPE, _H_ABS_ERR = 2.0**19, 5.1e-16
+_H_TERMS = 56  # x^56 <= 2^-56 on the arguments x <= 1/2 the series run at
 
 
-def _h(a_slope: float) -> float:
-    """H(A) by its closed form, the one route h_of_A and h_inv share."""
-    z = -a_slope * a_slope
-    return float(a_slope / 3.0 * _scipy_hyp2f1(1.0, 1.5, 1.75, z)
-                 / _scipy_hyp2f1(1.0, 0.5, 0.75, z))
+def _horner_pairs(c_left: float, c_right: float) -> list:
+    """Coefficient pairs of 2F1(1, 1/4; c; .) = sum_n (1/4)_n/(c)_n (.)^n
+    at c = c_left and c = c_right, highest power first, for `_horner2`."""
+    pairs = [(1.0, 1.0)]
+    for n in range(_H_TERMS - 1):
+        p, q = pairs[-1]
+        pairs.append((p * (0.25 + n) / (c_left + n),
+                      q * (0.25 + n) / (c_right + n)))
+    return pairs[::-1]
+
+
+_H_IN_X = _horner_pairs(1.75, 0.75)  # the Pfaff series of H, in x
+_H_IN_W = _horner_pairs(0.5, 1.5)  # their connection series, in w = 1 - x
+
+
+def _horner2(pairs: list, x: float) -> tuple[float, float]:
+    """Both series of `pairs` at 0 <= x <= 1/2, by Horner's rule in one
+    loop over their first n terms, n the least with x^n <= 2^-56. Every
+    coefficient is at most 1, so the terms left out sum to at most
+    2 x^n <= 2^-55 of the series, which is at least 1."""
+    n = 1 if x == 0.0 else min(_H_TERMS, math.ceil(-56.0 / math.log2(x)))
+    p = q = 0.0
+    for a, b in pairs[_H_TERMS - n:]:
+        p = p * x + a
+        q = q * x + b
+    return p, q
+
+
+def _h(a: float) -> float:
+    """H(A) by the route of `h_of_A`, the one h_of_A and h_inv share."""
+    a2 = a * a
+    if a2 <= 1.0:  # x = A^2/(1+A^2) <= 1/2
+        num, den = _horner2(_H_IN_X, a2 / (1.0 + a2))
+        return a / 3.0 * num / den
+    w = 1.0 / (1.0 + a2)
+    x = a2 * w  # 1 - w, not subtracted
+    rw, u = math.sqrt(w), math.sqrt(math.sqrt(x))
+    f_num, f_den = _horner2(_H_IN_W, w)
+    return u * (f_num - 0.5 * _HALF_C0 * rw * u / x) / (_HALF_C0
+                                                        + rw * f_den / u)
 
 
 def h_of_A(a_slope: float) -> float:
@@ -191,14 +278,26 @@ def h_of_A(a_slope: float) -> float:
     small A and saturates near 0.8346 as A grows.
 
     H(A) = (1/2) int_0^A z W / int_0^A W with W = (A - z)^(-1/2)
-    (1 + z^2)^(-5/4); each integral is a 2F1 of -A^2, so
+    (1 + z^2)^(-5/4); each integral is a 2F1 of -A^2, and the Pfaff map
+    takes both to x = A^2/(1+A^2):
 
-        H(A) = (A/3) 2F1(1, 3/2; 7/4; -A^2) / 2F1(1, 1/2; 3/4; -A^2),
+        H(A) = (A/3) 2F1(1, 3/2; 7/4; -A^2) / 2F1(1, 1/2; 3/4; -A^2)
+             = (A/3) 2F1(1, 1/4; 7/4; x) / 2F1(1, 1/4; 3/4; x).
 
-    by scipy.special.hyp2f1, within 5.1e-16 (_H_ABS_ERR) of 40-digit values on
-    [1e-6, 2^19]. Supported for 0 <= A <= 2^19, the range `h_inv`
-    searches; a larger A is a RangeError. Validate's criterion 8 compares
-    H with the Gauss-Legendre integrals of `critical._parametric_table`.
+    For x <= 1/2 (A <= 1) both series are summed by Horner's rule. Beyond,
+    the 1 - x connection formula (Abramowitz and Stegun 15.3.6) in
+    w = 1/(1+A^2) = 1 - x, where the Gamma factors reduce to 3/2, 1/2
+    and c0/4, and the second terms to (1-w)^(-3/4) and (1-w)^(1/4), gives
+
+        H(A) = x^(1/4) (F(1/2) - (c0/4) sqrt(w) x^(-3/4))
+                 / (c0/2 + sqrt(w) x^(-1/4) F(3/2)),
+
+    F(c) = 2F1(1, 1/4; c; w), again by Horner's rule; so H saturates at
+    2/c0. Within 5.1e-16 (_H_ABS_ERR) of 40-digit values on [1e-6, 2^19]
+    (measured worst 3.7e-16 on 1500 log-spaced slopes).
+    Supported for 0 <= A <= 2^19, the range `h_inv` searches; a larger A
+    is a RangeError. Validate's criterion 8 compares H with the
+    Gauss-Legendre integrals of `critical._parametric_table`.
     """
     a = float(a_slope)
     if not math.isfinite(a) or a < 0.0:

@@ -8,11 +8,14 @@ hand-built trajectories, where its counts are known.
 
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
 from bendflow import Trajectory, UniformGrid, critical, flow, touch_window
-from bendflow.validate import check_touching, run_validation
+from bendflow import rearrange, specialfn
+from bendflow.validate import (_gauss_jacobi, check_talenti, check_touching,
+                               run_validation)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,20 @@ def test_criterion_08_hypergeometric_layer(run):
     passes(run, "hypergeometric_layer")
 
 
+@pytest.mark.parametrize("b, c", [(0.5, 0.75), (1.5, 1.75)])
+def test_criterion_08_euler_integral_at_40_digits(b, c):
+    """The Pfaff left side, Euler's integral for 2F1(1, b; c; -a^2) on the
+    60-point Gauss-Jacobi rule, within 4e-15 relative of 40-digit values
+    at criterion 8's slopes (measured worst 1.8e-15)."""
+    nodes, weights = _gauss_jacobi(60, b - 1.0, c - b - 1.0)
+    assert abs(weights.sum() - 1.0) <= 4e-16
+    with mpmath.workdps(40):
+        for a in np.linspace(0.1, 5.0, 50):
+            got = float(np.sum(weights / (1.0 + a * a * nodes)))
+            ref = mpmath.hyp2f1(1, b, c, -mpmath.mpf(a) ** 2)
+            assert abs(got - ref) <= 4e-15 * ref, a
+
+
 def test_criterion_09_critical_points(run):
     passes(run, "critical_point")
 
@@ -123,6 +140,26 @@ def test_criterion_10_flow_convergence(run):
 
 def test_criterion_11_talenti(run):
     passes(run, "talenti")
+
+
+def test_criterion_11_flip_bisection_keeps_the_80_step_bits():
+    """The flip bisection stops at adjacent floats, and its error equals,
+    bit for bit, that of the 80-step bisection it replaces: from there on
+    no step moves an end."""
+    lo, hi = 1e-3, specialfn.c0() / 2.0 - 1e-6
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if rearrange.one_over_ginv_second_derivative(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    want = abs(0.5 * (lo + hi) - specialfn.g(2.0))
+    with mock.patch.object(rearrange, "one_over_ginv_second_derivative",
+                           wraps=rearrange.one_over_ginv_second_derivative
+                           ) as calls:
+        got = check_talenti().measured["convexity_flip_error"]
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert calls.call_count < 80
 
 
 def test_criterion_12_navier_boundary(run):

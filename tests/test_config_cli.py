@@ -466,24 +466,27 @@ def test_cli_validate(tmp_path, capsys):
 
 _IMPORT_PROBE = """
 import json, sys
-SLOW = ("scipy.integrate", "scipy.interpolate", "scipy.optimize")
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from bendflow.cli import main
-loaded = {"import": [m for m in sys.modules if m.startswith(SLOW)]}
+loaded = {"import": scipy_modules()}
 assert main(["validate", "--out", sys.argv[1] + "/validate"]) == 0
-loaded["validate"] = [m for m in sys.modules if m.startswith(SLOW)]
+loaded["validate"] = scipy_modules()
 assert main(["simulate", "--config", sys.argv[2], "--out",
              sys.argv[1] + "/simulate"]) == 0
-loaded["simulate"] = [m for m in sys.modules if m.startswith(SLOW)]
+loaded["simulate"] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
-def test_cli_paths_load_no_integrate_interpolate_or_optimize(tmp_path):
-    """`import bendflow.cli`, `validate` and the 64-cell cone
-    `simulate` load none of scipy.integrate, scipy.interpolate and
-    scipy.optimize: together they take about 0.3 s to import, which
-    every run would pay. Run in a fresh interpreter, since the test
-    suite itself imports them."""
+def test_cli_paths_load_no_scipy_package(tmp_path):
+    """`import bendflow.cli`, `validate` and the 64-cell cone `simulate`
+    load no scipy package module: not scipy, scipy._lib, scipy.special or
+    scipy.linalg, whose imports take about 0.3 s that every run would
+    pay. The one scipy module in the process is the compiled LAPACK
+    wrapper scipy.linalg._flapack, which flow loads by its file for
+    dpbsv. Run in a fresh interpreter, since the test suite itself
+    imports scipy."""
     cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64, "outputs": {
         "snapshots": [0.005], "trajectory_csv": "trajectory.csv"}})
     src = Path(bendflow.__file__).resolve().parent.parent
@@ -494,7 +497,8 @@ def test_cli_paths_load_no_integrate_interpolate_or_optimize(tmp_path):
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "validate": [], "simulate": []}
+    only = ["scipy.linalg._flapack"]
+    assert loaded == {"import": only, "validate": only, "simulate": only}
 
 
 def test_emit_plot_deterministic(tmp_path):

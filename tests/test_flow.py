@@ -456,6 +456,63 @@ def test_solve_bit_identical_to_reference_on_random_data(n, seed, log_tau, heigh
                                           FlowConfig(tau=tau, t_end=10 * tau))
 
 
+def _random_band_system(n: int, seed: int):
+    """Upper band storage (outermost of 3 superdiagonals first) of a random
+    symmetric, strictly diagonally dominant, so positive definite, matrix
+    of order n, and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    ab = np.zeros((4, n))
+    for k in (1, 2, 3):
+        ab[3 - k, k:] = rng.uniform(-1.0, 1.0, n - k)
+    off = np.zeros(n)
+    for k in (1, 2, 3):
+        off[k:] += np.abs(ab[3 - k, k:])
+        off[:-k] += np.abs(ab[3 - k, k:])
+    ab[3] = off + 10.0 ** rng.uniform(-3.0, 0.0, n)
+    return ab, rng.normal(size=n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(17, 3201), seed=st.integers(0, 2**32 - 1))
+@example(n=17, seed=0)
+@example(n=3201, seed=1)
+def test_loaded_pbsv_gives_the_bits_of_scipys_pbsv(n, seed):
+    """flow._PBSV, loaded from scipy's compiled LAPACK wrapper by its file,
+    gives the x and info of scipy.linalg.get_lapack_funcs(("pbsv",)) bit
+    for bit, and _cholesky_solve returns that x. scipy.linalg, imported
+    after flow, shares the extension flow registered."""
+    import sys
+
+    from scipy.linalg import get_lapack_funcs
+
+    import bendflow.flow as flow_mod
+
+    reference, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))
+    assert sys.modules["scipy.linalg._flapack"].dpbsv is flow_mod._PBSV
+    ab, b = _random_band_system(n, seed)
+    _, x, info = flow_mod._PBSV(ab, b)
+    _, want, want_info = reference(ab, b)
+    assert info == want_info == 0
+    assert x.tobytes() == want.tobytes()
+    assert flow_mod._cholesky_solve(ab, b).tobytes() == want.tobytes()
+
+
+def test_loaded_pbsv_reports_an_indefinite_system():
+    """A negative pivot gives scipy's info > 0, which _cholesky_solve
+    raises as LinAlgError."""
+    from scipy.linalg import get_lapack_funcs
+
+    import bendflow.flow as flow_mod
+
+    reference, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))
+    ab, b = _random_band_system(40, 3)
+    ab[3, 17] = -1.0
+    info = flow_mod._PBSV(ab, b)[2]
+    assert info == reference(ab, b)[2] > 0
+    with pytest.raises(np.linalg.LinAlgError, match="leading minor"):
+        flow_mod._cholesky_solve(ab, b)
+
+
 def test_steps_at_rest_do_no_kernel_work(cone_run, monkeypatch):
     """Each step starts from the evaluation the previous step made of its
     accepted point, so steps at rest build no tables and evaluate neither

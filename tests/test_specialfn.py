@@ -24,7 +24,7 @@ from bendflow import (
 )
 from bendflow.cli import main
 from bendflow.critical import _parametric_table
-from bendflow.specialfn import _SERIES_MAX_TERMS, _SERIES_TOL
+from bendflow.specialfn import _H_ABS_ERR, _SERIES_MAX_TERMS, _SERIES_TOL
 from bendflow.validate import (C0_REF, C0_SQ4_REF, E_PARABOLA_REF,
                                G23_SQ_REF)
 
@@ -91,7 +91,7 @@ def test_ginv_range_guard():
 
 def _g_40_digits(s):
     """G(s) = s 2F1(1/2, 5/4; 3/2; -s^2) at 40 digits: a route independent
-    of the incomplete beta identity g uses."""
+    of the Gauss-Legendre sums g uses."""
     with mpmath.workdps(40):
         s = mpmath.mpf(s)
         return s * mpmath.hyp2f1(0.5, 1.25, 1.5, -s * s)
@@ -99,7 +99,8 @@ def _g_40_digits(s):
 
 def test_g_against_40_digits_on_twelve_decades():
     """On +-s in [1e-8, 1e6], log-spaced over both branches of g (|s| < 1
-    and |s| >= 1), G is within 1e-15 relative of its 40-digit value."""
+    and |s| >= 1), G is within 1e-15 relative of its 40-digit value
+    (measured worst 3.8e-16)."""
     s = np.logspace(-8.0, 6.0, 141)
     for sign in (1.0, -1.0):
         got = g(sign * s)
@@ -119,6 +120,46 @@ _Y_MAX = (1.0 - 1e-8) * c0() / 2
 @example(y=1e-200)  # Ginv(y) = y below 2^-500
 def test_g_of_g_inv_round_trips_to_4e_15(y):
     assert abs(g(g_inv(y)) - y) <= 4e-15 * abs(y)
+
+
+def test_g_inv_against_40_digits_on_both_branches():
+    """For s in +-[1e-8, 1e6], log-spaced over both branches of g_inv
+    (|y| < G(1) and |y| >= G(1)), Ginv(y) of the double y nearest G(s) is
+    within 4 eps (1 + kappa) relative of the 40-digit root of G(t) = y,
+    with kappa = |y| (1+s^2)^(5/4)/|s| the condition number of Ginv
+    at the root (measured worst 1.33 eps (1 + kappa)). A y within
+    g_inv's guard band of c0/2, from s above about 4.2e5, is a
+    RangeError."""
+    eps = np.finfo(float).eps
+    checked = 0
+    with mpmath.workdps(40):
+        for s in [*np.logspace(-8.0, 6.0, 113), *np.linspace(0.98, 1.02, 9)]:
+            y = float(_g_40_digits(s))
+            if y >= c0() / 2 - 1e-9 * c0():
+                for sign in (1.0, -1.0):
+                    with pytest.raises(RangeError):
+                        g_inv(sign * y)
+                continue
+            root = mpmath.findroot(lambda t: _g_40_digits(t) - y,
+                                   mpmath.mpf(s))
+            r = float(root)
+            kappa = y * (1.0 + r * r) ** 1.25 / r
+            for sign in (1.0, -1.0):
+                err = abs(mpmath.mpf(g_inv(sign * y)) - sign * root) / root
+                assert err <= 4.0 * eps * (1.0 + kappa), (s, float(err))
+            checked += 1
+    assert checked >= 100
+
+
+def test_g_and_g_inv_are_the_identity_on_tiny_arguments():
+    """Once s^2 u_j^2 vanishes against 1, every term of the head sum is its
+    weight, and the weights sum to 1 row by row, so G(s) = s and
+    Ginv(y) = y to the bit."""
+    for z in (1e-300, -1e-200, 2.0**-40, 5e-324):
+        assert g(z) == z and g_inv(z) == z
+    tiny = np.array([1e-300, 2.0**-40, -5e-324])
+    assert g(tiny).tobytes() == tiny.tobytes()
+    assert g_inv(tiny).tobytes() == tiny.tobytes()
 
 
 def test_g_and_g_inv_arrays_equal_scalar_calls_bitwise():
@@ -303,7 +344,7 @@ def _h_40_digits(a: float):
 
 def test_h_of_a_at_40_digits():
     """H within 2e-15 relative of 40-digit quadrature on [1e-6, 2^19]
-    (measured worst 1.4e-15), the cap of its range included."""
+    (measured worst 4.9e-16), the cap of its range included."""
     with mpmath.workdps(40):
         for a in [*np.geomspace(1e-6, 2.0**19, 40), 0.2, 5.0, 30.0, 1e3]:
             ref = _h_40_digits(a)
@@ -339,7 +380,7 @@ def test_h_of_a_inverts_h_inv_up_to_0_83():
 @example(a=1e-6)
 @example(a=30.0)
 @example(a=2.0**19)
-@example(a=math.nextafter(2.0**19, 0))  # H(a) > H(2^19), flat to rounding
+@example(a=math.nextafter(2.0**19, 0))  # the flat end of H
 def test_h_inv_round_trips_h_of_a(a):
     """h_of_A(h_inv(H(A))) gives H(A) back within 4e-15 relative: h_inv
     bisects the H that h_of_A returns, down to adjacent floats. Near the
@@ -392,13 +433,27 @@ def test_h_inv_range_errors():
 
 
 def test_cli_h_inv_takes_the_flat_end_of_h(capsys):
-    """H(prev(2^19)) is above H(2^19) by rounding; `specialfn eval --fn
-    hinv` takes it, and exits 2 on a height above every H."""
-    y = h_of_A(math.nextafter(2.0**19, 0))
-    assert y == 0.8346245593413439 > h_of_A(2.0**19)
-    assert main(["specialfn", "eval", "--fn", "hinv", "--args", repr(y)]) == 0
-    assert capsys.readouterr().out == f"{h_inv(y):.15g}\n"
-    assert main(["specialfn", "eval", "--fn", "hinv", "--args", "0.8347"]) == 2
+    """Every height h_of_A returns on [0, 2^19] is one `specialfn eval
+    --fn hinv` takes, up to the largest: sampled on the 4096 floats below
+    2^19 and on 400 slopes log-spaced over [1, 2^19], where H is flat to
+    rounding. A height above H(2^19) + 2 _H_ABS_ERR exits 2."""
+    top = 2.0**19
+    slopes = [*np.geomspace(1.0, top, 400), top]
+    for _ in range(4096):
+        top = math.nextafter(top, 0.0)
+        slopes.append(top)
+    heights = sorted({h_of_A(a) for a in slopes})
+    for y in heights:
+        assert abs(h_of_A(h_inv(y)) - y) <= 1e-11
+    for y in heights[-3:]:
+        assert main(["specialfn", "eval", "--fn", "hinv", "--args",
+                     repr(y)]) == 0
+        assert capsys.readouterr().out == f"{h_inv(y):.15g}\n"
+    above = h_of_A(2.0**19) + 3 * _H_ABS_ERR
+    for y in (above, 0.8347):
+        assert main(["specialfn", "eval", "--fn", "hinv", "--args",
+                     repr(y)]) == 2
+        assert "h_inv: height" in capsys.readouterr().err
 
 
 def test_u_c_endpoints_and_symmetry():
