@@ -7,7 +7,9 @@ code of its first failed case. A missing or unreadable input file (a
 config, a profile table, a checkpoint) exits 2 with a message naming it.
 
 Output rule: every CSV file goes through `discretization.write_csv` (floats
-as `{:.15g}`, integers as `str`) and every JSON file through `_write_json`
+as `{:.15g}`, integers as `str`, comma-separated with CRLF line ends, the
+bytes of `csv.writer`'s excel dialect; a slice of rows formats each distinct
+value of a column once) and every JSON file through `_write_json`
 (`indent=2`, sorted keys, trailing newline); stdout prints numbers as
 `{:.15g}`. Identical inputs produce byte-identical files.
 """

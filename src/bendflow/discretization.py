@@ -354,11 +354,25 @@ def l2_norm(u: GridFunction) -> float:
 _CSV_ROWS = 1024  # rows formatted per slice, so no file is held as text
 
 
+def _column_text(fmt, c: np.ndarray) -> list[str]:
+    """`fmt` of each entry of the 1-D array c, each distinct bit pattern
+    formatted once (integers keyed by value, floats by their bits, so -0.0
+    and 0.0 stay apart)."""
+    keys = c if c.dtype.kind in "iu" else c.view(f"u{c.dtype.itemsize}")
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    text = np.array([fmt(v) for v in c[first].tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under `header`, one row per index.
 
     Integer columns print as `str`, every other column as `{:.15g}` (so
-    inf prints as "inf"). Rows are formatted and written a slice at a time.
+    inf prints as "inf"). Rows are written a slice of `_CSV_ROWS` at a
+    time, and within a slice each column formats each distinct value once.
+    The bytes are those of `csv.writer`'s excel dialect, CRLF line ends
+    included: no field either format produces needs quoting, and neither
+    does any header name the package writes.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
@@ -366,11 +380,11 @@ def write_csv(path, header, columns) -> None:
         raise ValueError("write_csv needs one equal-length column per header")
     fmts = [str if c.dtype.kind in "iu" else "{:.15g}".format for c in cols]
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _CSV_ROWS):
-            wr.writerows(zip(*(map(fmt, c[lo:lo + _CSV_ROWS].tolist())
-                               for fmt, c in zip(fmts, cols))))
+            text = [_column_text(fmt, c[lo:lo + _CSV_ROWS])
+                    for fmt, c in zip(fmts, cols)]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 def write_profile_csv(path, u: GridFunction) -> None:

@@ -94,10 +94,12 @@ KKT arrays and report are built from its own arrays, as for any step.
 Rest: a step at rest whose result has the bits of its input returns the
 input object itself. Within `run_flow` the obstacle and the config are
 fixed and the step is a pure function of them and its input, so every
-later step would return that input too: from there on `run_flow` records
-that iterate and that step's report for each remaining step, with step
-norm 0 and its input's contact count and symmetry residual, and calls
-`mm_step` no more. Once the flow is at rest, a step costs no solver work.
+later step would return that input too. So `run_flow` calls `mm_step` no
+more and records the rest of the run in one go: for each remaining step
+(up to where the stall streak would stop the run) that iterate and that
+step's report, with step norm 0 and its input's energy, contact count and
+symmetry residual. Once the flow is at rest, a step costs no solver work
+and no per-step bookkeeping.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ import os
 import sys
 import traceback
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -601,9 +604,11 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     """Iterate mm_step until t_end (or until the energy decrease per unit
     time falls below `stop_when_stall_rate`). Records all diagnostics.
 
-    The trajectory holds one KKTReport per step. From the first step that
-    returns its input object on, every step records that iterate and that
-    report without calling mm_step (see the module docstring, "Rest"). A
+    The trajectory holds one KKTReport per step. Once a step returns its
+    input object, the remaining steps are recorded in one go, each with
+    that iterate and that report, and mm_step is called no more (see the
+    module docstring, "Rest"); with a stall rate set, they run up to where
+    three slow steps in a row would stop the loop. A
     StepConvergenceError leaves tagged with `step_index`, its `partial`
     iterate kept and the solver frames it passed through cleared.
     """
@@ -647,18 +652,16 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
 
     u = u0
     carry = [None]  # evaluation of the latest iterate, for the next step
-    rest = False
     slow_streak = 0
     for k in range(n_steps):
-        if not rest:
-            try:
-                un, report = mm_step(u, obstacle, cfg, carry=carry)
-            except StepConvergenceError as err:
-                err.step_index = k
-                # the finished solver frames hold the step's work arrays
-                traceback.clear_frames(err.__traceback__)
-                raise
-            rest = un is u
+        try:
+            un, report = mm_step(u, obstacle, cfg, carry=carry)
+        except StepConvergenceError as err:
+            err.step_index = k
+            # the finished solver frames hold the step's work arrays
+            traceback.clear_frames(err.__traceback__)
+            raise
+        rest = un is u
         iterates.append(un)
         energies.append(carry[0][1].energy)
         if rest:  # the step did not move: its diagnostics are u's
@@ -678,6 +681,21 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             slow_streak = slow_streak + 1 if rate < stop_when_stall_rate else 0
             if slow_streak >= 3:
                 break
+        if rest:
+            # every later step repeats this one, at an energy rate of 0 (or
+            # nan, were its energy not finite): record them all at once
+            left = n_steps - k - 1
+            if stop_when_stall_rate is not None:
+                rate = (energies[-1] - energies[-1]) / cfg.tau
+                if rate < stop_when_stall_rate:  # the streak ends the run
+                    left = min(left, 3 - slow_streak)
+            iterates.extend(repeat(un, left))
+            energies.extend(repeat(energies[-1], left))
+            step_norms.extend(repeat(0.0, left))
+            counts.extend(repeat(counts[-1], left))
+            sym.extend(repeat(sym[-1], left))
+            reports.extend(repeat(report, left))
+            break
 
     return Trajectory(
         grid=grid, tau=cfg.tau, iterates=iterates,

@@ -309,13 +309,16 @@ def h_of_A(a_slope: float) -> float:
 
 
 def h_inv(height: float) -> float:
-    """Unique A in (0, 2^19] with H(A) = height; residual below 1e-10.
+    """A in (0, 2^19] with H(A) = height, the float the bisection brackets;
+    residual below 1e-10.
 
     Bracketing by doubling, then bisection on the closed form of H that
     h_of_A returns, down to adjacent floats lo < hi with H(lo) < height <=
     H(hi); A is one of the two. H is flat to rounding near 2^19, where
     h_of_A gives heights up to H(2^19) + 2 _H_ABS_ERR (H(2^19) = 0.83462456,
-    just below the supremum); higher heights raise RangeError.
+    just below the supremum); higher heights raise RangeError. There many
+    floats share one height, and A is one preimage among several:
+    h_inv(h_of_A(2**19)) is 524287.9999965166, not 2^19.
     """
     height = float(height)
     if not (height > 0.0):

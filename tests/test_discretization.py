@@ -1,8 +1,10 @@
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bendflow import (
@@ -420,3 +422,94 @@ def test_write_csv_formats_by_column_type(tmp_path):
         write_csv(path, ["k", "a"], [np.arange(3), np.zeros(2)])
     with pytest.raises(ValueError):
         write_csv(path, ["k"], [np.arange(3), np.zeros(3)])
+
+
+def _write_csv_reference(path, header, columns) -> None:
+    """The csv.writer writer write_csv replaced: every field formatted on
+    its own, rows written through the excel dialect a slice at a time."""
+    cols = [np.asarray(c) for c in columns]
+    fmts = [str if c.dtype.kind in "iu" else "{:.15g}".format for c in cols]
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        for lo in range(0, len(cols[0]), 1024):
+            wr.writerows(zip(*(map(fmt, c[lo:lo + 1024].tolist())
+                               for fmt, c in zip(fmts, cols))))
+
+
+# floats whose bits or text are edge cases: signed zeros, infinities, a NaN
+# with a payload, subnormals, and values that need all 15 digits
+_EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                float(np.array(0x7FF8000000000001, dtype=np.uint64).view(float)),
+                5e-324, -1e-310, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16,
+                -123456789012345.67]
+
+
+@st.composite
+def _csv_column(draw, n):
+    """A column of n values: runs of values drawn from a small pool (a run
+    may cross any slice edge), or n distinct values; an integer or float64
+    array, or a Python list of floats as _write_trajectory_csv passes."""
+    kind = draw(st.sampled_from(["int", "float", "list"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "int":
+        pool = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4))
+        distinct = np.arange(n) * 7 - 3000
+    else:
+        pool = draw(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                             min_size=1, max_size=4))
+        distinct = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    if draw(st.booleans()):
+        values = distinct
+    else:
+        runs = []
+        while sum(len(r) for r in runs) < n:
+            runs.append([pool[rng.integers(len(pool))]] * int(rng.integers(1, 1500)))
+        values = np.array(sum(runs, [])[:n], dtype=np.int64 if kind == "int" else float)
+    return values.tolist() if kind == "list" else values
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), width=st.integers(1, 4))
+def test_write_csv_gives_the_bytes_of_csv_writer(tmp_path, n, data, width):
+    """write_csv, which formats each distinct value once per slice, writes
+    the bytes of the field-by-field csv.writer writer. The first column
+    holds runs of 300 of each edge value, 0.0 and -0.0 in one slice."""
+    header = [f"c{j}" for j in range(width + 1)]
+    columns = [np.array(_EDGE_FLOATS)[np.arange(n) // 300 % len(_EDGE_FLOATS)]]
+    columns += [data.draw(_csv_column(n)) for _ in range(width)]
+    write_csv(tmp_path / "got.csv", header, columns)
+    _write_csv_reference(tmp_path / "want.csv", header, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _peak_bytes(writer, path, header, columns) -> int:
+    """Peak traced allocation of one call of writer, above its start."""
+    tracemalloc.start()
+    try:
+        writer(path, header, columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_slice_of_text(tmp_path):
+    """Writing 100,000 rows of a trajectory-like table (one column of
+    distinct times, the others mostly constant) peaks within 1.5 times what
+    the reference writer, which streams its rows, peaks at on the first
+    5,000 (about 0.4 MB above start): text is held one slice at a time,
+    where the whole table as text would take tens of MB."""
+    n = 100_000
+    rng = np.random.default_rng(0)
+    steps = np.arange(1, n + 1)
+    rest = np.full(n, 0.25)
+    rest[:20] = rng.random(20)
+    columns = [steps, steps * 1e-3, rest, rest - 0.25, steps // 20_000,
+               np.zeros(n), steps % 3, rest * 1e-13, -rest]
+    header = [f"c{j}" for j in range(len(columns))]
+    want = _peak_bytes(_write_csv_reference, tmp_path / "want.csv", header,
+                       [c[:5000] for c in columns])
+    got = _peak_bytes(write_csv, tmp_path / "got.csv", header, columns)
+    assert got <= 1.5 * want, (got, want)

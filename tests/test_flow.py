@@ -620,6 +620,79 @@ def test_run_flow_stops_solving_at_a_fixed_point(cone_run):
         assert stall or first_rest + 1 < traj.n_steps
 
 
+def _carried_record(u0, obstacle, cfg, stall):
+    """run_flow's record rebuilt by a loop that calls mm_step with a carry
+    on every step, at rest too, and applies the stall streak step by step,
+    in the `_flow_outcome` form plus the contact counts and symmetry
+    residuals."""
+    w = trapezoid_weights(u0.grid)
+    ctol = 10.0 * cfg.inner_tol * math.sqrt(u0.grid.h)
+    carry = [None]
+    iterates, energies, norms, reports = [u0], [energy(u0)], [], []
+    streak = 0
+    for _ in range(int(round(cfg.t_end / cfg.tau))):
+        u = iterates[-1]
+        un, report = mm_step(u, obstacle, cfg, carry=carry)
+        iterates.append(un)
+        energies.append(carry[0][1].energy)
+        norms.append(float(np.sqrt(np.sum(w * (un.values - u.values) ** 2))))
+        reports.append(report)
+        if stall is not None:
+            rate = (energies[-2] - energies[-1]) / cfg.tau
+            streak = streak + 1 if rate < stall else 0
+            if streak >= 3:
+                break
+    psi = obstacle.samples.values
+    counts = [int(np.sum((u.values - psi) <= ctol)) for u in iterates]
+    return _record(iterates, energies, norms, counts,
+                   [symmetry_residual(u) for u in iterates], reports)
+
+
+def _record(iterates, energies, norms, counts, sym, reports):
+    """Every recorded bit of a run, reports field by field."""
+    return ([u.values.tobytes() for u in iterates], np.array(energies).tobytes(),
+            np.array(norms).tobytes(), np.array(counts, dtype=int).tobytes(),
+            np.array(sym).tobytes(),
+            [tuple(np.asarray(value).tobytes() for value in vars(r).values())
+             for r in reports])
+
+
+@pytest.mark.parametrize("start, stall", [
+    ("moving", None),    # the rest runs to t_end
+    ("moving", 1e-30),   # the streak, begun at the last moving step, ends it
+    ("moving", 1e-10),   # the streak ends the run at the first step at rest
+    ("resting", None),   # the first step already rests
+    ("resting", 1e-30),
+])
+def test_run_at_rest_is_recorded_as_step_by_step(cone_run, start, stall):
+    """run_flow, which records the steps after the first one at rest in one
+    go, keeps the bits of a loop that calls mm_step on every step: iterates,
+    energies, step norms, contact counts, symmetry residuals and every
+    KKTReport field. It calls mm_step once per moving step and once at the
+    first step at rest, and records that step's iterate and report objects
+    on every later step."""
+    import bendflow.flow as flow_mod
+
+    traj0, cfg, obstacle, u0 = cone_run
+    if start == "resting":
+        u0 = traj0.iterates[-1]
+    with mock.patch.object(flow_mod, "mm_step", wraps=flow_mod.mm_step) as stepped:
+        traj = run_flow(u0, obstacle, cfg, stop_when_stall_rate=stall)
+    want = _carried_record(u0, obstacle, cfg, stall)
+    assert _record(traj.iterates, traj.energies, traj.step_norms,
+                   traj.coincidence_counts, traj.symmetry_residuals,
+                   traj.kkt_reports) == want
+    it = traj.iterates
+    first_rest = next(k for k in range(traj.n_steps) if it[k + 1] is it[k])
+    assert stepped.call_count == first_rest + 1
+    assert all(u is it[-1] for u in it[first_rest:])
+    assert all(r is traj.kkt_reports[first_rest]
+               for r in traj.kkt_reports[first_rest:])
+    assert (start == "resting") == (first_rest == 0)
+    full = int(round(cfg.t_end / cfg.tau))
+    assert (traj.n_steps == full) == (stall is None)
+
+
 def test_carried_certificate_does_not_skip_the_obstacle_check(cone_run):
     """An iterate at rest, chained with an obstacle that it lies below,
     raises DomainError: a chained step checks admissibility on every
