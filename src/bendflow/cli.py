@@ -174,7 +174,10 @@ def _cmd_critical(args) -> int:
                     psi.values])
     _write_json(out / "critical_residuals.json", {
         "height": cp.height, "A": cp.A, "energy": cp.energy,
-        "residuals": cp.residuals, "n": args.n,
+        "residuals": {"vi_residual": cp.report.vi_residual,
+                      "ode_residual": cp.ode_residual,
+                      "concavity_min": cp.report.concavity_min},
+        "n": args.n,
     })
     print(f"A = {cp.A:.15g}, energy = {cp.energy:.15g}, "
           f"u(1/2) = {cp.profile.values[grid.midpoint_index]:.15g}")

@@ -36,6 +36,7 @@ from .discretization import (
     cone_obstacle,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
+from .flow import _vi_split
 from .specialfn import h_inv, h_of_A, quad
 
 _QUAD_TOL = 1e-14
@@ -74,13 +75,13 @@ def f_of_z(z: float, a_slope: float) -> float:
 class CriticalPoint:
     """The symmetric critical point over a cone obstacle.
 
-    `residuals` holds {vi_residual, ode_residual, concavity_min}: the worst
-    directional derivative over admissible coordinate directions (should be
-    >= -VI_TOL * scale), the sup-norm mismatch of u' against the
-    slope-from-height map (see `critical_profile`), and the minimum of -u''
-    over the interior nodes (> 0 means strictly concave). `report` is the
-    `check_critical` report of the profile the residuals were read from,
-    and `obstacle` the cone the polish ran over.
+    `ode_residual` is the sup-norm mismatch of u' against the
+    slope-from-height map (see `critical_profile`). `report` is the
+    `check_critical` report of the profile; its `vi_residual` (the worst
+    directional derivative over admissible coordinate directions, should be
+    >= -VI_TOL * scale) and `concavity_min` (the minimum of -u'' over the
+    interior nodes, > 0 means strictly concave) are the profile's other two
+    residuals. `obstacle` is the cone the polish ran over.
     """
 
     height: float
@@ -89,7 +90,7 @@ class CriticalPoint:
     profile: GridFunction
     slope_profile: GridFunction
     energy: float
-    residuals: dict
+    ode_residual: float
     report: CriticalityReport = field(repr=False)
     obstacle: Obstacle = field(repr=False)
 
@@ -206,28 +207,24 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     # symmetric to the bit: the report's min of -u'' is the one over (0, 1/2]
     report = _criticality_report(profile, obstacle.samples.values,
                                  evaluation.tables, evaluation.grad)
-    residuals = {
-        "vi_residual": report.vi_residual,
-        "ode_residual": ode,
-        "concavity_min": report.concavity_min,
-    }
     return CriticalPoint(
         height=float(height), A=a, grid=grid, profile=profile,
         slope_profile=slope, energy=evaluation.energy,
-        residuals=residuals, report=report, obstacle=obstacle,
+        ode_residual=ode, report=report, obstacle=obstacle,
     )
 
 
 @dataclass(frozen=True)
 class CriticalityReport:
     """check_critical output: one-sided variational-inequality residuals over
-    the admissible direction family, plus shape diagnostics."""
+    the admissible direction family, plus a shape diagnostic. Its
+    stationarity and multiplier split is the flow's KKTReport split
+    (`flow._vi_split`), with its own active-set rule and scale."""
 
     vi_residual: float        # min directional derivative; valid point >= -VI_TOL*scale
     stationarity_inactive: float
     multiplier_min: float
     concavity_min: float
-    nonnegativity_min: float
     scale: float
 
     @property
@@ -258,17 +255,16 @@ def _criticality_report(u: GridFunction, psi, tables, ge) -> CriticalityReport:
     """check_critical's report of the admissible u over the obstacle
     samples psi, from the tables (u', u'') of u and its gradient ge."""
     scale = 1.0 + float(np.max(np.abs(ge)))
-    gap = u.values - psi
     # gap classification lives in solution units, not gradient units
     act_tol = 10.0 * VI_TOL * max(1.0, float(np.max(np.abs(u.values))))
-    act = gap <= act_tol
-    act[0] = act[-1] = False
-    inact = ~act
-    inact[0] = inact[-1] = False
+    stat, mult, active = _vi_split(u.values, psi, ge, act_tol)
 
-    upward = float(np.min(ge[1:-1]))              # DE(u)(e_i) proportional to ge_i
-    downward = (float(np.min(-ge[inact])) if inact.any() else math.inf)
-    vi = min(upward, downward)
+    # DE(u)(e_i) is proportional to ge_i on every interior node and
+    # DE(u)(-e_i) to -ge_i on the inactive ones; on those both together
+    # give -|ge_i|, so the coordinate minimum is min(min ge, -stat)
+    vi = float(np.min(ge[1:-1]))
+    if len(active) < len(ge) - 2:
+        vi = min(vi, -stat)
 
     # global directions v - u for v = (1 +- delta) u clipped to the box
     delta = 1e-3
@@ -281,13 +277,10 @@ def _criticality_report(u: GridFunction, psi, tables, ge) -> CriticalityReport:
             fv = _first_variation_raw(*tables, d / norm, u.grid.h)
             vi = min(vi, fv / u.grid.h)  # same nodal scaling as ge
 
-    stat = float(np.max(np.abs(ge[inact]))) if inact.any() else 0.0
-    mult = float(np.min(ge[act])) if act.any() else math.inf
     return CriticalityReport(
         vi_residual=vi,
         stationarity_inactive=stat,
         multiplier_min=mult,
         concavity_min=float(np.min(-tables[1][1:-1])),
-        nonnegativity_min=float(np.min(u.values)),
         scale=scale,
     )

@@ -393,7 +393,7 @@ def write_profile_csv(path, u: GridFunction) -> None:
 
 def read_profile_csv(path) -> GridFunction:
     """Read a profile CSV. A file that cannot be read, or a row that is not
-    two numbers, is a DomainError naming the path."""
+    two finite numbers, is a DomainError naming the path."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -407,6 +407,8 @@ def read_profile_csv(path) -> GridFunction:
     except (ValueError, IndexError) as err:
         raise DomainError(
             f"{path}: every row must hold two numbers x,value ({err})") from err
+    if not np.isfinite(vs).all():
+        raise DomainError(f"{path}: nodal values must be finite")
     n = len(xs) - 1
     if n < 4:
         raise DomainError(f"{path}: too few rows for a grid ({n + 1})")

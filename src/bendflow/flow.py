@@ -95,11 +95,11 @@ Rest: a step at rest whose result has the bits of its input returns the
 input object itself. Within `run_flow` the obstacle and the config are
 fixed and the step is a pure function of them and its input, so every
 later step would return that input too. So `run_flow` calls `mm_step` no
-more and records the rest of the run in one go: for each remaining step
-(up to where the stall streak would stop the run) that iterate and that
-step's report, with step norm 0 and its input's energy, contact count and
-symmetry residual. Once the flow is at rest, a step costs no solver work
-and no per-step bookkeeping.
+more, and one block records the run from its first step at rest on, in
+one go: for that step and each later one (up to where the stall streak
+would stop the run) that iterate and that step's report, with step norm 0
+and its input's energy, contact count and symmetry residual. Once the
+flow is at rest, a step costs no solver work and no per-step bookkeeping.
 """
 
 from __future__ import annotations
@@ -533,22 +533,28 @@ def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
-                  natural_residual: float) -> KKTReport:
-    act = v - psi <= 10.0 * cfg.inner_tol * scale
+def _vi_split(v, psi, r, gap_tol: float):
+    """The variational inequality's certificate split of the residual r at
+    v over psi: (max |r| over inactive interior nodes, min r over active
+    interior nodes, the active indices, read-only). An interior node is
+    active when its gap v - psi is at most gap_tol; the pinned ends are in
+    neither set. No inactive node gives 0, no active node inf."""
+    act = v - psi <= gap_tol
     act[0] = act[-1] = False
     inact = ~act
     inact[0] = inact[-1] = False
     active_set = act.nonzero()[0]
     active_set.setflags(write=False)
-    return KKTReport(
-        stationarity_residual=float(np.abs(r).max(where=inact, initial=0.0)),
-        multiplier_min=float(r.min(where=act, initial=math.inf)),
-        active_set=active_set,
-        scale=scale,
-        natural_residual=natural_residual,
-        inner_iterations=nit,
-    )
+    return (float(np.abs(r).max(where=inact, initial=0.0)),
+            float(r.min(where=act, initial=math.inf)), active_set)
+
+
+def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
+                  natural_residual: float) -> KKTReport:
+    # the split is (stationarity_residual, multiplier_min, active_set)
+    return KKTReport(*_vi_split(v, psi, r, 10.0 * cfg.inner_tol * scale),
+                     scale=scale, natural_residual=natural_residual,
+                     inner_iterations=nit)
 
 
 def _check_admissible(u: GridFunction, obstacle: Obstacle, what: str) -> None:
@@ -604,13 +610,13 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     """Iterate mm_step until t_end (or until the energy decrease per unit
     time falls below `stop_when_stall_rate`). Records all diagnostics.
 
-    The trajectory holds one KKTReport per step. Once a step returns its
-    input object, the remaining steps are recorded in one go, each with
-    that iterate and that report, and mm_step is called no more (see the
-    module docstring, "Rest"); with a stall rate set, they run up to where
-    three slow steps in a row would stop the loop. A
-    StepConvergenceError leaves tagged with `step_index`, its `partial`
-    iterate kept and the solver frames it passed through cleared.
+    The trajectory holds one KKTReport per step. From the first step at
+    rest (the first that returns its input object) on, one block records
+    that step and every later one, each with that iterate and that report,
+    and mm_step is called no more (see the module docstring, "Rest"); with
+    a stall rate set, up to where three slow steps in a row would stop the
+    loop. A StepConvergenceError leaves tagged with `step_index`, its
+    `partial` iterate kept and the solver frames it passed through cleared.
     """
     _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
@@ -661,18 +667,26 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             # the finished solver frames hold the step's work arrays
             traceback.clear_frames(err.__traceback__)
             raise
-        rest = un is u
+        e = carry[0][1].energy
+        if un is u:
+            # this step and every later one return u, at an energy rate of 0
+            # (nan, were e not finite): record them all with u's diagnostics
+            left = n_steps - k
+            if (stop_when_stall_rate is not None
+                    and (e - e) / cfg.tau < stop_when_stall_rate):
+                left = min(left, 3 - slow_streak)
+            iterates.extend(repeat(un, left))
+            energies.extend(repeat(e, left))
+            step_norms.extend(repeat(0.0, left))
+            counts.extend(repeat(counts[-1], left))
+            sym.extend(repeat(sym[-1], left))
+            reports.extend(repeat(report, left))
+            break
         iterates.append(un)
-        energies.append(carry[0][1].energy)
-        if rest:  # the step did not move: its diagnostics are u's
-            step_norms.append(0.0)
-            counts.append(counts[-1])
-            sym.append(sym[-1])
-        else:
-            dn = float(np.sqrt(np.sum(w * (un.values - u.values) ** 2)))
-            step_norms.append(dn)
-            counts.append(int(np.sum((un.values - psi) <= ctol)))
-            sym.append(symmetry_residual(un))
+        energies.append(e)
+        step_norms.append(float(np.sqrt(np.sum(w * (un.values - u.values) ** 2))))
+        counts.append(int(np.sum((un.values - psi) <= ctol)))
+        sym.append(symmetry_residual(un))
         reports.append(report)
         u = un
         if stop_when_stall_rate is not None:
@@ -681,21 +695,6 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             slow_streak = slow_streak + 1 if rate < stop_when_stall_rate else 0
             if slow_streak >= 3:
                 break
-        if rest:
-            # every later step repeats this one, at an energy rate of 0 (or
-            # nan, were its energy not finite): record them all at once
-            left = n_steps - k - 1
-            if stop_when_stall_rate is not None:
-                rate = (energies[-1] - energies[-1]) / cfg.tau
-                if rate < stop_when_stall_rate:  # the streak ends the run
-                    left = min(left, 3 - slow_streak)
-            iterates.extend(repeat(un, left))
-            energies.extend(repeat(energies[-1], left))
-            step_norms.extend(repeat(0.0, left))
-            counts.extend(repeat(counts[-1], left))
-            sym.extend(repeat(sym[-1], left))
-            reports.extend(repeat(report, left))
-            break
 
     return Trajectory(
         grid=grid, tau=cfg.tau, iterates=iterates,
@@ -727,7 +726,6 @@ def interpolate_linear(traj: Trajectory, t: float) -> GridFunction:
 class DissipationReport:
     lhs: float              # E(u_K) + sum ||du||^2 / (2 tau)
     rhs: float              # E(u_0) + n_steps * slack
-    dissipated_sum: float   # sum ||du||^2 / tau, bounded by 2 E(u_0)
     holds: bool
     udot_bound_holds: bool
 
@@ -746,7 +744,7 @@ def dissipation_report(traj: Trajectory, slack_per_step: float | None = None
     dsum = sumsq / traj.tau
     bound = 2.0 * float(traj.energies[0])
     return DissipationReport(
-        lhs=lhs, rhs=rhs, dissipated_sum=dsum, holds=lhs <= rhs,
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         udot_bound_holds=dsum <= bound + traj.n_steps * slack_per_step,
     )
 

@@ -295,9 +295,9 @@ def check_critical_points() -> CheckResult:
             "A": cp.A,
             "round_trip_residual": round_trip,
             "midpoint_error": mid_err,
-            "concavity_min": cp.residuals["concavity_min"],
-            "ode_residual": cp.residuals["ode_residual"],
-            "vi_residual": cp.residuals["vi_residual"],
+            "concavity_min": cp.report.concavity_min,
+            "ode_residual": cp.ode_residual,
+            "vi_residual": cp.report.vi_residual,
             "vi_scale": cp.report.scale,
         }
         ok = ok and (round_trip < 1e-10 and mid_err <= 1e-9

@@ -577,11 +577,11 @@ def test_rearrange_out_into_missing_directory(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section", ["obstacle", "initial"])
-@pytest.mark.parametrize("content", [None, "not a number"],
-                         ids=["missing", "non_number"])
+@pytest.mark.parametrize("content", [None, "not a number", "nan", "inf"],
+                         ids=["missing", "non_number", "nan", "inf"])
 def test_bad_table_file_exits_2(tmp_path, capsys, section, content):
-    """A table whose file is missing or holds a non-number is an error
-    naming the file, not a traceback."""
+    """A table whose file is missing or holds a non-number or a non-finite
+    value is an error naming the file, not a traceback."""
     path = tmp_path / "table.csv"
     if content is not None:
         write_profile_csv(path, GridFunction(UniformGrid(32), np.zeros(33)))
@@ -619,8 +619,10 @@ def test_resume_without_summary_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {summary}: ")
 
 
-@pytest.mark.parametrize("content", [None, "x,value\n0,zero\n"],
-                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("content", [
+    None, "x,value\n0,zero\n",
+    "x,value\n0,0\n0.25,nan\n0.5,0\n0.75,0\n1,0\n"],
+    ids=["missing", "malformed", "non_finite"])
 def test_resume_with_bad_final_csv_exits_2(tmp_path, capsys, content):
     checkpoint = tmp_path / "checkpoint"
     assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),

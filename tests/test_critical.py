@@ -1,10 +1,11 @@
 import dataclasses
+import math
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -19,14 +20,23 @@ from bendflow import (
     constant_obstacle,
     critical_profile,
     energy,
+    energy_gradient,
     f_of_z,
+    first_variation,
     h_inv,
     h_of_A,
     run_flow,
+    table_obstacle,
+    trapezoid_weights,
     u_c_profile,
 )
 from bendflow import critical
 from bendflow.critical import _parametric_table, _pchip
+from bendflow.discretization import (
+    _HESS_BW,
+    _derivative_tables,
+    _energy_hessian_bands,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,22 +85,20 @@ def test_profile_strictly_concave_left_half(cp005):
     upp = second_diff(cp005.profile)
     m = cp005.grid.midpoint_index
     assert np.max(upp[:m]) < 0.0
-    assert cp005.residuals["concavity_min"] > 0.0
+    assert cp005.report.concavity_min > 0.0
 
 
 def test_ode_residual_small(cp005):
-    assert cp005.residuals["ode_residual"] <= 1e-6
+    assert cp005.ode_residual <= 1e-6
     # residual vanishes at the midpoint by construction: slope and J both 0
     assert abs(cp005.slope_profile.values[cp005.grid.midpoint_index]) < 1e-14
 
 
 def test_vi_residual_of_computed_profile(cp005):
     report = cp005.report
-    assert report.vi_residual == cp005.residuals["vi_residual"]
     assert report.passes_vi
     assert report.stationarity_inactive <= 1e-5 * report.scale
     assert report.multiplier_min > 0.0
-    assert report.nonnegativity_min >= 0.0
 
 
 @pytest.mark.parametrize("height, n", [(0.02, 200), (0.1, 64)])
@@ -122,6 +130,83 @@ def test_zero_is_unconstrained_critical_point():
                             constant_obstacle(-1.0, grid))
     assert report.vi_residual == 0.0
     assert report.stationarity_inactive == 0.0
+
+
+def _vi_reference(u, obstacle):
+    """check_critical's vi_residual by its two-direction formula: upward
+    (+e_i) over the interior, downward (-e_i) over the inactive nodes, then
+    the two global rescaling directions."""
+    psi, v, h = obstacle.samples.values, u.values, u.grid.h
+    ge = energy_gradient(u).values
+    act = v - psi <= 10.0 * critical.VI_TOL * max(1.0, float(np.max(np.abs(v))))
+    act[0] = act[-1] = False
+    inact = ~act
+    inact[0] = inact[-1] = False
+    upward = float(np.min(ge[1:-1]))
+    downward = float(np.min(-ge[inact])) if inact.any() else math.inf
+    vi = min(upward, downward)
+    for factor in (1.0 + 1e-3, 1.0 - 1e-3):
+        d = np.maximum(psi, factor * v) - v
+        d[0] = d[-1] = 0.0
+        norm = float(np.max(np.abs(d)))
+        if norm > 0:
+            vi = min(vi, first_variation(u, GridFunction(u.grid, d / norm)) / h)
+    return vi
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(16, 200), seed=st.integers(0, 2**32 - 1),
+       height=st.floats(0.005, 0.3), level=st.just(None))
+@example(n=64, seed=0, height=0.0, level=0.0)    # every interior node active
+@example(n=64, seed=0, height=0.0, level=-1.0)   # no node active
+def test_vi_residual_keeps_the_two_direction_bits(n, seed, height, level):
+    """vi_residual, whose coordinate part reads the certificate split, has
+    the bits of the two-direction formula, signs of zero included, on
+    random admissible profiles over random cones (some nodes on the cone,
+    some within and some beyond the active-set tolerance of it) and on the
+    zero profile over a constant obstacle (`level`) that it lies on or
+    above."""
+    grid = UniformGrid(n)
+    if level is None:
+        rng = np.random.default_rng(seed)
+        obstacle = cone_obstacle(height, grid)
+        psi, x = obstacle.samples.values, grid.nodes
+        coef = rng.normal(size=4) * 0.05 / np.arange(1, 5)
+        wave = sum(coef[k] * np.sin((k + 1) * np.pi * x) for k in range(4))
+        lift = rng.uniform(0.0, 2e-4, n + 1) * (rng.random(n + 1) < 0.3)
+        v = np.maximum(psi + lift, wave)
+        v[0] = v[-1] = 0.0
+        u = GridFunction(grid, v)
+    else:
+        obstacle = constant_obstacle(level, grid)
+        u = GridFunction.zeros(grid)
+    got = check_critical(u, obstacle).vi_residual
+    want = _vi_reference(u, obstacle)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_vi_residual_with_every_node_active_has_no_downward_term():
+    """A profile that rests on its obstacle at every node, loaded so that
+    its gradient is about 1e-6 on every interior node (it solves the
+    Hessian of E_h at 0 against that load), admits no -e_i: its
+    vi_residual is the least upward derivative, > 0, as the two-direction
+    formula gives, not the -0.0 of an empty inactive set."""
+    grid = UniformGrid(64)
+    h, n = grid.h, grid.n
+    zero = np.zeros(n + 1)
+    ab = _energy_hessian_bands(*_derivative_tables(zero, h), h)
+    hess = np.zeros((n + 1, n + 1))
+    for k in range(-_HESS_BW, _HESS_BW + 1):
+        hess += np.diag(ab[_HESS_BW + k, max(0, -k):n + 1 - max(0, k)], -k)
+    v = zero.copy()
+    v[1:-1] = np.linalg.solve(hess[1:-1, 1:-1],
+                              1e-6 * trapezoid_weights(grid)[1:-1])
+    u = GridFunction(grid, v)
+    obstacle = table_obstacle(u)
+    report = check_critical(u, obstacle)
+    assert report.stationarity_inactive == 0.0 and report.multiplier_min > 0.0
+    assert report.vi_residual > 0.0
+    assert report.vi_residual == _vi_reference(u, obstacle)
 
 
 def test_check_critical_rejects_inadmissible():
