@@ -16,14 +16,12 @@ from .discretization import (
     UniformGrid,
     cone_obstacle,
     constant_obstacle,
+    derivative_tables,
     energy,
     energy_gradient,
-    end_second_diffs,
-    first_diff,
     first_variation,
     l2_norm,
     read_profile_csv,
-    second_diff,
     table_obstacle,
     trapezoid_weights,
     write_profile_csv,

@@ -3,8 +3,10 @@
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
 3 numerical nonconvergence; a sweep runs every case and exits with the
-code of its first failed case. A missing or unreadable input file (a
-config, a profile table, a checkpoint) exits 2 with a message naming it.
+code of its first failed case, and exits 2 before any case runs if a case
+name is not one path component inside --out (`config.is_path_component`).
+A missing or unreadable input file (a config, a profile table, a
+checkpoint) exits 2 with a message naming it.
 
 Output rule: every CSV file goes through `discretization.write_csv` (floats
 as `{:.15g}`, integers as `str`, comma-separated with CRLF line ends, the
@@ -30,10 +32,11 @@ from . import discretization as disc
 from . import flow as fl
 from . import rearrange as re_
 from . import specialfn as sf
-from .config import RunConfig, is_number, load_config, parse_config, read_json
+from .config import (RunConfig, is_number, is_path_component, load_config,
+                     parse_config, read_json)
 from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
-from .validate import G23_SQ_REF, run_validation
+from .validate import run_validation
 
 _F = "{:.15g}".format
 
@@ -123,7 +126,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     touched_at = int(np.argmax(touched)) if touched.any() else None
     l0 = None
     e0 = float(traj.energies[0])
-    if 0.0 < e0 < G23_SQ_REF:
+    if 0.0 < e0 < fl.G23_SQ:
         inf_e = float(np.min(traj.energies))
         if obstacle.kind == "cone" and traj.grid.n % 2 == 0:
             inf_e = crit.critical_profile(obstacle.height, traj.grid).energy
@@ -173,7 +176,7 @@ def _cmd_critical(args) -> int:
                    [cp.profile.x, cp.profile.values, cp.slope_profile.values,
                     psi.values])
     _write_json(out / "critical_residuals.json", {
-        "height": cp.height, "A": cp.A, "energy": cp.energy,
+        "height": cp.obstacle.height, "A": cp.A, "energy": cp.energy,
         "residuals": {"vi_residual": cp.report.vi_residual,
                       "ode_residual": cp.ode_residual,
                       "concavity_min": cp.report.concavity_min},
@@ -247,6 +250,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("'cases' must be a nonempty object name -> overrides")
     jobs = []
     for name, overrides in cases.items():
+        if not is_path_component(name):
+            raise ConfigError(f"case name {name!r} is not one path component "
+                              f"inside --out (nor '.' or '..')")
         merged = json.loads(json.dumps(base))
         for key, val in overrides.items():
             if isinstance(val, dict) and isinstance(merged.get(key), dict):

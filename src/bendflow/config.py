@@ -98,6 +98,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def is_path_component(name) -> bool:
+    """One non-empty path component, not "." or "..": a name that, joined
+    to a directory, stays inside it (output files, sweep cases)."""
+    return (isinstance(name, str) and name not in ("", ".", "..")
+            and Path(name).name == name)
+
+
 def is_number(value) -> bool:
     """A JSON number: an int or a float, and not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -160,11 +167,9 @@ def parse_config(data: dict) -> RunConfig:
         # an empty trajectory_csv or plot_svg skips that file
         if key not in outputs or (key != "summary_json" and not outputs[key]):
             continue
-        name = outputs[key]
-        _require(isinstance(name, str) and name not in ("", "..")
-                 and Path(name).name == name,
+        _require(is_path_component(outputs[key]),
                  f"outputs.{key} must be a file name with no directory part, "
-                 f"got {name!r}")
+                 f"got {outputs[key]!r}")
 
     stall = data.get("stop_when_stall_rate")
     if stall is not None:

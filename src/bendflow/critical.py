@@ -41,7 +41,9 @@ from .specialfn import h_inv, h_of_A, quad
 
 _QUAD_TOL = 1e-14
 _N_PARAM = 1024  # parametric samples in w = sqrt(A - z), Chebyshev-distributed
-_GL_POINTS = 12  # Gauss-Legendre points per panel between consecutive samples
+# the 12-point Gauss-Legendre rule on [-1, 1], one per panel between
+# consecutive samples
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 VI_TOL = 1e-5  # check_critical's VI tolerance, relative to its scale
 
 
@@ -81,12 +83,11 @@ class CriticalPoint:
     directional derivative over admissible coordinate directions, should be
     >= -VI_TOL * scale) and `concavity_min` (the minimum of -u'' over the
     interior nodes, > 0 means strictly concave) are the profile's other two
-    residuals. `obstacle` is the cone the polish ran over.
+    residuals. `obstacle` is the cone the polish ran over: the point's
+    height is `obstacle.height`, and its grid is `profile.grid`.
     """
 
-    height: float
     A: float
-    grid: UniformGrid
     profile: GridFunction
     slope_profile: GridFunction
     energy: float
@@ -132,18 +133,15 @@ def _parametric_table(a: float):
     end point and near the midpoint) are resolved. Each panel between
     consecutive samples is integrated by the fixed Gauss-Legendre rule (the
     integrands are smooth in w); the denominator int_0^A W is the sum of
-    all panels. The rule is built here, not at import: its eigensolve
-    starts numpy's LAPACK, which a process that never needs the table
-    should not pay for in memory."""
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    all panels."""
     theta = np.linspace(0.0, math.pi, _N_PARAM)
     wc = math.sqrt(a) * 0.5 * (1.0 - np.cos(theta))
     mid = 0.5 * (wc[1:] + wc[:-1])
     half = 0.5 * (wc[1:] - wc[:-1])
-    w = mid[:, None] + half[:, None] * nodes
+    w = mid[:, None] + half[:, None] * _GL_NODES
     fx = _x_integrand(a, w)
-    accx = np.cumsum(half * (fx @ weights))
-    accu = np.cumsum(half * (((a - w * w) * fx) @ weights))
+    accx = np.cumsum(half * (fx @ _GL_WEIGHTS))
+    accu = np.cumsum(half * (((a - w * w) * fx) @ _GL_WEIGHTS))
     den = accx[-1]
     xs = np.zeros(_N_PARAM)
     us = np.zeros(_N_PARAM)
@@ -208,8 +206,7 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     report = _criticality_report(profile, obstacle.samples.values,
                                  evaluation.tables, evaluation.grad)
     return CriticalPoint(
-        height=float(height), A=a, grid=grid, profile=profile,
-        slope_profile=slope, energy=evaluation.energy,
+        A=a, profile=profile, slope_profile=slope, energy=evaluation.energy,
         ode_residual=ode, report=report, obstacle=obstacle,
     )
 

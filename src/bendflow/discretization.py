@@ -192,29 +192,11 @@ def _derivative_tables(u: np.ndarray, h: float):
     return up, upp
 
 
-def first_diff(u: GridFunction) -> np.ndarray:
-    """Nodal first derivative: central differences in the interior,
-    second-order one-sided at the endpoints. Length n+1."""
-    return _derivative_tables(u.values, u.grid.h)[0]
-
-
-def second_diff(u: GridFunction) -> np.ndarray:
-    """Interior second differences (u[i+1] - 2u[i] + u[i-1]) / h^2, length n-1.
-
-    Endpoint curvature is not defined by this operator; the energy and the
-    Navier diagnostic use dedicated one-sided stencils there.
-    """
-    return _derivative_tables(u.values, u.grid.h)[1][1:-1]
-
-
-def end_second_diffs(u: GridFunction) -> tuple[float, float]:
-    """|u''| at x=0 and x=1 from one-sided second-order stencils.
-
-    Converged flow iterates approach the natural conditions u''(0) = u''(1)
-    = 0, so these decay with h; generic functions give O(1) values.
-    """
-    _, upp = _derivative_tables(u.values, u.grid.h)
-    return float(abs(upp[0])), float(abs(upp[-1]))
+def derivative_tables(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+    """(u', u'') at every node: central differences inside, second-order
+    one-sided at the ends, where u'' decays with h on converged flow
+    iterates (the natural conditions u''(0) = u''(1) = 0)."""
+    return _derivative_tables(u.values, u.grid.h)
 
 
 def _energy_raw(up: np.ndarray, upp: np.ndarray, h: float) -> float:

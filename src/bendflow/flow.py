@@ -171,6 +171,9 @@ _PBSV = _lapack_pbsv()  # double precision banded Cholesky solve
 class FlowConfig:
     """Time step, horizon, inner-solver tolerance and per-step iteration cap.
 
+    The horizon is a whole number of steps, `n_steps`: a t_end whose ratio
+    to tau is farther than 1e-9 * n_steps from an integer is a DomainError,
+    so a run never stops short of t_end or steps past it.
     `inner_tol` sets the stationarity tolerance of every step relative to
     its natural scale (see KKTReport), and with it the coincidence
     tolerance 10 * inner_tol * sqrt(h) of the recorded contact counts;
@@ -187,11 +190,21 @@ class FlowConfig:
             raise DomainError("tau must be positive")
         if not (self.t_end >= self.tau):
             raise DomainError("t_end must be at least one step")
+        k = self.t_end / self.tau
+        if not (math.isfinite(k)
+                and abs(k - self.n_steps) <= 1e-9 * self.n_steps):
+            raise DomainError(f"t_end = {self.t_end!r} is not a whole number "
+                              f"of steps of tau = {self.tau!r}")
         if not (self.inner_tol > 0):
             raise DomainError("inner_tol must be positive")
         if not (type(self.inner_max_iter) is int and self.inner_max_iter >= 0):
             raise DomainError(f"inner_max_iter must be an integer >= 0, "
                               f"got {self.inner_max_iter!r}")
+
+    @property
+    def n_steps(self) -> int:
+        """The number of steps of tau to t_end."""
+        return int(round(self.t_end / self.tau))
 
 
 @dataclass(frozen=True)
@@ -647,7 +660,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
         )
 
     ctol = 10.0 * cfg.inner_tol * math.sqrt(grid.h)
-    n_steps = int(round(cfg.t_end / cfg.tau))
+    n_steps = cfg.n_steps
     iterates = [u0]
     energies = [e0]
     step_norms = []
@@ -749,6 +762,10 @@ def dissipation_report(traj: Trajectory, slack_per_step: float | None = None
     )
 
 
+# G(sqrt(2/3))^2, the initial energy below which `touch_window` holds
+G23_SQ = g(math.sqrt(2.0 / 3.0)) ** 2
+
+
 def touch_window(e0: float, inf_energy: float) -> float:
     """Length L0 such that on every time window of length L0 the flow must
     touch the obstacle, valid for initial energies below G(sqrt(2/3))^2:
@@ -757,11 +774,10 @@ def touch_window(e0: float, inf_energy: float) -> float:
     """
     if not (inf_energy > 0.0):
         raise DomainError("inf_energy must be positive")
-    limit = g(math.sqrt(2.0 / 3.0)) ** 2
-    if not (0.0 <= e0 < limit):
+    if not (0.0 <= e0 < G23_SQ):
         raise DomainError(
             f"touch window needs initial energy below G(sqrt(2/3))^2 = "
-            f"{limit:.12g}, got {e0:.12g} (denominator would not be positive)"
+            f"{G23_SQ:.12g}, got {e0:.12g} (denominator would not be positive)"
         )
     s = g_inv(math.sqrt(e0))
     denom = 5.0 / (1.0 + s * s) - 3.0

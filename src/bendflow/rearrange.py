@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    GridFunction,
-    first_diff,
-    l2_norm,
-    second_diff,
-)
+from .discretization import GridFunction, derivative_tables, l2_norm
 from .errors import DomainError
 from .specialfn import c0, g, g_inv
 
@@ -94,10 +89,9 @@ def talenti_inequality_check(u: GridFunction) -> TalentiReport:
         raise DomainError("candidate must vanish at the endpoints")
     if np.any(v < -1e-12):
         raise DomainError("candidate must be nonnegative")
-    upp = second_diff(u)
-    if np.any(upp > 1e-10):
+    up, upp = derivative_tables(u)
+    if np.any(upp[1:-1] > 1e-10):
         raise DomainError("candidate must be concave (second differences <= 0)")
-    up = first_diff(u)
     if np.max(np.abs(up)) > 2.0:
         raise DomainError(
             "slopes exceed 2; outside the window where 1/Ginv is convex"
@@ -165,7 +159,7 @@ def _source_term(u: GridFunction) -> GridFunction:
     without sign surprises on rough data.
     """
     n, h = u.grid.n, u.grid.h
-    up = first_diff(u)
+    up, _ = derivative_tables(u)
     gp = g(up)
     f_vals = np.empty(n + 1)
     f_vals[1:-1] = -((gp[2:] - gp[:-2]) / (2.0 * h))

@@ -445,6 +445,53 @@ def test_cli_sweep_bad_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "ABS"])
+def test_cli_sweep_case_name_outside_out_exits_2(tmp_path, capsys, name):
+    """A case name is its directory under --out: one that is not one path
+    component, or is '.' or '..', exits 2 naming the case, before any case
+    runs, and writes nothing."""
+    if name == "ABS":
+        name = str(tmp_path / "abs")
+    sweep = {"base": MINIMAL, "cases": {"ok": {}, name: {}}}
+    p = write_cfg(tmp_path, sweep, "sweep.json")
+    assert main(["sweep", "--config", str(p), "--out",
+                 str(tmp_path / "runs" / "root")]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert [q.name for q in tmp_path.iterdir()] == ["sweep.json"]
+
+
+def test_cli_touch_window_at_the_flow_limit(tmp_path, capsys):
+    """E0 = 0.4324598554964422 lies between flow's G(sqrt(2/3))^2
+    (0.4324598554964421) and the validation reference (...423): the run
+    asks flow's own limit, computes no window and writes every output."""
+    data = dict(MINIMAL, grid_n=20, initial={
+        "type": "scaled_bump", "scale": 0.08608764396441736})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["l0_window"] is None and summary["steps"] == 10
+    assert (out / "final.csv").exists()
+
+
+def test_t_end_must_be_a_whole_number_of_steps(tmp_path, capsys):
+    with pytest.raises(DomainError, match="0.0115.*0.001"):
+        FlowConfig(tau=1e-3, t_end=0.0115)
+    for t_end in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            FlowConfig(tau=1e-3, t_end=t_end)
+    p = write_cfg(tmp_path, dict(MINIMAL, t_end=0.0115))
+    assert main(["simulate", "--config", str(p), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # 12 / 1e-3 = 11999.999999999998 is a whole number within rounding
+    assert FlowConfig(tau=1e-3, t_end=12.0).n_steps == 12000
+    for tau in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+        assert FlowConfig(tau=tau, t_end=20 * tau).n_steps == 20
+
+
 def _without_runtimes(report: dict) -> dict:
     return {**report, "checks": [{k: v for k, v in c.items() if k != "runtime_s"}
                                  for c in report["checks"]]}

@@ -19,6 +19,7 @@ from bendflow import (
     cone_obstacle,
     constant_obstacle,
     critical_profile,
+    derivative_tables,
     energy,
     energy_gradient,
     f_of_z,
@@ -59,7 +60,7 @@ def test_f_of_z_endpoints_and_monotonicity():
 
 
 def test_profile_midpoint_and_ends(cp005):
-    grid = cp005.grid
+    grid = cp005.profile.grid
     v = cp005.profile.values
     assert v[0] == 0.0 and v[-1] == 0.0
     assert v[grid.midpoint_index] == 0.05  # pinned on the cone tip exactly
@@ -74,16 +75,15 @@ def test_profile_round_trip(cp005):
 def test_profile_touches_only_at_midpoint(cp005):
     psi = cp005.obstacle.samples.values
     gap = cp005.profile.values - psi
-    m = cp005.grid.midpoint_index
+    m = cp005.profile.grid.midpoint_index
     assert gap[m] == 0.0
     off = np.delete(gap[1:-1], m - 1)
     assert np.min(off) > 1e-6
 
 
 def test_profile_strictly_concave_left_half(cp005):
-    from bendflow import second_diff
-    upp = second_diff(cp005.profile)
-    m = cp005.grid.midpoint_index
+    upp = derivative_tables(cp005.profile)[1][1:-1]
+    m = cp005.profile.grid.midpoint_index
     assert np.max(upp[:m]) < 0.0
     assert cp005.report.concavity_min > 0.0
 
@@ -91,7 +91,7 @@ def test_profile_strictly_concave_left_half(cp005):
 def test_ode_residual_small(cp005):
     assert cp005.ode_residual <= 1e-6
     # residual vanishes at the midpoint by construction: slope and J both 0
-    assert abs(cp005.slope_profile.values[cp005.grid.midpoint_index]) < 1e-14
+    assert abs(cp005.slope_profile.values[cp005.profile.grid.midpoint_index]) < 1e-14
 
 
 def test_vi_residual_of_computed_profile(cp005):
@@ -113,6 +113,22 @@ def test_report_comes_from_the_polish_evaluation(height, n):
         cp = critical_profile(height, UniformGrid(n))
     assert (tables.call_count, grads.call_count) == (0, 0)
     assert cp.report == check_critical(cp.profile, cp.obstacle)
+
+
+def test_critical_profile_builds_no_gauss_rule():
+    """The 12-point Gauss-Legendre rule of the parametric table is built
+    once, at import, not on each call."""
+    with mock.patch.object(np.polynomial.legendre, "leggauss",
+                           wraps=np.polynomial.legendre.leggauss) as rule:
+        critical_profile(0.05, UniformGrid(64))
+    assert rule.call_count == 0
+
+
+def test_critical_point_keeps_one_grid_and_one_height(cp005):
+    fields = {f.name for f in dataclasses.fields(cp005)}
+    assert not fields & {"grid", "height"}
+    assert cp005.obstacle.height == 0.05
+    assert cp005.obstacle.grid == cp005.profile.grid == UniformGrid(400)
 
 
 def test_parabola_is_not_critical():

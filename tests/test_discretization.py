@@ -13,13 +13,12 @@ from bendflow import (
     UniformGrid,
     cone_obstacle,
     constant_obstacle,
+    derivative_tables,
     energy,
     energy_gradient,
-    first_diff,
     first_variation,
     l2_norm,
     read_profile_csv,
-    second_diff,
     trapezoid_weights,
     u_c_profile,
     write_profile_csv,
@@ -81,25 +80,38 @@ def test_obstacle_flags():
         cone_obstacle(0.0, grid)
 
 
-def test_first_diff_exact_for_quadratics():
+def test_derivative_tables_first_derivative_exact_for_quadratics():
     grid = UniformGrid(1000)
-    up = first_diff(parabola(grid))
+    up = derivative_tables(parabola(grid))[0]
     x = grid.nodes
     assert np.allclose(up, 1.0 - 2.0 * x, atol=1e-10)
     assert abs(up[250] - 0.5) < 1e-10
     assert abs(up[500]) < 1e-12
-    assert np.allclose(first_diff(GridFunction.zeros(grid)), 0.0)
+    assert np.allclose(derivative_tables(GridFunction.zeros(grid))[0], 0.0)
 
 
-def test_second_diff_values():
+def test_derivative_tables_second_derivative_values():
     grid = UniformGrid(1000)
-    assert np.allclose(second_diff(parabola(grid)), -2.0, atol=1e-8)
+    assert np.allclose(derivative_tables(parabola(grid))[1][1:-1], -2.0,
+                       atol=1e-8)
     lin = GridFunction(grid, 0.3 * grid.nodes)
     # second differences amplify rounding by 1/h^2; 1e-9 covers that at N=1000
-    assert np.allclose(second_diff(lin), 0.0, atol=1e-9)
+    assert np.allclose(derivative_tables(lin)[1][1:-1], 0.0, atol=1e-9)
     s = GridFunction(grid, np.sin(np.pi * grid.nodes))
-    mid = second_diff(s)[499]  # interior index of node 500
+    mid = derivative_tables(s)[1][500]
     assert abs(mid + math.pi**2) < 1e-4
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(4, 200), seed=st.integers(0, 2**32 - 1))
+def test_derivative_tables_are_the_kernel_tables(n, seed):
+    """The public tables are the bits of the kernel's, at every node."""
+    grid = UniformGrid(n)
+    u = GridFunction(grid, np.random.default_rng(seed).normal(size=n + 1))
+    up, upp = derivative_tables(u)
+    kp, kpp = _derivative_tables(u.values, grid.h)
+    assert up.shape == upp.shape == (n + 1,)
+    assert up.tobytes() == kp.tobytes() and upp.tobytes() == kpp.tobytes()
 
 
 def test_energy_zero_and_parabola():
@@ -392,10 +404,10 @@ def test_standard_energy_estimate():
     for _ in range(5):
         gf = random_concave_profile(rng, grid)
         lhs = energy(gf)
-        rhs = g(float(np.max(np.abs(first_diff(gf))))) ** 2
+        rhs = g(float(np.max(np.abs(derivative_tables(gf)[0])))) ** 2
         assert lhs >= rhs - 50.0 * grid.h
     gf = u_c_profile(0.5, grid)
-    assert energy(gf) >= g(float(np.max(np.abs(first_diff(gf))))) ** 2 - 1e-3
+    assert energy(gf) >= g(float(np.max(np.abs(derivative_tables(gf)[0])))) ** 2 - 1e-3
 
 
 def test_profile_csv_round_trip(tmp_path):

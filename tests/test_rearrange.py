@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bendflow import (
     c0,
     critical_profile,
     decreasing_rearrangement,
-    first_diff,
+    derivative_tables,
     g,
     g_inv,
     l2_norm,
@@ -21,6 +22,7 @@ from bendflow import (
     talenti_inequality_check,
     trapezoid_weights,
 )
+from bendflow import discretization
 
 from conftest import simpson_adaptive
 
@@ -93,7 +95,7 @@ def test_talenti_comparison_solves_equation_to_first_order():
         grid = UniformGrid(n)
         f = GridFunction.constant(grid, 1.0)
         v = talenti_comparison(f)
-        gp = g(first_diff(v))
+        gp = g(derivative_tables(v)[0])
         resid = -(gp[2:] - gp[:-2]) / (2 * grid.h) - 1.0
         errs[n] = float(np.max(np.abs(resid)))
     assert errs[400] < errs[200]
@@ -133,6 +135,16 @@ def test_talenti_inequality_zero():
     assert rep.min_gap == 0.0
 
 
+def test_talenti_inequality_builds_the_tables_twice():
+    """One table pass for the concavity and slope checks, one for the
+    source term."""
+    u = random_concave_profile(np.random.default_rng(3), UniformGrid(200))
+    with mock.patch.object(discretization, "_derivative_tables",
+                           wraps=discretization._derivative_tables) as tables:
+        assert talenti_inequality_check(u).holds
+    assert tables.call_count == 2
+
+
 def test_talenti_inequality_rejects_steep_or_nonconcave():
     grid = UniformGrid(100)
     x = grid.nodes
@@ -152,7 +164,7 @@ def test_random_concave_profiles_are_valid_inputs():
         v = u.values
         assert v[0] == 0.0 and v[-1] == 0.0
         assert np.min(v) >= 0.0
-        assert float(np.max(np.abs(first_diff(u)))) <= 2.0
+        assert float(np.max(np.abs(derivative_tables(u)[0]))) <= 2.0
         upp = (v[2:] + v[:-2] - 2 * v[1:-1])
         assert np.max(upp) <= 1e-12
 
