@@ -245,6 +245,9 @@ def _cmd_sweep(args) -> int:
     if not isinstance(data, dict) or "cases" not in data:
         raise ConfigError("sweep config needs a 'cases' object of run configs")
     base = data.get("base", {})
+    if not isinstance(base, dict):
+        raise ConfigError("'base' must be an object, the run config the "
+                          "cases override")
     cases = data["cases"]
     if not isinstance(cases, dict) or not cases:
         raise ConfigError("'cases' must be a nonempty object name -> overrides")
@@ -253,6 +256,9 @@ def _cmd_sweep(args) -> int:
         if not is_path_component(name):
             raise ConfigError(f"case name {name!r} is not one path component "
                               f"inside --out (nor '.' or '..')")
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"case {name!r}: overrides must be an object, "
+                              f"got {type(overrides).__name__}")
         merged = json.loads(json.dumps(base))
         for key, val in overrides.items():
             if isinstance(val, dict) and isinstance(merged.get(key), dict):

@@ -253,10 +253,24 @@ def energy_gradient(u: GridFunction) -> GridFunction:
 
 
 _HESS_BW = 3  # band half-width of the energy Hessian (one-sided end rows)
-# Interior stencil pairs (o1, o2), in the order band o1 - o2 sums them
-_HESS_PAIRS = ((-1, -1), (1, 1), (0, 0), (0, -1), (1, 0), (-1, 0), (0, 1),
-               (1, -1), (-1, 1))
-_END_BANDS = _HESS_BW + np.subtract.outer(np.arange(4), np.arange(4))  # band of H[k1, k2]
+
+
+@functools.lru_cache(maxsize=32)
+def _hessian_plan(n: int, h: float):
+    """The grid's share of `_energy_hessian_bands`, formed once per (n, h)
+    and shared, hence read-only: the interior stencil products B B,
+    B P + P B, P P, B0 B0, B B0, P B0 of B = 1/h^2, B0 = -2/h^2,
+    P = 1/(2h); the end stencils Bj, Bk, Pj, Pk, which broadcast to the two
+    4x4 end blocks; and the flat band-array index of each end-block entry."""
+    b, b0, p = 1.0 / h**2, -2.0 / h**2, 1.0 / (2.0 * h)
+    products = (b * b, b * p + p * b, p * p, b0 * b0, b * b0, p * b0)
+    bj, pj, k = _D2_END / h**2, np.zeros((2, 4)), np.arange(4)
+    pj[:, :3] = np.multiply.outer([1, -1], _D1_END) / (2.0 * h)
+    bands = _HESS_BW + np.subtract.outer(k, k)  # band of H[k1, k2]
+    index = np.stack([bands * (n + 1) + k, bands.T * (n + 1) + n - k])
+    for x in (bj, pj, index):
+        x.setflags(write=False)
+    return products, (bj[:, None], bj, pj[:, :, None], pj[:, None, :]), index
 
 
 def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
@@ -264,14 +278,27 @@ def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarr
 
     Storage: ab[_HESS_BW + (j - k), k] = H[j, k]; indefinite in general.
     H = sum_i a_i B_i B_i^T + b_i (B_i P_i^T + P_i B_i^T) + c_i P_i P_i^T, with
-    B_i, P_i the u'', u' stencils of node i. Interior pairs (o1, o2) of
-    (1, -2, 1)/h^2 and (-1, 0, 1)/(2h) add to band o1 - o2 by slice in the
-    order of _HESS_PAIRS; band 0 adds (0, 0) after (-1, -1) and (1, 1), so
-    mirrored data give bitwise mirrored bands. Each end row adds its 4x4 block
-    of _D2_END/h^2 and +-_D1_END/(2h) in one fancy-index add, its entries
-    formed in Python floats as (a B1) B2 + b (B1 P2 + P1 B2) + (c P1) P2.
+    B_i, P_i the u'', u' stencils of node i.
+
+    Interior nodes: the pair (o1, o2) of (1, -2, 1)/h^2 and (-1, 0, 1)/(2h)
+    adds (a B1 B2 + b (B1 P2 + P1 B2)) + c P1 P2 to band o1 - o2 by slice.
+    Only the diagonal and upper pairs are formed, band 0 adding (0, 0)
+    after (-1, -1) and (1, 1), so mirrored data give bitwise mirrored
+    bands. Their six distinct nonzero stencil products (`_hessian_plan`)
+    are each multiplied into a coefficient array once; a product of
+    stencil scalars that is exactly 0 is left out, and a negative one is
+    subtracted, which changes no bit of a finite band. Pairs (o1, o2) and
+    (o2, o1) give the same sums in the same order, so the two lower
+    interior bands are copies of the shifted upper ones.
+
+    End rows: both 4x4 blocks of _D2_END/h^2 and +-_D1_END/(2h) are one
+    (2, 4, 4) expression ((a Bj) Bk + b (Bj Pk + Pj Bk)) + (c Pj) Pk, added
+    after the copy, one block at a time (they overlap when n < 7). There
+    (a Bj) Bk and (a Bk) Bj may differ in the last place, so H is symmetric
+    to rounding in the end blocks and to the bit everywhere else.
     """
     n = len(up) - 1
+    (bb, bp, pp, b0b0, bb0, pb0), (bj, bk, pj, pk), index = _hessian_plan(n, h)
     w = _trapezoid_weights(n, h)
     s = 1.0 + up**2
     s35 = s**-3.5
@@ -279,20 +306,22 @@ def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarr
     cb = 2.0 * w * upp * (-5.0 * up * s35)                  # b: B P^T + P B^T
     cc = w * upp**2 * (-5.0 * s35 + 35.0 * up**2 * s**-4.5)  # c: P P^T
     ab = np.zeros((2 * _HESS_BW + 1, n + 1))
-    sb = [x / h**2 for x in (1.0, -2.0, 1.0)]
-    sp = [x / (2.0 * h) for x in (-1.0, 0.0, 1.0)]
     car, cbr, ccr = ca[1:-1], cb[1:-1], cc[1:-1]
-    for o1, o2 in _HESS_PAIRS:
-        b1, b2, p1, p2 = sb[o1 + 1], sb[o2 + 1], sp[o1 + 1], sp[o2 + 1]
-        band = ab[_HESS_BW + o1 - o2, 1 + o2:n + o2]
-        band += car * (b1 * b2) + cbr * (b1 * p2 + p1 * b2) + ccr * (p1 * p2)
-    b, k = (_D2_END / h**2).tolist(), np.arange(4)
-    for i, sign, bands in ((0, 1, _END_BANDS), (n, -1, _END_BANDS.T)):
-        p = (sign * _D1_END / (2.0 * h)).tolist() + [0.0]
-        a, bi, c = ca[i].item(), cb[i].item(), cc[i].item()
-        ab.reshape(-1)[bands * (n + 1) + i + sign * k] += [
-            [a * bj * bk + bi * (bj * pk + pj * bk) + c * pj * pk
-             for bk, pk in zip(b, p)] for bj, pj in zip(b, p)]
+    abb, bbp, cpp = car * bb, cbr * bp, ccr * pp
+    ab[_HESS_BW, :n - 1] += (abb - bbp) + cpp  # pair (-1, -1)
+    ab[_HESS_BW, 2:] += (abb + bbp) + cpp  # (1, 1)
+    ab[_HESS_BW, 1:n] += car * b0b0  # (0, 0)
+    abb0, bpb0 = car * bb0, cbr * pb0
+    ab[_HESS_BW - 1, 1:n] += abb0 - bpb0  # (-1, 0)
+    ab[_HESS_BW - 1, 2:] += abb0 + bpb0  # (0, 1)
+    ab[_HESS_BW - 2, 2:] += abb - cpp  # (-1, 1)
+    for d in (1, 2):
+        ab[_HESS_BW + d, :-d] = ab[_HESS_BW - d, d:]
+    a, bi, c = ca[::n, None, None], cb[::n, None, None], cc[::n, None, None]
+    blocks = ((a * bj) * bk + bi * (bj * pk + pj * bk)) + (c * pj) * pk
+    flat = ab.reshape(-1)
+    flat[index[0]] += blocks[0]
+    flat[index[1]] += blocks[1]
     return ab
 
 

@@ -411,7 +411,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     w = _trapezoid_weights(n, h)
 
     def phi(u, e):
-        return e + 0.5 / tau * float(np.sum(w * (u - f) ** 2))
+        return e + 0.5 / tau * float((w * (u - f) ** 2).sum())
 
     def trial(u):
         """Stencil tables of u, E_h(u) evaluated from them, and Phi(u)."""
@@ -435,7 +435,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         vt[0] = vt[-1] = 0.0
         return vt
 
-    def search(quiet):
+    def search(quiet, vt, dec):
         """Walk the projected arc, alpha = 1, b, b^2, ... (40 tries),
         evaluating each point once, and return (point, tables, E_h,
         min(Phi, pv), grad E_h, KKT arrays) of
@@ -446,20 +446,23 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         - else the first point whose Phi does not rise beyond the slack
           and whose residual is at most 0.9 times v's;
         - else None.
-        A loud step stops at its first Armijo point. Gradient and KKT
-        arrays are built only for points a residual test may read. The
-        walk ends at the first point equal to v: every later point equals
-        v too, and no test takes v (Armijo needs Phi below pv, which is at
-        most Phi(v); the other two a residual below v's)."""
+        The first point, vt = arc(1), and its predicted decrease
+        dec = sum w r (vt - v) are the quiet test's. A loud step stops at
+        its first Armijo point. Gradient and KKT arrays are built only for
+        points a residual test may read. The walk ends at the first point
+        equal to v: every later point equals v too, and no test takes v
+        (Armijo needs Phi below pv, which is at most Phi(v); the other two
+        a residual below v's)."""
         armijo = kept = None
         alpha = 1.0
         for _ in range(40):
-            vt = arc(alpha)
-            if np.array_equal(vt, v):
+            if alpha < 1.0:
+                vt = arc(alpha)
+                dec = float((w * r * (vt - v)).sum())
+            if (vt == v).all():
                 break
             alpha *= _BACKTRACK
             tt, et, pt = trial(vt)
-            dec = float(np.sum(w * r * (vt - v)))
             is_armijo = (armijo is None and pt < pv
                          and pt <= pv + _ARMIJO_C * dec)
             is_kept = kept is None and pt <= pv + slack
@@ -499,12 +502,12 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 
         d = None
         lam = 0.0
-        lam0 = 1e-12 * float(np.max(ab[_BW, :]))
+        lam0 = 1e-12 * float(ab[_BW].max())
         for _ in range(40):
             try:
                 abl = ab if lam == 0.0 else _damped(ab, lam)
                 cand = _solve_banded_mirror(abl, rhs)
-                if float(np.sum(w * r * cand)) < 0.0 or not cand.any():
+                if float((w * r * cand).sum()) < 0.0 or not cand.any():
                     d = cand
                     break
             except np.linalg.LinAlgError:
@@ -522,11 +525,13 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         slack = 1e-13 * max(1.0, abs(pv))
         up, upp = tv
         noise = (4.0 * _EPS * float(np.abs(v).max()) / (h * h) * float(
-            np.sum(w * 2.0 * np.abs(upp) * (1.0 + up * up) ** -2.5)))
-        quiet = abs(float(np.sum(w * r * (arc(1.0) - v)))) <= max(slack, noise)
+            (w * 2.0 * np.abs(upp) * (1.0 + up * up) ** -2.5).sum()))
+        v1 = arc(1.0)
+        dec1 = float((w * r * (v1 - v)).sum())
+        quiet = abs(dec1) <= max(slack, noise)
         if quiet and pimax <= tol:
             break
-        step = search(quiet)
+        step = search(quiet, v1, dec1)
         if step is None:
             break
         v, tv, ev, pv, gv, (r, pi, scale) = step
@@ -587,9 +592,10 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     as `_mm_step_raw` certified them.
 
     Guarantees Phi(u) <= Phi(f) + s, with s = 1e-13 * max(1, E_h(f)) the
-    line search's no-rise slack (E_h rose within s in 3 of the 154 runs that
-    finish on the 165-case ladder, c in 0.45..0.55 x N in 200..3200 x tau in
-    1e-3..1e-7, 20 steps: all at tau = 1e-3, by up to 4.3e-15), hence
+    line search's no-rise slack (E_h rose within s in 3 of the 165 runs of
+    the ladder c in 0.45..0.55 x N in 200..3200 x tau in 1e-3..1e-7, 20
+    steps, all of which finish: c = 0.48, 0.5 and 0.51, each at N = 200 and
+    tau = 1e-3, by up to 5.5e-15), hence
     E_h(u) <= E_h(f) + s and ||u - f||^2/(2 tau) <= E_h(f) - E_h(u) + s,
     and that u >= psi exactly.
     A step that does not move (no Newton iteration, result bitwise equal to

@@ -19,8 +19,9 @@ produced the bytes.
 - rearrange: `bendflow rearrange` of cone_short's final.csv.
 - specialfn: `bendflow specialfn eval` of each of the six functions.
 - fingerprints: `run_flow` on the ladder (the acceptance cone with c = 0.5,
-  N in {200, 400, 1600}, tau in {1e-3, 1e-5, 1e-7}, 20 steps) and on 100
-  random draws (seeds 0-49, plain and mirrored, 10 steps; `random_draw`).
+  N in {200, 400, 800, 1600, 3200}, tau in {1e-3, 1e-5, 1e-7}, 20 steps)
+  and on 100 random draws (seeds 0-49, plain and mirrored, 10 steps;
+  `random_draw`).
   Each case keeps, in fingerprints.json, the SHA-256 of the bits of every
   iterate, the Newton total, the final energy and the final sup norm, or
   the typed failure's step index and message.
@@ -76,7 +77,7 @@ SLICES = {
 
 
 FINGERPRINTS = "fingerprints"
-LADDER_NS = (200, 400, 1600)
+LADDER_NS = (200, 400, 800, 1600, 3200)
 LADDER_TAUS = (1e-3, 1e-5, 1e-7)
 DRAW_SEEDS = range(50)
 

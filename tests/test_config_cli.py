@@ -445,6 +445,22 @@ def test_cli_sweep_bad_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("overrides", [5, [], "c0.5", None])
+def test_cli_sweep_case_that_is_not_an_object_exits_2(tmp_path, capsys, overrides):
+    """A case's overrides that are not a JSON object exit 2 naming the case,
+    before any case runs, and write nothing; so does a base that is not
+    an object."""
+    for sweep, named in (({"base": MINIMAL, "cases": {"ok": {}, "a": overrides}},
+                          "case 'a'"),
+                         ({"base": overrides, "cases": {"a": {"tau": 0.001}}},
+                          "'base'")):
+        p = write_cfg(tmp_path, sweep, "sweep.json")
+        assert main(["sweep", "--config", str(p), "--out",
+                     str(tmp_path / "runs")]) == 2
+        assert named in capsys.readouterr().err
+        assert [q.name for q in tmp_path.iterdir()] == ["sweep.json"]
+
+
 @pytest.mark.parametrize("name", ["", ".", "..", "../escape", "a/b", "ABS"])
 def test_cli_sweep_case_name_outside_out_exits_2(tmp_path, capsys, name):
     """A case name is its directory under --out: one that is not one path

@@ -310,29 +310,63 @@ def _hessian_bands_reference(up, upp, h):
     return ab
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["random", "mirrored", "zero"]))
-@example(n=200, seed=0, kind="random")
-@example(n=200, seed=1, kind="mirrored")
-@example(n=3200, seed=2, kind="random")
-@example(n=3200, seed=3, kind="mirrored")
-def test_kernels_bitwise_equal_to_reference(n, seed, kind):
-    """The slice-summed Hessian and the vectorised end rows keep every bit
-    of the reference kernels: same band sums in the same order, same
-    end-row products."""
+def _kernel_input(n, seed, kind):
+    """Nodal values of one kernel test: random (scale 1e-3 to 1e2),
+    mirrored, zero, or steep (scale 1e2 to 1e60, where the coefficient
+    powers of 1 + u'^2 can underflow)."""
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(-3.0, 2.0)
+    lo, hi = (2.0, 60.0) if kind == "steep" else (-3.0, 2.0)
+    u = rng.standard_normal(n + 1) * 10.0 ** rng.uniform(lo, hi)
     if kind == "mirrored":
         u = u + u[::-1]
     elif kind == "zero":
         u = np.zeros(n + 1)
+    return u
+
+
+_KINDS = st.sampled_from(["random", "mirrored", "zero", "steep"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1), kind=_KINDS)
+@example(n=200, seed=0, kind="random")
+@example(n=200, seed=1, kind="mirrored")
+@example(n=3200, seed=2, kind="random")
+@example(n=3200, seed=3, kind="mirrored")
+@example(n=4, seed=4, kind="random")  # n < 7: the two end blocks overlap
+@example(n=5, seed=5, kind="mirrored")
+@example(n=6, seed=6, kind="random")
+@example(n=200, seed=7, kind="steep")
+def test_kernels_bitwise_equal_to_reference(n, seed, kind):
+    """The half-band Hessian with its shared products and array end blocks,
+    and the vectorised gradient end rows, keep every bit of the reference
+    kernels: same band sums in the same order, same end-row products."""
+    u = _kernel_input(n, seed, kind)
     h = 1.0 / n
     up, upp = _derivative_tables(u, h)
     assert (_energy_hessian_bands(up, upp, h).tobytes()
             == _hessian_bands_reference(up, upp, h).tobytes())
     assert (_energy_gradient_raw(up, upp, h).tobytes()
             == _gradient_reference(up, upp, h).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), seed=st.integers(0, 2**32 - 1), kind=_KINDS)
+@example(n=200, seed=0, kind="random")
+@example(n=3200, seed=2, kind="random")
+@example(n=200, seed=7, kind="steep")
+def test_reference_lower_bands_mirror_upper_outside_end_blocks(n, seed, kind):
+    """In the reference Hessian, H[k + d, k] and H[k, k + d] have the same
+    bits wherever neither lies in an end block (k + d > 3 and k < n - 3),
+    for d = 1, 2, 3: what lets the kernel copy its lower interior bands
+    from the upper ones."""
+    h = 1.0 / n
+    ab = _hessian_bands_reference(*_derivative_tables(_kernel_input(n, seed, kind), h), h)
+    for d in range(1, _HESS_BW + 1):
+        inside = slice(4 - d, n - 3)
+        lower = ab[_HESS_BW + d, :n + 1 - d][inside]  # H[k + d, k]
+        upper = ab[_HESS_BW - d, d:][inside]  # H[k, k + d]
+        assert lower.tobytes() == upper.tobytes()
 
 
 def test_first_variation_basics(grid200):
