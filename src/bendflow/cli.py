@@ -19,7 +19,6 @@ value of a column once) and every JSON file through `_write_json`
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import sys
 from pathlib import Path
@@ -36,7 +35,6 @@ from .config import (RunConfig, is_number, is_path_component, load_config,
                      parse_config, read_json)
 from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
-from .validate import run_validation
 
 _F = "{:.15g}".format
 
@@ -215,11 +213,15 @@ def _cmd_specialfn(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # imported here, with the numpy.random it brings, so that no other
+    # command pays for it; run_validation is read from the module at call time
+    from . import validate
+
     def progress(res):
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name} ({res.runtime_s:.2f}s)")
 
-    report = run_validation(progress=progress)
+    report = validate.run_validation(progress=progress)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "validation_report.json", report.to_json())
@@ -241,6 +243,8 @@ def _run_case(payload):
 
 
 def _cmd_sweep(args) -> int:
+    import concurrent.futures  # with the logging it brings, for sweeps only
+
     data = read_json(args.config)
     if not isinstance(data, dict) or "cases" not in data:
         raise ConfigError("sweep config needs a 'cases' object of run configs")

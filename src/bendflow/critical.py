@@ -243,9 +243,9 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
     psi = obstacle.samples.values
     if np.any(u.values < psi - 1e-12):
         raise DomainError("candidate is not admissible (below the obstacle)")
-    tables = _derivative_tables(u.values, u.grid.h)
-    return _criticality_report(u, psi, tables,
-                               _energy_gradient_raw(*tables, u.grid.h))
+    up, upp = tables = _derivative_tables(u.values, u.grid.h)
+    ge, _ = _energy_gradient_raw(up, upp, (1.0 + up**2) ** -2.5, u.grid.h)
+    return _criticality_report(u, psi, tables, ge)
 
 
 def _criticality_report(u: GridFunction, psi, tables, ge) -> CriticalityReport:

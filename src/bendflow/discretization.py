@@ -151,12 +151,12 @@ def constant_obstacle(level: float, grid: UniformGrid) -> Obstacle:
 # stencils and quadrature
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=32)
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Trapezoid weights of the grid of n cells of width h, built once per
-    grid and shared by every caller, hence read-only."""
-    w = np.full(n + 1, h)
-    w[0] = w[-1] = h / 2.0
+@functools.lru_cache(maxsize=64)
+def _trapezoid_weights(n: int, h: float, c: float = 1.0) -> np.ndarray:
+    """c times the trapezoid weights of the grid of n cells of width h, built
+    once per grid and factor and shared by every caller, hence read-only."""
+    w = np.full(n + 1, c * h)
+    w[0] = w[-1] = c * h / 2.0
     w.setflags(write=False)
     return w
 
@@ -178,7 +178,7 @@ def _derivative_tables(u: np.ndarray, h: float):
     The only place the difference stencils are applied to an iterate. The
     energy, gradient and Hessian kernels take these tables instead of u, so
     a caller that needs several of them at one point builds the tables once
-    and hands the same pair to each.
+    and hands them to each, with the powers of 1 + u'^2 the kernels return.
     """
     n = len(u) - 1
     up = np.empty(n + 1)
@@ -199,9 +199,11 @@ def derivative_tables(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     return _derivative_tables(u.values, u.grid.h)
 
 
-def _energy_raw(up: np.ndarray, upp: np.ndarray, h: float) -> float:
-    q = upp**2 * (1.0 + up**2) ** -2.5
-    return float(h * (0.5 * q[0] + q[1:-1].sum() + 0.5 * q[-1]))
+def _energy_raw(up: np.ndarray, upp: np.ndarray, h: float):
+    """(E_h, s^(-5/2)) from the tables, s = 1 + u'^2, formed once per point."""
+    s25 = (1.0 + up**2) ** -2.5
+    q = upp**2 * s25
+    return float(h * (0.5 * q[0] + q[1:-1].sum() + 0.5 * q[-1])), s25
 
 
 def energy(u: GridFunction) -> float:
@@ -210,21 +212,20 @@ def energy(u: GridFunction) -> float:
     Second-order accurate: E_h -> E at O(h^2) for smooth u.
     """
     h = u.grid.h
-    return _energy_raw(*_derivative_tables(u.values, h), h)
+    return _energy_raw(*_derivative_tables(u.values, h), h)[0]
 
 
-def _energy_gradient_raw(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
-    """Exact nodal gradient of E_h with respect to the trapezoid inner product.
-
-    Returns g with sum_j w_j g_j phi_j = d/de E_h(u + e phi)|_0 for any phi
-    vanishing at the ends; endpoint components are fixed to 0 (Dirichlet).
-    Assembled through stencil adjoints in palindromic form.
-    """
+def _energy_gradient_raw(up, upp, s25, h: float):
+    """(g, s^(-7/2)) from the tables and the s^(-5/2) of `_energy_raw`: g is
+    the exact nodal gradient of E_h for the trapezoid inner product,
+    sum_j w_j g_j phi_j = d/de E_h(u + e phi)|_0 for any phi vanishing at
+    the ends, 0 at both (Dirichlet), assembled through stencil adjoints in
+    palindromic form."""
     n = len(up) - 1
     w = _trapezoid_weights(n, h)
-    s = 1.0 + up**2
-    alpha = 2.0 * w * upp * s**-2.5          # dE/d(upp_i)
-    beta = -5.0 * w * upp**2 * up * s**-3.5  # dE/d(up_i)
+    s35 = (1.0 + up**2) ** -3.5
+    alpha = _trapezoid_weights(n, h, 2.0) * upp * s25          # dE/d(upp_i)
+    beta = _trapezoid_weights(n, h, -5.0) * upp**2 * up * s35  # dE/d(up_i)
     g = np.zeros(n + 1)
     pad = np.zeros(n + 3)  # pad[1 + i] = alpha_i, then beta_i, on interior rows
     pad[2:n + 1] = alpha[1:-1]
@@ -238,7 +239,7 @@ def _energy_gradient_raw(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarra
     g[:-4:-1] -= _D1_END * (beta[-1] / (2.0 * h))
     g /= w
     g[0] = g[-1] = 0.0
-    return g
+    return g, s35
 
 
 def energy_gradient(u: GridFunction) -> GridFunction:
@@ -247,9 +248,9 @@ def energy_gradient(u: GridFunction) -> GridFunction:
     Pairing with the trapezoid inner product reproduces directional
     derivatives of E_h exactly (up to roundoff), see `first_variation`.
     """
-    h = u.grid.h
-    return GridFunction(u.grid,
-                        _energy_gradient_raw(*_derivative_tables(u.values, h), h))
+    up, upp = derivative_tables(u)
+    g, _ = _energy_gradient_raw(up, upp, (1.0 + up**2) ** -2.5, u.grid.h)
+    return GridFunction(u.grid, g)
 
 
 _HESS_BW = 3  # band half-width of the energy Hessian (one-sided end rows)
@@ -261,50 +262,52 @@ def _hessian_plan(n: int, h: float):
     and shared, hence read-only: the interior stencil products B B,
     B P + P B, P P, B0 B0, B B0, P B0 of B = 1/h^2, B0 = -2/h^2,
     P = 1/(2h); the end stencils Bj, Bk, Pj, Pk, which broadcast to the two
-    4x4 end blocks; and the flat band-array index of each end-block entry."""
+    4x4 end blocks, and Bj Pk + Pj Bk; the flat index of each block entry."""
     b, b0, p = 1.0 / h**2, -2.0 / h**2, 1.0 / (2.0 * h)
     products = (b * b, b * p + p * b, p * p, b0 * b0, b * b0, p * b0)
-    bj, pj, k = _D2_END / h**2, np.zeros((2, 4)), np.arange(4)
+    bk, pj, k = _D2_END / h**2, np.zeros((2, 4)), np.arange(4)
     pj[:, :3] = np.multiply.outer([1, -1], _D1_END) / (2.0 * h)
+    bj, pj, pk = bk[:, None], pj[:, :, None], pj[:, None, :]
+    cross = bj * pk + pj * bk
     bands = _HESS_BW + np.subtract.outer(k, k)  # band of H[k1, k2]
     index = np.stack([bands * (n + 1) + k, bands.T * (n + 1) + n - k])
-    for x in (bj, pj, index):
+    for x in (bj, bk, pj, pk, cross, index):
         x.setflags(write=False)
-    return products, (bj[:, None], bj, pj[:, :, None], pj[:, None, :]), index
+    return products, (bj, bk, pj, pk, cross), index
 
 
-def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarray:
-    """Exact Euclidean Hessian d^2 E_h / du_j du_k, in a fresh band array.
+def _energy_hessian_bands(up, upp, s25, s35, h: float) -> np.ndarray:
+    """Exact Euclidean Hessian d^2 E_h / du_j du_k in a fresh band array,
+    ab[_HESS_BW + (j - k), k] = H[j, k] (indefinite in general), from the
+    tables and the s^(-5/2), s^(-7/2) that `_energy_raw` and
+    `_energy_gradient_raw` returned (s = 1 + u'^2); it forms s^(-9/2).
 
-    Storage: ab[_HESS_BW + (j - k), k] = H[j, k]; indefinite in general.
     H = sum_i a_i B_i B_i^T + b_i (B_i P_i^T + P_i B_i^T) + c_i P_i P_i^T, with
     B_i, P_i the u'', u' stencils of node i.
 
     Interior nodes: the pair (o1, o2) of (1, -2, 1)/h^2 and (-1, 0, 1)/(2h)
-    adds (a B1 B2 + b (B1 P2 + P1 B2)) + c P1 P2 to band o1 - o2 by slice.
-    Only the diagonal and upper pairs are formed, band 0 adding (0, 0)
-    after (-1, -1) and (1, 1), so mirrored data give bitwise mirrored
-    bands. Their six distinct nonzero stencil products (`_hessian_plan`)
-    are each multiplied into a coefficient array once; a product of
-    stencil scalars that is exactly 0 is left out, and a negative one is
-    subtracted, which changes no bit of a finite band. Pairs (o1, o2) and
-    (o2, o1) give the same sums in the same order, so the two lower
+    adds (a B1 B2 + b (B1 P2 + P1 B2)) + c P1 P2 to band o1 - o2 by slice,
+    for the diagonal and upper pairs, band 0 adding (0, 0) after (-1, -1)
+    and (1, 1), so mirrored data give bitwise mirrored bands. Each of the
+    six distinct nonzero stencil products (`_hessian_plan`) is multiplied
+    into a coefficient array once; a zero one is left out and a negative
+    one subtracted, which changes no bit of a finite band. Pairs (o1, o2)
+    and (o2, o1) give the same sums in the same order, so the two lower
     interior bands are copies of the shifted upper ones.
 
     End rows: both 4x4 blocks of _D2_END/h^2 and +-_D1_END/(2h) are one
     (2, 4, 4) expression ((a Bj) Bk + b (Bj Pk + Pj Bk)) + (c Pj) Pk, added
-    after the copy, one block at a time (they overlap when n < 7). There
-    (a Bj) Bk and (a Bk) Bj may differ in the last place, so H is symmetric
-    to rounding in the end blocks and to the bit everywhere else.
+    after the copy entry by entry, the x = 0 block first where the two
+    overlap (n < 7). There (a Bj) Bk and (a Bk) Bj may differ in the last
+    place, so H is symmetric to rounding in the end blocks and to the bit
+    everywhere else.
     """
     n = len(up) - 1
-    (bb, bp, pp, b0b0, bb0, pb0), (bj, bk, pj, pk), index = _hessian_plan(n, h)
-    w = _trapezoid_weights(n, h)
-    s = 1.0 + up**2
-    s35 = s**-3.5
-    ca = 2.0 * w * s**-2.5                                  # a: B B^T
-    cb = 2.0 * w * upp * (-5.0 * up * s35)                  # b: B P^T + P B^T
-    cc = w * upp**2 * (-5.0 * s35 + 35.0 * up**2 * s**-4.5)  # c: P P^T
+    (bb, bp, pp, b0b0, bb0, pb0), (bj, bk, pj, pk, cross), index = _hessian_plan(n, h)
+    w, w2, u2 = _trapezoid_weights(n, h), _trapezoid_weights(n, h, 2.0), up**2
+    ca = w2 * s25                                      # a: B B^T
+    cb = w2 * upp * (-5.0 * up * s35)                  # b: B P^T + P B^T
+    cc = w * upp**2 * (-5.0 * s35 + 35.0 * u2 * (1.0 + u2) ** -4.5)  # c: P P^T
     ab = np.zeros((2 * _HESS_BW + 1, n + 1))
     car, cbr, ccr = ca[1:-1], cb[1:-1], cc[1:-1]
     abb, bbp, cpp = car * bb, cbr * bp, ccr * pp
@@ -318,10 +321,7 @@ def _energy_hessian_bands(up: np.ndarray, upp: np.ndarray, h: float) -> np.ndarr
     for d in (1, 2):
         ab[_HESS_BW + d, :-d] = ab[_HESS_BW - d, d:]
     a, bi, c = ca[::n, None, None], cb[::n, None, None], cc[::n, None, None]
-    blocks = ((a * bj) * bk + bi * (bj * pk + pj * bk)) + (c * pj) * pk
-    flat = ab.reshape(-1)
-    flat[index[0]] += blocks[0]
-    flat[index[1]] += blocks[1]
+    np.add.at(ab.reshape(-1), index, ((a * bj) * bk + bi * cross) + (c * pj) * pk)
     return ab
 
 

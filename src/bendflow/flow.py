@@ -78,13 +78,22 @@ the KKT arrays, the residual floor of the starting point and, once the
 point is accepted, the next Hessian. An exact change of Phi builds the
 tables of its step dv = vt - v, once. Within a step `_derivative_tables`
 therefore runs exactly as often as `_energy_raw` and `_phi_change`
-together.
+together. The powers of s = 1 + u'^2 follow the tables: `_energy_raw`
+forms s^(-5/2) once per trial point and `_energy_gradient_raw` s^(-7/2)
+once per point whose gradient is built, each returned with its value. The
+gradient, the next Hessian (which forms only s^(-9/2)), the quiet test's
+noise and the exact change of Phi read those arrays, and an accepted
+point carries them to the next step in its evaluation. Each power is the
+expression any of its readers would form, so sharing it moves no bit. The
+Newton system is dropped once its direction is solved for, so the line
+search runs without it.
 
 One evaluation per accepted iterate: `_mm_step_raw` returns the point it
-accepts with its KKT report and its evaluation (tables, E_h, grad E_h:
-none depends on tau), all from the pass that certified it. `run_flow`
-hands the evaluation to the next step, which starts from that point,
-forms its residual floor from it and takes the recorded energy from it.
+accepts with its KKT report and its evaluation (tables, E_h, grad E_h and
+the powers: none depends on tau), all from the pass that certified it.
+`run_flow` hands the evaluation to the next step, which starts from that
+point, forms its residual floor from it and takes the recorded energy
+from it.
 Phi at the starting point is formed only once a Newton iteration starts,
 since only the line search reads it. A step at rest, which accepts its
 starting point after no Newton iteration, therefore builds no tables and
@@ -315,14 +324,17 @@ def _pin_active(ab: np.ndarray, rhs: np.ndarray, act: np.ndarray,
                 gap: np.ndarray) -> None:
     """Replace rows/columns of active indices by the identity; the Newton
     step then moves them exactly onto the bound. The pinned ends are active
-    with gap 0, so their step is exactly 0."""
+    with gap 0, so their step is exactly 0. Entries are set by index: the
+    indices are few, where a boolean mask would pass over all n + 1 nodes
+    at each assignment."""
     ni = ab.shape[1]
     for k in range(1, _BW + 1):
-        pair = act[:ni - k] | act[k:]  # node j or node j + k is active
-        ab[_BW + k, :ni - k][pair] = 0.0  # H[j + k, j], stored in column j
-        ab[_BW - k, k:][pair] = 0.0  # H[j, j + k], stored in column j + k
-    ab[_BW, act] = 1.0
-    rhs[act] = -gap[act]
+        j = (act[:ni - k] | act[k:]).nonzero()[0]  # node j or j + k active
+        ab[_BW + k][j] = 0.0  # H[j + k, j], stored in column j
+        ab[_BW - k][j + k] = 0.0  # H[j, j + k], stored in column j + k
+    i = act.nonzero()[0]
+    ab[_BW][i] = 1.0
+    rhs[i] = -gap[i]
 
 
 def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> float:
@@ -340,13 +352,14 @@ def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> flo
     return _EPS * row_bound * amp
 
 
-def _phi_change(vt: np.ndarray, v: np.ndarray, tables, f: np.ndarray,
+def _phi_change(vt: np.ndarray, v: np.ndarray, tables, s25, f: np.ndarray,
                 h: float, tau: float) -> float:
     """Phi(vt) - Phi(v), free of the cancellation of subtracting two
     evaluations of Phi, from the stencil tables of dv = vt - v.
 
-    With (u', u'') = `tables` of v, s = 1 + u'^2 and (du', du'') the tables
-    of dv, the energy density q = u''^2 s^(-5/2) changes by
+    With (u', u'') = `tables` of v, s = 1 + u'^2, s25 = s^(-5/2) as
+    `_energy_raw` returned it at v, and (du', du'') the tables of dv, the
+    energy density q = u''^2 s^(-5/2) changes by
 
         du''(2u'' + du'') s_t^(-5/2) + q expm1(-5/2 log1p(ds/s)),
 
@@ -360,19 +373,21 @@ def _phi_change(vt: np.ndarray, v: np.ndarray, tables, f: np.ndarray,
     s = 1.0 + up**2
     ds = dp * (2.0 * up + dp)
     dq = (dpp * (2.0 * upp + dpp) * (s + ds) ** -2.5
-          + upp**2 * s**-2.5 * np.expm1(-2.5 * np.log1p(ds / s)))
+          + upp**2 * s25 * np.expm1(-2.5 * np.log1p(ds / s)))
     return (float(np.sum(w * dq))
             + 0.5 / tau * float(np.sum(w * dv * ((vt - f) + (v - f)))))
 
 
 @dataclass(frozen=True)
 class _Eval:
-    """One evaluation of an iterate: its stencil tables (u', u''), E_h and
-    grad E_h."""
+    """One evaluation of an iterate: its stencil tables (u', u''), E_h,
+    grad E_h and the powers (s^(-5/2), s^(-7/2)) of s = 1 + u'^2 that the
+    energy and the gradient formed."""
 
     tables: tuple[np.ndarray, np.ndarray]
     energy: float
     grad: np.ndarray
+    powers: tuple[np.ndarray, np.ndarray]
 
 
 def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
@@ -414,18 +429,20 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         return e + 0.5 / tau * float((w * (u - f) ** 2).sum())
 
     def trial(u):
-        """Stencil tables of u, E_h(u) evaluated from them, and Phi(u)."""
+        """Stencil tables of u, s^(-5/2) and E_h(u) from them, and Phi(u)."""
         tables = _derivative_tables(u, h)
-        e = _energy_raw(*tables, h)
-        return tables, e, phi(u, e)
+        e, s25 = _energy_raw(*tables, h)
+        return tables, s25, e, phi(u, e)
 
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
     if start is None:
         tv = _derivative_tables(v, h)
-        ev, gv = _energy_raw(*tv, h), _energy_gradient_raw(*tv, h)
+        ev, s25 = _energy_raw(*tv, h)
+        gv, s35 = _energy_gradient_raw(*tv, s25, h)
+        sv = s25, s35
     else:
-        tv, ev, gv = start.tables, start.energy, start.grad
+        tv, ev, gv, sv = start.tables, start.energy, start.grad, start.powers
     fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
 
@@ -438,7 +455,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     def search(quiet, vt, dec):
         """Walk the projected arc, alpha = 1, b, b^2, ... (40 tries),
         evaluating each point once, and return (point, tables, E_h,
-        min(Phi, pv), grad E_h, KKT arrays) of
+        min(Phi, pv), grad E_h, powers, KKT arrays) of
         - on a quiet step, the first point whose exact Phi change
           (`_phi_change`) is not positive and whose residual is at most
           _QUIET_DROP times v's;
@@ -458,24 +475,24 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         for _ in range(40):
             if alpha < 1.0:
                 vt = arc(alpha)
-                dec = float((w * r * (vt - v)).sum())
+                dec = float((wr * (vt - v)).sum())
             if (vt == v).all():
                 break
             alpha *= _BACKTRACK
-            tt, et, pt = trial(vt)
+            tt, s25, et, pt = trial(vt)
             is_armijo = (armijo is None and pt < pv
                          and pt <= pv + _ARMIJO_C * dec)
             is_kept = kept is None and pt <= pv + slack
             if not (quiet or is_armijo or is_kept):
                 continue
-            gt = _energy_gradient_raw(*tt, h)
+            gt, s35 = _energy_gradient_raw(*tt, s25, h)
             kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
-            point = vt, tt, et, min(pt, pv), gt, kkt
+            point = vt, tt, et, min(pt, pv), gt, (s25, s35), kkt
             if is_armijo and not quiet:
                 return point
             pit = float(np.abs(kkt[1]).max())
             if (quiet and pit <= _QUIET_DROP * pimax
-                    and _phi_change(vt, v, tv, f, h, tau) <= 0.0):
+                    and _phi_change(vt, v, tv, sv[0], f, h, tau) <= 0.0):
                 return point
             if is_armijo:
                 armijo = point
@@ -491,29 +508,33 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             break
         nit += 1
 
-        ab = _energy_hessian_bands(*tv, h)
+        ab = _energy_hessian_bands(*tv, *sv, h)
         ab[_BW, :] += w / tau
         gap = v - psi
         act = (gap <= min(1e-9, pimax)) & (r > 0)
         act[0] = act[-1] = True  # the pinned ends sit on their bound
         gap[0] = gap[-1] = 0.0
-        rhs = -(w * r)
+        wr = w * r  # read by rhs, the descent test and every predicted decrease
+        rhs = -wr
         _pin_active(ab, rhs, act, gap)
 
         d = None
         lam = 0.0
-        lam0 = 1e-12 * float(ab[_BW].max())
         for _ in range(40):
             try:
                 abl = ab if lam == 0.0 else _damped(ab, lam)
                 cand = _solve_banded_mirror(abl, rhs)
-                if float((w * r * cand).sum()) < 0.0 or not cand.any():
+                if float((wr * cand).sum()) < 0.0:
                     d = cand
                     break
+                if not cand.any():
+                    break  # a zero direction: v is where the step ends
             except np.linalg.LinAlgError:
                 pass
-            lam = lam0 if lam == 0.0 else lam * 10.0
-        if d is None or not d.any():
+            # damping starts at 1e-12 of the largest diagonal entry
+            lam = 1e-12 * float(ab[_BW].max()) if lam == 0.0 else lam * 10.0
+        del ab, abl, rhs  # the system is read no more; the search runs without it
+        if d is None:
             break
 
         if nit == 1:
@@ -523,18 +544,17 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         # is quiet: Phi cannot tell its points apart, so a quiet step
         # already within tolerance ends here, certified.
         slack = 1e-13 * max(1.0, abs(pv))
-        up, upp = tv
         noise = (4.0 * _EPS * float(np.abs(v).max()) / (h * h) * float(
-            (w * 2.0 * np.abs(upp) * (1.0 + up * up) ** -2.5).sum()))
+            (_trapezoid_weights(n, h, 2.0) * np.abs(tv[1]) * sv[0]).sum()))
         v1 = arc(1.0)
-        dec1 = float((w * r * (v1 - v)).sum())
+        dec1 = float((wr * (v1 - v)).sum())
         quiet = abs(dec1) <= max(slack, noise)
         if quiet and pimax <= tol:
             break
         step = search(quiet, v1, dec1)
         if step is None:
             break
-        v, tv, ev, pv, gv, (r, pi, scale) = step
+        v, tv, ev, pv, gv, sv, (r, pi, scale) = step
     if pimax > tol:
         raise StepConvergenceError(
             f"inner solver stopped at residual {pimax:.3e} "
@@ -542,7 +562,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             partial=v,
         )
     return (v, _build_report(v, psi, cfg, r, scale, nit, pimax),
-            _Eval(tv, ev, gv))
+            _Eval(tv, ev, gv, sv))
 
 
 def _damped(ab: np.ndarray, lam: float) -> np.ndarray:

@@ -9,6 +9,12 @@ import numpy as np
 import pytest
 
 from bendflow import GridFunction, UniformGrid
+from bendflow.discretization import (
+    _derivative_tables,
+    _energy_gradient_raw,
+    _energy_hessian_bands,
+    _energy_raw,
+)
 
 
 def simpson_adaptive(f, a, b, tol=1e-12, max_depth=60):
@@ -39,6 +45,22 @@ def mirrored(grid: UniformGrid, fn) -> GridFunction:
     """Sample fn on the left half and mirror, for bitwise-symmetric data."""
     left = np.array([fn(x) for x in grid.nodes[: grid.n // 2 + 1]])
     return GridFunction.from_symmetric_half(grid, left)
+
+
+def kernel_point(u, h):
+    """(tables, grad E_h, powers) of the nodal values u, the kernels chained
+    as a step chains them: the gradient reads the s^(-5/2) the energy
+    formed, and powers = (s^(-5/2), s^(-7/2)) is what the Hessian reads."""
+    tables = _derivative_tables(u, h)
+    s25 = _energy_raw(*tables, h)[1]
+    g, s35 = _energy_gradient_raw(*tables, s25, h)
+    return tables, g, (s25, s35)
+
+
+def hessian_bands(u, h):
+    """The Hessian bands of E_h at the nodal values u, as a step builds them."""
+    tables, _, powers = kernel_point(u, h)
+    return _energy_hessian_bands(*tables, *powers, h)
 
 
 @pytest.fixture(scope="session")

@@ -564,6 +564,37 @@ def test_cli_paths_load_no_scipy_package(tmp_path):
     assert loaded == {"import": only, "validate": only, "simulate": only}
 
 
+_DEFERRED = ("bendflow.validate", "numpy.random", "concurrent.futures")
+_DEFERRED_PROBE = """
+import json, sys
+deferred = sys.argv[3].split(",")
+from bendflow.cli import main
+loaded = {"import": [m for m in deferred if m in sys.modules]}
+assert main(["simulate", "--config", sys.argv[2], "--out",
+             sys.argv[1] + "/simulate"]) == 0
+loaded["simulate"] = [m for m in deferred if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_defers_the_validate_and_sweep_imports(tmp_path):
+    """`import bendflow.cli` and a `simulate` load neither bendflow.validate
+    (nor the numpy.random it imports) nor concurrent.futures (nor its
+    logging): `validate` and `sweep` import them when they run, so no other
+    command pays for them. Run in a fresh interpreter, since the test suite
+    itself imports all three."""
+    cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64})
+    src = Path(bendflow.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _DEFERRED_PROBE, str(tmp_path),
+                           str(cfg), ",".join(_DEFERRED)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"import": [],
+                                                        "simulate": []}
+
+
 def test_emit_plot_deterministic(tmp_path):
     grid = UniformGrid(16)
     gf = GridFunction(grid, grid.nodes * (1 - grid.nodes))

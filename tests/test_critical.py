@@ -33,11 +33,9 @@ from bendflow import (
 )
 from bendflow import critical
 from bendflow.critical import _parametric_table, _pchip
-from bendflow.discretization import (
-    _HESS_BW,
-    _derivative_tables,
-    _energy_hessian_bands,
-)
+from bendflow.discretization import _HESS_BW
+
+from conftest import hessian_bands
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +208,7 @@ def test_vi_residual_with_every_node_active_has_no_downward_term():
     grid = UniformGrid(64)
     h, n = grid.h, grid.n
     zero = np.zeros(n + 1)
-    ab = _energy_hessian_bands(*_derivative_tables(zero, h), h)
+    ab = hessian_bands(zero, h)
     hess = np.zeros((n + 1, n + 1))
     for k in range(-_HESS_BW, _HESS_BW + 1):
         hess += np.diag(ab[_HESS_BW + k, max(0, -k):n + 1 - max(0, k)], -k)

@@ -28,13 +28,14 @@ from bendflow.discretization import (
     _derivative_tables,
     _energy_gradient_raw,
     _energy_hessian_bands,
+    _energy_raw,
     _trapezoid_weights,
     write_csv,
 )
 from bendflow.flow import _mirror_bands
 from bendflow.specialfn import g
 
-from conftest import mirrored, simpson_adaptive
+from conftest import hessian_bands, kernel_point, mirrored, simpson_adaptive
 
 # 4 int_0^1 (1+t^2)^(-5/2) dt = 20/(3 * 2^(3/2)): energy of x(1-x)
 E_PARABOLA_REF = 2.3570226039551584
@@ -200,9 +201,9 @@ def test_hessian_bands_fd_symmetry_and_reversal(n, seed):
     w = trapezoid_weights(grid)
 
     def euclid_grad(v):
-        return w * _energy_gradient_raw(*_derivative_tables(v, h), h)
+        return w * kernel_point(v, h)[1]
 
-    ab = _energy_hessian_bands(*_derivative_tables(u, h), h)
+    ab = hessian_bands(u, h)
     dense = _dense_from_bands(ab)
     # the raw gradient pins its end rows to 0, so compare interior rows
     eps = 1e-6
@@ -217,8 +218,14 @@ def test_hessian_bands_fd_symmetry_and_reversal(n, seed):
     # (a * b1) * b2 and (a * b2) * b1, which can differ in the last place.
     asym = np.max(np.abs(dense - dense.T))
     assert asym <= 8.0 * np.finfo(float).eps * np.max(np.abs(dense))
-    ab_rev = _energy_hessian_bands(*_derivative_tables(u[::-1].copy(), h), h)
+    ab_rev = hessian_bands(u[::-1].copy(), h)
     assert np.array_equal(ab_rev, _mirror_bands(ab))
+
+
+def _energy_reference(up, upp, h):
+    """The energy kernel as first written, its power formed in place."""
+    q = upp**2 * (1.0 + up**2) ** -2.5
+    return float(h * (0.5 * q[0] + q[1:-1].sum() + 0.5 * q[-1]))
 
 
 def _gradient_reference(up, upp, h):
@@ -337,17 +344,24 @@ _KINDS = st.sampled_from(["random", "mirrored", "zero", "steep"])
 @example(n=5, seed=5, kind="mirrored")
 @example(n=6, seed=6, kind="random")
 @example(n=200, seed=7, kind="steep")
+@example(n=3200, seed=8, kind="steep")
+@example(n=5, seed=9, kind="steep")
 def test_kernels_bitwise_equal_to_reference(n, seed, kind):
-    """The half-band Hessian with its shared products and array end blocks,
-    and the vectorised gradient end rows, keep every bit of the reference
-    kernels: same band sums in the same order, same end-row products."""
+    """The kernels chained as a step chains them (the gradient reads the
+    energy's s^(-5/2), the Hessian both powers), with the half-band Hessian's
+    shared products and array end blocks and the vectorised gradient end
+    rows, keep every bit of the reference kernels, which form each power of
+    s = 1 + u'^2 for themselves: same band sums in the same order, same
+    end-row products. On steep data the powers underflow to 0."""
     u = _kernel_input(n, seed, kind)
     h = 1.0 / n
     up, upp = _derivative_tables(u, h)
-    assert (_energy_hessian_bands(up, upp, h).tobytes()
+    e, s25 = _energy_raw(up, upp, h)
+    g, s35 = _energy_gradient_raw(up, upp, s25, h)
+    assert np.float64(e).tobytes() == np.float64(_energy_reference(up, upp, h)).tobytes()
+    assert (_energy_hessian_bands(up, upp, s25, s35, h).tobytes()
             == _hessian_bands_reference(up, upp, h).tobytes())
-    assert (_energy_gradient_raw(up, upp, h).tobytes()
-            == _gradient_reference(up, upp, h).tobytes())
+    assert g.tobytes() == _gradient_reference(up, upp, h).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

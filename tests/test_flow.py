@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import traceback
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -34,7 +35,7 @@ from bendflow import (
     u_c_profile,
 )
 
-from conftest import mirrored
+from conftest import kernel_point, mirrored
 
 # the recipe of ROADMAP.md ("Random draws"), as the golden fingerprints draw it
 _spec = importlib.util.spec_from_file_location(
@@ -164,6 +165,65 @@ def test_one_stencil_pass_per_trial_point(cone_run, monkeypatch):
         assert (counts["_phi_change"] > 0) == newton
         assert counts["_derivative_tables"] == (counts["_energy_raw"]
                                                 + counts["_phi_change"])
+
+
+def test_each_power_formed_once_per_point(cone_run, monkeypatch):
+    """Within a step, and across a step it hands its evaluation to, the
+    powers s^(-5/2) and s^(-7/2) of s = 1 + u'^2 are each formed at most
+    once per point: the energy forms the one, the gradient the other, and
+    every later reader at that point (the gradient, the Hessian, the exact
+    Phi change) is handed those very arrays. Covers a loud cone step, the
+    step chained after it, and a quiet step that walks with the exact Phi
+    change."""
+    import bendflow.flow as flow_mod
+
+    s25, s35 = {}, {}  # point (its tables' bits) -> the power formed there
+    originals = {name: getattr(flow_mod, name) for name in (
+        "_energy_raw", "_energy_gradient_raw", "_energy_hessian_bands",
+        "_phi_change")}
+
+    def key(up, upp):
+        return up.tobytes() + upp.tobytes()
+
+    def energy(up, upp, h):
+        out = originals["_energy_raw"](up, upp, h)
+        assert key(up, upp) not in s25
+        s25[key(up, upp)] = out[1]
+        return out
+
+    def gradient(up, upp, p25, h):
+        assert p25 is s25[key(up, upp)]
+        out = originals["_energy_gradient_raw"](up, upp, p25, h)
+        assert key(up, upp) not in s35
+        s35[key(up, upp)] = out[1]
+        return out
+
+    def hessian(up, upp, p25, p35, h):
+        assert p25 is s25[key(up, upp)] and p35 is s35[key(up, upp)]
+        return originals["_energy_hessian_bands"](up, upp, p25, p35, h)
+
+    changes = []
+
+    def change(vt, v, tables, p25, f, h, tau):
+        assert p25 is s25[key(*tables)]
+        changes.append(None)
+        return originals["_phi_change"](vt, v, tables, p25, f, h, tau)
+
+    for name, fn in (("_energy_raw", energy), ("_energy_gradient_raw", gradient),
+                     ("_energy_hessian_bands", hessian), ("_phi_change", change)):
+        monkeypatch.setattr(flow_mod, name, fn)
+
+    _, cfg, obstacle, u0 = cone_run
+    carry = [None]
+    u1, first = mm_step(u0, obstacle, cfg, carry=carry)
+    _, second = mm_step(u1, obstacle, cfg, carry=carry)
+    assert first.inner_iterations > 0 and second.inner_iterations > 0
+    grid = UniformGrid(1600)
+    s25.clear()
+    s35.clear()
+    _, quiet = mm_step(u_c_profile(0.5, grid), cone_obstacle(0.02, grid),
+                       FlowConfig(tau=1e-7, t_end=1e-7))
+    assert changes and quiet.satisfies(1e-8)
 
 
 def test_each_trial_point_evaluated_once(cone_run, monkeypatch):
@@ -321,14 +381,13 @@ def test_pinned_end_newton_system(n, seed, log_tau, p_active):
     v = np.maximum(psi, s)
     v[0] = v[-1] = 0.0
     w = disc_mod._trapezoid_weights(n, h)
-    tables = disc_mod._derivative_tables(v, h)
-    ab = disc_mod._energy_hessian_bands(*tables, h)
+    tables, r, powers = kernel_point(v, h)
+    ab = disc_mod._energy_hessian_bands(*tables, *powers, h)
     ab[flow_mod._BW, :] += w / tau
     dense = np.zeros((n + 1, n + 1))
     for k in range(-flow_mod._BW, 1):
         for j in range(-k, n + 1):
             dense[j + k, j] = dense[j, j + k] = ab[flow_mod._BW + k, j]
-    r = disc_mod._energy_gradient_raw(*tables, h)
     r[0] = r[-1] = 0.0
     act = rng.uniform(size=n + 1) < p_active
     act[0] = act[-1] = True
@@ -354,6 +413,63 @@ def test_pinned_end_newton_system(n, seed, log_tau, p_active):
     assert np.max(np.abs(d[free] - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+def _pin_active_reference(ab, rhs, act, gap):
+    """The pinning as first written: boolean masks over all n + 1 nodes."""
+    bw = ab.shape[0] // 2
+    ni = ab.shape[1]
+    for k in range(1, bw + 1):
+        pair = act[:ni - k] | act[k:]  # node j or node j + k is active
+        ab[bw + k, :ni - k][pair] = 0.0
+        ab[bw - k, k:][pair] = 0.0
+    ab[bw, act] = 1.0
+    rhs[act] = -gap[act]
+
+
+@settings(max_examples=200, deadline=None)
+@given(act=st.lists(st.booleans(), min_size=5, max_size=41),
+       seed=st.integers(0, 2**32 - 1))
+@example(act=[False] * 5, seed=0)  # n = 4: the end rows overlap
+@example(act=[False, True, True, False, False, False], seed=1)
+@example(act=[True] * 7, seed=2)
+@example(act=[False, True] * 8, seed=3)
+@example(act=[False] * 3 + [True] * 6 + [False] * 3, seed=4)
+def test_pin_active_matches_the_mask_reference(act, seed):
+    """Pinning by index gives the bits of `ab` and `rhs` that the boolean
+    masks give, for n from 4 to 40 (the end rows overlap below 7), with
+    random active sets, runs of adjacent active nodes, and both ends always
+    active. Signed zeros and the unused corners of the band array are kept
+    as they were."""
+    import bendflow.flow as flow_mod
+
+    act = np.array(act)
+    act[0] = act[-1] = True
+    rng = np.random.default_rng(seed)
+    ni = len(act)
+    ab = rng.standard_normal((2 * flow_mod._BW + 1, ni))
+    ab[rng.uniform(size=ab.shape) < 0.1] = -0.0
+    rhs, gap = rng.standard_normal(ni), rng.standard_normal(ni)
+    want_ab, want_rhs = ab.copy(), rhs.copy()
+    _pin_active_reference(want_ab, want_rhs, act, gap)
+    flow_mod._pin_active(ab, rhs, act, gap)
+    assert ab.tobytes() == want_ab.tobytes()
+    assert rhs.tobytes() == want_rhs.tobytes()
+
+
+def test_same_bits_tells_signed_zeros_apart():
+    """_same_bits compares bits, not values: -0.0 differs from 0.0, also
+    against a reversed view, as the mirrored solve compares."""
+    import bendflow.flow as flow_mod
+
+    a = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, -0.0]])
+    b = a.copy()
+    assert flow_mod._same_bits(a, b)
+    b[1, 2] = 0.0
+    assert (a == b).all() and not flow_mod._same_bits(a, b)
+    c = np.array([0.0, 1.0, -0.0])
+    assert (c == c[::-1]).all() and not flow_mod._same_bits(c, c[::-1])
+    assert flow_mod._same_bits(c[1:], c[1:].copy())
+
+
 def _newton_system(v, psi, h, tau, act):
     """The pinned Newton system of Phi at v, as the step builds it."""
     import bendflow.discretization as disc_mod
@@ -361,10 +477,10 @@ def _newton_system(v, psi, h, tau, act):
 
     n = len(v) - 1
     w = disc_mod._trapezoid_weights(n, h)
-    tables = disc_mod._derivative_tables(v, h)
-    ab = disc_mod._energy_hessian_bands(*tables, h)
+    tables, g, powers = kernel_point(v, h)
+    ab = disc_mod._energy_hessian_bands(*tables, *powers, h)
     ab[flow_mod._BW, :] += w / tau
-    rhs = -(w * disc_mod._energy_gradient_raw(*tables, h))
+    rhs = -(w * g)
     rhs[0] = rhs[-1] = 0.0
     gap = v - psi
     gap[0] = gap[-1] = 0.0
@@ -859,7 +975,8 @@ def test_phi_change_matches_a_40_digit_oracle(n, seed, log_step, log_tau,
         a[0] = a[-1] = 0.0
     vt = v + dv
     tables = disc_mod._derivative_tables(v, h)
-    got = flow_mod._phi_change(vt, v, tables, f, h, tau)
+    s25 = disc_mod._energy_raw(*tables, h)[1]
+    got = flow_mod._phi_change(vt, v, tables, s25, f, h, tau)
     with mpmath.workdps(40):
         want = _phi_change_oracle(vt, v, f, h, tau)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -871,6 +988,31 @@ def test_kkt_active_set_is_read_only(cone_run):
     assert active.size > 0
     with pytest.raises(ValueError):
         active[0] = 0
+
+
+# Traced allocation peak of the run below when each kernel formed its own
+# powers of 1 + u'^2 (numpy 2.4, Python 3.11): 75.8 arrays of N + 1 floats.
+_FINE_RUN_PEAK = 1_941_559
+
+
+def test_fine_run_holds_no_more_arrays_for_its_powers():
+    """The traced allocation peak of one N = 3200, tau = 1e-5, 20-step
+    run_flow stays within 1.05 times what it was when no point kept its
+    powers: each point holds two more arrays, and the step frees its
+    Newton system before the line search. Measured after a first run, so
+    the caches of the grid's weights and stencil products are warm."""
+    grid = UniformGrid(3200)
+    u0, obstacle = u_c_profile(0.5, grid), cone_obstacle(0.02, grid)
+    cfg = FlowConfig(tau=1e-5, t_end=20e-5)
+    run_flow(u0, obstacle, cfg)
+    tracemalloc.start()
+    try:
+        traj = run_flow(u0, obstacle, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 20 and traj.inner_iterations.sum() > 0
+    assert peak <= 1.05 * _FINE_RUN_PEAK, peak
 
 
 def test_failed_run_releases_solver_frames():
