@@ -37,13 +37,13 @@ from .discretization import (
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
 from .flow import _vi_split
-from .specialfn import h_inv, h_of_A, quad
+from .specialfn import _gauss_legendre, h_inv, h_of_A, quad
 
 _QUAD_TOL = 1e-14
 _N_PARAM = 1024  # parametric samples in w = sqrt(A - z), Chebyshev-distributed
 # the 12-point Gauss-Legendre rule on [-1, 1], one per panel between
 # consecutive samples
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 VI_TOL = 1e-5  # check_critical's VI tolerance, relative to its scale
 
 

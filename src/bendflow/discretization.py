@@ -63,7 +63,7 @@ class GridFunction:
             raise DomainError(
                 f"expected {self.grid.n + 1} nodal values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise DomainError("nodal values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -169,7 +169,12 @@ def trapezoid_weights(grid: UniformGrid) -> np.ndarray:
 # One-sided end stencils of h^2 u'' and 2h u' at x = 0, on u[0], u[1], ...;
 # at x = 1 they run back from u[-1], the u' one with its sign flipped.
 _D2_END, _D1_END = np.array([2.0, -5.0, 4.0, -1.0]), np.array([-3.0, 4.0, -1.0])
+# the gradient's end rows, each entry of their adjoints once: x = 0 u'',
+# x = 1 u'', x = 0 u', x = 1 u' (sign flipped), on rows counted from each end
+_END_ROWS = np.array([0, 1, 2, 3, -1, -2, -3, -4, 0, 1, 2, -1, -2, -3])
+_END_ADJOINTS = np.concatenate((_D2_END, _D2_END, _D1_END, -_D1_END))
 _D2_END.flags.writeable = _D1_END.flags.writeable = False
+_END_ROWS.flags.writeable = _END_ADJOINTS.flags.writeable = False
 
 
 def _derivative_tables(u: np.ndarray, h: float):
@@ -181,14 +186,21 @@ def _derivative_tables(u: np.ndarray, h: float):
     and hands them to each, with the powers of 1 + u'^2 the kernels return.
     """
     n = len(u) - 1
-    up = np.empty(n + 1)
-    up[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    up[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-    up[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    upp = np.empty(n + 1)
-    upp[1:-1] = ((u[2:] + u[:-2]) - 2.0 * u[1:-1]) / h**2
-    upp[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / h**2
-    upp[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h**2
+    up, upp = np.empty(n + 1), np.empty(n + 1)
+    inner = up[1:-1]  # each interior formed in place, the same operations
+    np.subtract(u[2:], u[:-2], out=inner)
+    inner /= 2.0 * h
+    inner = upp[1:-1]
+    np.add(u[2:], u[:-2], out=inner)
+    inner -= 2.0 * u[1:-1]
+    inner /= h**2
+    # the one-sided ends in Python floats, the same double operations
+    a0, a1, a2, a3 = u[:4].tolist()
+    b0, b1, b2, b3 = u[:-5:-1].tolist()
+    up[0] = (-3.0 * a0 + 4.0 * a1 - a2) / (2.0 * h)
+    up[-1] = (3.0 * b0 - 4.0 * b1 + b2) / (2.0 * h)
+    upp[0] = (2.0 * a0 - 5.0 * a1 + 4.0 * a2 - a3) / h**2
+    upp[-1] = (2.0 * b0 - 5.0 * b1 + 4.0 * b2 - b3) / h**2
     return up, upp
 
 
@@ -203,7 +215,8 @@ def _energy_raw(up: np.ndarray, upp: np.ndarray, h: float):
     """(E_h, s^(-5/2)) from the tables, s = 1 + u'^2, formed once per point."""
     s25 = (1.0 + up**2) ** -2.5
     q = upp**2 * s25
-    return float(h * (0.5 * q[0] + q[1:-1].sum() + 0.5 * q[-1])), s25
+    q0, qn = q[::len(q) - 1].tolist()
+    return float(h * (0.5 * q0 + q[1:-1].sum() + 0.5 * qn)), s25
 
 
 def energy(u: GridFunction) -> float:
@@ -232,11 +245,14 @@ def _energy_gradient_raw(up, upp, s25, h: float):
     g += ((pad[0:n + 1] + pad[2:n + 3]) - 2.0 * pad[1:n + 2]) / h**2
     pad[2:n + 1] = beta[1:-1]
     g += (pad[0:n + 1] - pad[2:n + 3]) / (2.0 * h)
-    # one-sided end rows: the adjoints of _D2_END and _D1_END
-    g[:4] += _D2_END * (alpha[0] / h**2)
-    g[:-5:-1] += _D2_END * (alpha[-1] / h**2)
-    g[:3] += _D1_END * (beta[0] / (2.0 * h))
-    g[:-4:-1] -= _D1_END * (beta[-1] / (2.0 * h))
+    # one-sided end rows: the adjoints of _D2_END and _D1_END, added entry
+    # by entry in _END_ROWS order, which fixes the order where the two ends
+    # overlap (n < 7); adding -x is subtracting x, bit for bit
+    a0, a1 = alpha[::n].tolist()
+    b0, b1 = beta[::n].tolist()
+    h2, h1 = h**2, 2.0 * h
+    np.add.at(g, _END_ROWS, _END_ADJOINTS * np.array(
+        [a0 / h2] * 4 + [a1 / h2] * 4 + [b0 / h1] * 3 + [b1 / h1] * 3))
     g /= w
     g[0] = g[-1] = 0.0
     return g, s35

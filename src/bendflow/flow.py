@@ -72,6 +72,12 @@ bits, so its result is the first one reversed. Other systems are factored
 twice. Pinning the ends leaves the outermost (offset 3) bands exactly
 zero, and a zero band pair is left out of the factorisation.
 
+The factorisation (`_cholesky_solve`) runs LAPACK dpbtrf in lower band
+storage on the upper band values, then dpbtrs in upper storage on the
+factor laid back: the bits of dpbsv, which factors in upper storage, in
+less time. Where the band holds exact zeros the two can differ in the
+sign of a zero (OpenBLAS skips zero updates), never in value.
+
 One stencil pass per trial point: the step builds the tables (u', u'') of
 each trial point once, and every consumer at that point reads them: Phi,
 the KKT arrays, the residual floor of the starting point and, once the
@@ -147,14 +153,14 @@ _BACKTRACK = 0.5  # step-length factor between line-search tries
 _EPS = float(np.finfo(float).eps)
 
 
-def _lapack_pbsv():
-    """LAPACK dpbsv from scipy's compiled LAPACK wrapper, the extension
-    scipy/linalg/_flapack, loaded from its file: the routine that
-    scipy.linalg.get_lapack_funcs(("pbsv",)) returns for float64, without
-    the 0.3 s of imports that scipy.linalg's package brings. The scipy
-    package is located by importlib.util.find_spec, which does not import
-    it, and the extension is registered under its own name, so a later
-    import of scipy.linalg shares it."""
+def _lapack_band_cholesky():
+    """LAPACK dpbtrf and dpbtrs from scipy's compiled LAPACK wrapper, the
+    extension scipy/linalg/_flapack, loaded from its file: the routines
+    that scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs")) returns for
+    float64, without the 0.3 s of imports that scipy.linalg's package
+    brings. The scipy package is located by importlib.util.find_spec,
+    which does not import it, and the extension is registered under its
+    own name, so a later import of scipy.linalg shares it."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -170,10 +176,11 @@ def _lapack_pbsv():
             importlib.util.spec_from_file_location(name, path, loader=loader))
         loader.exec_module(module)
         sys.modules[name] = module
-    return module.dpbsv
+    return module.dpbtrf, module.dpbtrs
 
 
-_PBSV = _lapack_pbsv()  # double precision banded Cholesky solve
+# double precision banded Cholesky factorisation, and solve with the factor
+_PBTRF, _PBTRS = _lapack_band_cholesky()
 
 
 @dataclass(frozen=True)
@@ -287,12 +294,35 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _cholesky_solve(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Banded Cholesky solve (LAPACK pbsv) of the system whose upper band
-    rows are `upper`, outermost first."""
-    _, x, info = _PBSV(upper, b)
+    """Banded Cholesky solve of the system whose upper band rows are
+    `upper`, outermost first: the solution LAPACK dpbsv gives.
+
+    dpbsv factors A = U^T U in upper band storage (dpbtrf) and then solves
+    with U (dpbtrs). Here dpbtrf factors the same values laid out in
+    LAPACK's lower band storage, where row k is upper row kd - k shifted
+    left by k, in a Fortran-ordered array, in place, into L = U^T. Both
+    forms give each entry the same rank-one updates a - x_p x_q, with the
+    same two factors in the same column order, so L has the bits of U; the
+    lower form runs them on unit-stride columns, where the upper form reads
+    rows of stride kd, and factors faster. L is laid back in upper storage
+    for dpbtrs, the routine dpbsv calls. One caveat: OpenBLAS skips an
+    update whose column multiplier is exactly zero, which is x_q in the
+    upper form and x_p in the lower, so where the band holds exact zeros
+    the factor and the solution can differ from dpbsv's in the sign of a
+    zero, never in value. Raises np.linalg.LinAlgError if A is not
+    positive definite.
+    """
+    kd, n = upper.shape[0] - 1, upper.shape[1]
+    lower = np.empty((n, kd + 1)).T
+    for k in range(kd + 1):
+        lower[k, :n - k] = upper[kd - k, k:]
+    factor, info = _PBTRF(lower, lower=1, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
-    return x
+    laid = np.empty((n, kd + 1)).T
+    for k in range(kd + 1):
+        laid[kd - k, k:] = factor[k, :n - k]
+    return _PBTRS(laid, b)[0]
 
 
 def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,18 +334,18 @@ def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     reversal. When the upper band rows of RMR equal those of M bit for bit
     and b is a palindrome, the mirrored solve would repeat the first on the
     same bits, so its result is the first one reversed and only one
-    factorisation is done. An all-zero outermost band pair (what pinning
-    the ends leaves) is left out of the factorisation. Raises
-    np.linalg.LinAlgError if M is not positive definite and ValueError if
-    the system is not finite.
+    factorisation is done (b, the shorter, is compared first). An all-zero
+    outermost band pair (what pinning the ends leaves) is left out of the
+    factorisation. Raises np.linalg.LinAlgError if M is not positive
+    definite and ValueError if the system is not finite.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+    lo = 0 if ab[0].any() or ab[-1].any() else 1  # a NaN counts as nonzero
+    if not (np.isfinite(ab[lo:2 * _BW + 1 - lo]).all() and np.isfinite(b).all()):
         raise ValueError("banded system must not contain infs or NaNs")
-    lo = 0 if ab[0].any() or ab[-1].any() else 1
     upper = ab[lo:_BW + 1]
     mirrored = _mirror_bands(ab)[lo:_BW + 1]
     d = _cholesky_solve(upper, b)
-    if _same_bits(upper, mirrored) and _same_bits(b, b[::-1]):
+    if _same_bits(b, b[::-1]) and _same_bits(upper, mirrored):
         return 0.5 * (d + d[::-1])
     return 0.5 * (d + _cholesky_solve(mirrored, b[::-1])[::-1])
 
@@ -347,8 +377,8 @@ def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> flo
     term the first-order coupling, and 1/tau the proximal part. `upp` is
     u'' of v from `_derivative_tables`.
     """
-    row_bound = 32.0 / h**4 + 20.0 * float(np.max(upp**2)) / h**2 + 1.0 / tau
-    amp = max(float(np.max(np.abs(v))), h * h)
+    row_bound = 32.0 / h**4 + 20.0 * float((upp**2).max()) / h**2 + 1.0 / tau
+    amp = max(float(np.abs(v).max()), h * h)
     return _EPS * row_bound * amp
 
 
@@ -374,8 +404,8 @@ def _phi_change(vt: np.ndarray, v: np.ndarray, tables, s25, f: np.ndarray,
     ds = dp * (2.0 * up + dp)
     dq = (dpp * (2.0 * upp + dpp) * (s + ds) ** -2.5
           + upp**2 * s25 * np.expm1(-2.5 * np.log1p(ds / s)))
-    return (float(np.sum(w * dq))
-            + 0.5 / tau * float(np.sum(w * dv * ((vt - f) + (v - f)))))
+    return (float((w * dq).sum())
+            + 0.5 / tau * float((w * dv * ((vt - f) + (v - f))).sum()))
 
 
 @dataclass(frozen=True)
@@ -424,6 +454,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     n = len(f) - 1
     tau = cfg.tau
     w = _trapezoid_weights(n, h)
+    w_tau = w / tau  # the proximal term's share of each Newton system
 
     def phi(u, e):
         return e + 0.5 / tau * float((w * (u - f) ** 2).sum())
@@ -509,7 +540,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         nit += 1
 
         ab = _energy_hessian_bands(*tv, *sv, h)
-        ab[_BW, :] += w / tau
+        ab[_BW, :] += w_tau
         gap = v - psi
         act = (gap <= min(1e-9, pimax)) & (r > 0)
         act[0] = act[-1] = True  # the pinned ends sit on their bound
@@ -540,15 +571,16 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         if nit == 1:
             pv = phi(v, ev)  # Phi at the start, read only by the search
         # A step whose full length predicts a change of Phi within Phi's
-        # rounding (the no-rise slack, or the noise u'' carries into E_h)
-        # is quiet: Phi cannot tell its points apart, so a quiet step
-        # already within tolerance ends here, certified.
+        # rounding (the no-rise slack, or the noise u'' carries into E_h,
+        # formed only if the slack does not class the step already) is
+        # quiet: Phi cannot tell its points apart, so a quiet step already
+        # within tolerance ends here, certified.
         slack = 1e-13 * max(1.0, abs(pv))
-        noise = (4.0 * _EPS * float(np.abs(v).max()) / (h * h) * float(
-            (_trapezoid_weights(n, h, 2.0) * np.abs(tv[1]) * sv[0]).sum()))
         v1 = arc(1.0)
         dec1 = float((wr * (v1 - v)).sum())
-        quiet = abs(dec1) <= max(slack, noise)
+        quiet = abs(dec1) <= slack or abs(dec1) <= (
+            4.0 * _EPS * float(np.abs(v).max()) / (h * h) * float(
+                (_trapezoid_weights(n, h, 2.0) * np.abs(tv[1]) * sv[0]).sum()))
         if quiet and pimax <= tol:
             break
         step = search(quiet, v1, dec1)
@@ -690,7 +722,7 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     iterates = [u0]
     energies = [e0]
     step_norms = []
-    counts = [int(np.sum((u0.values - psi) <= ctol))]
+    counts = [int(np.count_nonzero(u0.values - psi <= ctol))]
     sym = [symmetry_residual(u0)]
     reports = []
     w = trapezoid_weights(grid)
@@ -723,8 +755,8 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             break
         iterates.append(un)
         energies.append(e)
-        step_norms.append(float(np.sqrt(np.sum(w * (un.values - u.values) ** 2))))
-        counts.append(int(np.sum((un.values - psi) <= ctol)))
+        step_norms.append(math.sqrt(float((w * (un.values - u.values) ** 2).sum())))
+        counts.append(int(np.count_nonzero(un.values - psi <= ctol)))
         sym.append(symmetry_residual(un))
         reports.append(report)
         u = un
@@ -813,4 +845,4 @@ def touch_window(e0: float, inf_energy: float) -> float:
 def symmetry_residual(u: GridFunction) -> float:
     """max_i |u_i - u_{n-i}|; zero iff the nodal data is reversal-symmetric."""
     v = u.values
-    return float(np.max(np.abs(v - v[::-1])))
+    return float(np.abs(v - v[::-1]).max())

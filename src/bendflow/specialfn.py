@@ -59,8 +59,33 @@ def c0() -> float:
 
 _HALF_C0 = c0() / 2.0
 
+# The positive nodes, ascending, and their weights of the 12- and 16-point
+# Gauss-Legendre rules on [-1, 1], as numpy.polynomial.legendre.leggauss
+# gives them (a test compares the two bit for bit). Written out, they spare
+# every process the import of numpy.polynomial.
+_GL_HALVES = {
+    12: ([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+          0.7699026741943047, 0.9041172563704748, 0.9815606342467192],
+         [0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+          0.16007832854334642, 0.10693932599531907, 0.04717533638651141]),
+    16: ([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+          0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+          0.9445750230732326, 0.9894009349916499],
+         [0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+          0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+          0.062253523938647456, 0.027152459411754176]),
+}
+
+
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1],
+    m = 12 or 16: the rule is symmetric, so each half mirrors the other."""
+    x, w = map(np.array, _GL_HALVES[m])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
 # the 16-point Gauss-Legendre rule on [0, 1] both branches of G sum with
-_GL_U, _GL_W = np.polynomial.legendre.leggauss(16)
+_GL_U, _GL_W = _gauss_legendre(16)
 _GL_U, _GL_W = 0.5 * _GL_U + 0.5, 0.5 * _GL_W
 _GL_U2, _GL_U4 = _GL_U**2, _GL_U**4
 _GL_2WU2 = 2.0 * _GL_W * _GL_U2

@@ -508,12 +508,12 @@ def test_one_factorisation_per_symmetric_newton_system(monkeypatch):
     import bendflow.flow as flow_mod
 
     calls = []
-    pbsv = flow_mod._PBSV
+    pbtrf = flow_mod._PBTRF
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape[0] - 1)  # bandwidth factored
-        return pbsv(*args, **kwargs)
-    monkeypatch.setattr(flow_mod, "_PBSV", counted)
+        return pbtrf(*args, **kwargs)
+    monkeypatch.setattr(flow_mod, "_PBTRF", counted)
 
     grid = UniformGrid(200)
     sym = (u_c_profile(0.5, grid), cone_obstacle(0.02, grid))
@@ -572,20 +572,37 @@ def test_solve_bit_identical_to_reference_on_random_data(n, seed, log_tau, heigh
                                           FlowConfig(tau=tau, t_end=10 * tau))
 
 
-def _random_band_system(n: int, seed: int):
-    """Upper band storage (outermost of 3 superdiagonals first) of a random
-    symmetric, strictly diagonally dominant, so positive definite, matrix
-    of order n, and a right-hand side."""
+def _spd_band_system(kd, n, seed, zero_frac, pinned_frac):
+    """Upper band rows (outermost of kd first) of a random symmetric,
+    strictly diagonally dominant matrix of order n whose pinned rows and
+    columns are the identity and whose band holds exact zeros of both
+    signs, and a right-hand side that holds them too."""
     rng = np.random.default_rng(seed)
-    ab = np.zeros((4, n))
-    for k in (1, 2, 3):
-        ab[3 - k, k:] = rng.uniform(-1.0, 1.0, n - k)
+
+    def signed_zeros(x):
+        hit = rng.random(x.size) < zero_frac
+        x[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+        return x
+
+    pinned = rng.random(n) < pinned_frac
+    upper = np.zeros((kd + 1, n))
+    for k in range(1, kd + 1):
+        band = signed_zeros(rng.uniform(-1.0, 1.0, n - k))
+        band[pinned[:-k] | pinned[k:]] = 0.0
+        upper[kd - k, k:] = band
     off = np.zeros(n)
-    for k in (1, 2, 3):
-        off[k:] += np.abs(ab[3 - k, k:])
-        off[:-k] += np.abs(ab[3 - k, k:])
-    ab[3] = off + 10.0 ** rng.uniform(-3.0, 0.0, n)
-    return ab, rng.normal(size=n)
+    for k in range(1, kd + 1):
+        off[k:] += np.abs(upper[kd - k, k:])
+        off[:-k] += np.abs(upper[kd - k, k:])
+    upper[kd] = np.where(pinned, 1.0, off + 10.0 ** rng.uniform(-3.0, 0.0, n))
+    return upper, signed_zeros(rng.normal(size=n))
+
+
+def _reference_pbsv():
+    """LAPACK dpbsv as scipy.linalg hands it out for float64."""
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -593,40 +610,96 @@ def _random_band_system(n: int, seed: int):
 @example(n=17, seed=0)
 @example(n=3201, seed=1)
 def test_loaded_pbsv_gives_the_bits_of_scipys_pbsv(n, seed):
-    """flow._PBSV, loaded from scipy's compiled LAPACK wrapper by its file,
-    gives the x and info of scipy.linalg.get_lapack_funcs(("pbsv",)) bit
-    for bit, and _cholesky_solve returns that x. scipy.linalg, imported
-    after flow, shares the extension flow registered."""
+    """flow's dpbtrf and dpbtrs, loaded from scipy's compiled LAPACK wrapper
+    by its file, are the routines scipy.linalg, imported after flow, finds
+    in the extension flow registered; and _cholesky_solve, which factors in
+    lower band storage, gives the x of scipy's dpbsv bit for bit."""
     import sys
-
-    from scipy.linalg import get_lapack_funcs
 
     import bendflow.flow as flow_mod
 
-    reference, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))
-    assert sys.modules["scipy.linalg._flapack"].dpbsv is flow_mod._PBSV
-    ab, b = _random_band_system(n, seed)
-    _, x, info = flow_mod._PBSV(ab, b)
-    _, want, want_info = reference(ab, b)
-    assert info == want_info == 0
-    assert x.tobytes() == want.tobytes()
+    module = sys.modules["scipy.linalg._flapack"]
+    assert (module.dpbtrf, module.dpbtrs) == (flow_mod._PBTRF, flow_mod._PBTRS)
+    ab, b = _spd_band_system(3, n, seed, 0.0, 0.0)
+    _, want, info = _reference_pbsv()(ab, b)
+    assert info == 0
     assert flow_mod._cholesky_solve(ab, b).tobytes() == want.tobytes()
 
 
 def test_loaded_pbsv_reports_an_indefinite_system():
-    """A negative pivot gives scipy's info > 0, which _cholesky_solve
-    raises as LinAlgError."""
-    from scipy.linalg import get_lapack_funcs
-
+    """A negative pivot gives scipy's dpbsv info > 0, and _cholesky_solve
+    raises LinAlgError naming the same leading minor."""
     import bendflow.flow as flow_mod
 
-    reference, = get_lapack_funcs(("pbsv",), (np.zeros((1, 1)),))
-    ab, b = _random_band_system(40, 3)
+    ab, b = _spd_band_system(3, 40, 3, 0.0, 0.0)
     ab[3, 17] = -1.0
-    info = flow_mod._PBSV(ab, b)[2]
-    assert info == reference(ab, b)[2] > 0
-    with pytest.raises(np.linalg.LinAlgError, match="leading minor"):
+    info = _reference_pbsv()(ab, b)[2]
+    assert info > 0
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{info}th leading minor"):
         flow_mod._cholesky_solve(ab, b)
+
+
+def _newton_systems(run):
+    """Every system a short run hands _cholesky_solve: ("ladder", c, n) is
+    u_c(c) on the 0.02 cone for 20 steps at each ladder tau, ("draw", seed,
+    symmetric) the recipe draw for ten steps."""
+    import bendflow.flow as flow_mod
+
+    if run[0] == "ladder":
+        grid = UniformGrid(run[2])
+        cases = [(u_c_profile(run[1], grid), cone_obstacle(0.02, grid), tau)
+                 for tau in regen.LADDER_TAUS]
+        steps = 20
+    else:
+        u0, obstacle, tau = regen.random_draw(run[1], run[2])
+        cases, steps = [(GridFunction(obstacle.grid, u0), obstacle, tau)], 10
+    seen = []
+
+    def recorded(upper, b):
+        seen.append((upper.copy(), b.copy()))
+        return solve(upper, b)
+    solve = flow_mod._cholesky_solve
+    with mock.patch.object(flow_mod, "_cholesky_solve", recorded):
+        for u0, obstacle, tau in cases:
+            try:
+                run_flow(u0, obstacle, FlowConfig(tau=tau, t_end=steps * tau))
+            except StepConvergenceError:
+                pass  # the systems it solved still count
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.tuples(st.sampled_from([2, 3]), st.integers(4, 200),
+                        st.integers(0, 2**32 - 1), st.floats(0.0, 0.5),
+                        st.floats(0.0, 0.5)))
+@example(system=("ladder", 0.5, 200))
+@example(system=("draw", 0, False))
+@example(system=("draw", 1, True))
+@example(system=("draw", 22, False))
+def test_cholesky_solve_matches_pbsv(system):
+    """_cholesky_solve gives dpbsv's solution: in value on random SPD band
+    systems with kd = 2, 3, pinned identity rows and exact zeros of both
+    signs (OpenBLAS skips zero updates, so a zero's sign may differ), and
+    bit for bit on every Newton system of the examples' runs, factorable
+    or not."""
+    import bendflow.flow as flow_mod
+
+    pbsv = _reference_pbsv()
+    if isinstance(system[0], str):
+        seen = _newton_systems(system)
+        assert seen
+        for upper, b in seen:
+            _, want, info = pbsv(upper, b)
+            if info > 0:
+                with pytest.raises(np.linalg.LinAlgError):
+                    flow_mod._cholesky_solve(upper, b)
+            else:
+                assert flow_mod._cholesky_solve(upper, b).tobytes() == want.tobytes()
+        return
+    upper, b = _spd_band_system(*system)
+    _, want, info = pbsv(upper, b)
+    assert info == 0
+    assert np.array_equal(flow_mod._cholesky_solve(upper, b), want)
 
 
 def test_steps_at_rest_do_no_kernel_work(cone_run, monkeypatch):

@@ -193,6 +193,40 @@ def test_g_and_g_inv_check_every_element():
             g_inv(np.insert(ok, 4, y))
 
 
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    """The written-out 12- and 16-point rules are numpy's leggauss, bit for
+    bit, and G and critical_profile sum with them; importing any bendflow
+    module loads no numpy.polynomial (checked in a fresh interpreter, since
+    this one has it)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bendflow
+    from bendflow import critical, specialfn
+
+    def bits(*arrays):
+        return [x.tobytes() for x in arrays]
+
+    for m in (12, 16):
+        want = np.polynomial.legendre.leggauss(m)
+        assert bits(*specialfn._gauss_legendre(m)) == bits(*want)
+    u, w = np.polynomial.legendre.leggauss(16)
+    assert bits(specialfn._GL_U, specialfn._GL_W) == bits(0.5 * u + 0.5, 0.5 * w)
+    assert (bits(critical._GL_NODES, critical._GL_WEIGHTS)
+            == bits(*np.polynomial.legendre.leggauss(12)))
+    src = Path(bendflow.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = ("import sys, bendflow.cli, bendflow.critical, bendflow.rearrange, "
+             "bendflow.validate; print('numpy.polynomial' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def test_c0_value_and_saturation():
     assert abs(c0() - C0_REF) < 1e-10
     assert abs(c0() ** 2 / 4 - 1.4355400220922600) < 1e-9
