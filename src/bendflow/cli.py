@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error,
-3 numerical nonconvergence; a sweep runs every case and exits with the
-code of its first failed case, and exits 2 before any case runs if a case
-name is not one path component inside --out (`config.is_path_component`).
+Exit codes: 0 success, 1 check failure (a failed validation, or a
+critical point its own residuals reject), 2 usage or configuration error,
+3 numerical nonconvergence (also a step whose Newton system is not finite,
+as from a finite datum so large that its gradient overflows); a sweep runs
+every case and exits with the code of its first failed case, and exits 2
+before any case runs if a case name is not one path component inside
+--out (`config.is_path_component`).
 A missing or unreadable input file (a config, a profile table, a
 checkpoint) exits 2 with a message naming it.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -180,8 +184,22 @@ def _cmd_critical(args) -> int:
                       "concavity_min": cp.report.concavity_min},
         "n": args.n,
     })
-    print(f"A = {cp.A:.15g}, energy = {cp.energy:.15g}, "
-          f"u(1/2) = {cp.profile.values[grid.midpoint_index]:.15g}")
+    mid = cp.profile.values[grid.midpoint_index]
+    print(f"A = {cp.A:.15g}, energy = {cp.energy:.15g}, u(1/2) = {mid:.15g}")
+    # three of the tests of validate's critical_point check
+    failures = []
+    if not cp.report.passes_vi:
+        failures.append(f"vi_residual {cp.report.vi_residual:.15g} is below "
+                        f"-{crit.VI_TOL:g} * scale {cp.report.scale:.15g}")
+    if not cp.report.concavity_min > 0.0:
+        failures.append(f"concavity_min {cp.report.concavity_min:.15g} "
+                        f"is not positive")
+    if not abs(mid - cp.obstacle.height) <= 1e-9:
+        failures.append(f"u(1/2) = {mid:.15g} is off the cone tip "
+                        f"{cp.obstacle.height:.15g}")
+    if failures:
+        print("check failed: " + "; ".join(failures), file=sys.stderr)
+        return 1
     return 0
 
 
@@ -272,9 +290,11 @@ def _cmd_sweep(args) -> int:
         parse_config(merged)  # fail fast on config errors, before spawning
         jobs.append((name, merged, args.out))
     # a failed case does not stop the others; the exit code is that of the
-    # first failed case, in case order
+    # first failed case, in case order. The pool starts all its workers on
+    # the first case it is handed, so it is sized to the cases.
     code = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs or os.cpu_count() or 1, len(jobs))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for name, e, failure in pool.map(_run_case, jobs):
             if failure is None:
                 print(f"{name}: final energy {e:.15g}")

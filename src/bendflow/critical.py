@@ -30,13 +30,11 @@ from .discretization import (
     GridFunction,
     Obstacle,
     UniformGrid,
-    _derivative_tables,
-    _energy_gradient_raw,
     _first_variation_raw,
     cone_obstacle,
 )
 from .errors import ConvergenceError, DomainError, GridMismatchError
-from .flow import _vi_split
+from .flow import _evaluate, _vi_split
 from .specialfn import _gauss_legendre, h_inv, h_of_A, quad
 
 _QUAD_TOL = 1e-14
@@ -203,8 +201,7 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     profile = GridFunction(grid, polished)
 
     # symmetric to the bit: the report's min of -u'' is the one over (0, 1/2]
-    report = _criticality_report(profile, obstacle.samples.values,
-                                 evaluation.tables, evaluation.grad)
+    report = _criticality_report(profile, obstacle.samples.values, evaluation)
     return CriticalPoint(
         A=a, profile=profile, slope_profile=slope, energy=evaluation.energy,
         ode_residual=ode, report=report, obstacle=obstacle,
@@ -243,14 +240,13 @@ def check_critical(u: GridFunction, obstacle: Obstacle) -> CriticalityReport:
     psi = obstacle.samples.values
     if np.any(u.values < psi - 1e-12):
         raise DomainError("candidate is not admissible (below the obstacle)")
-    up, upp = tables = _derivative_tables(u.values, u.grid.h)
-    ge, _ = _energy_gradient_raw(up, upp, (1.0 + up**2) ** -2.5, u.grid.h)
-    return _criticality_report(u, psi, tables, ge)
+    return _criticality_report(u, psi, _evaluate(u.values, u.grid.h))
 
 
-def _criticality_report(u: GridFunction, psi, tables, ge) -> CriticalityReport:
+def _criticality_report(u: GridFunction, psi, ev) -> CriticalityReport:
     """check_critical's report of the admissible u over the obstacle
-    samples psi, from the tables (u', u'') of u and its gradient ge."""
+    samples psi, from the evaluation `ev` of u (`flow._evaluate`)."""
+    tables, ge = ev.tables, ev.grad
     scale = 1.0 + float(np.max(np.abs(ge)))
     # gap classification lives in solution units, not gradient units
     act_tol = 10.0 * VI_TOL * max(1.0, float(np.max(np.abs(u.values))))

@@ -5,10 +5,11 @@ One step from f solves
     minimize  Phi(u) = E_h(u) + ||u - f||_{L2}^2 / (2 tau)
     over      u >= psi nodewise,  u(0) = u(1) = 0,
 
-and certifies the discrete variational inequality through a KKT report:
-stationarity on inactive nodes, nonnegative multiplier on active nodes.
-Iterating the step yields a trajectory whose energies are nonincreasing and
-which satisfies, step by step,
+by projected Newton (`_mm_step_raw`), and certifies the discrete
+variational inequality through a KKT report: stationarity on inactive
+nodes, nonnegative multiplier on active nodes. Iterating the step yields a
+trajectory whose energies are nonincreasing and which satisfies, step by
+step,
 
     ||u_{k+1} - u_k||^2 / (2 tau)  <=  E_h(u_k) - E_h(u_{k+1}),
 
@@ -18,103 +19,16 @@ the line search's no-rise slack 1e-13 * max(1, E_h(u_k)) (see `mm_step`).
 Every entry point (`mm_step`, `run_flow`) checks admissibility of its
 datum through one helper, `_check_admissible`: same grid as the obstacle
 (else GridMismatchError), above it nodewise and zero at both ends (else
-DomainError). The proximal solve itself, `_mm_step_raw`, certifies its
-exit: a residual still above inner_tol * scale raises StepConvergenceError
-carrying the last iterate, whoever the caller is.
+DomainError). A step that does not certify its result raises
+StepConvergenceError carrying its last iterate.
 
-Inner solver: projected Newton on the box constraint, with the two pinned
-ends treated as two more active bounds. The search direction solves the
-exact banded Hessian of Phi on all n+1 nodes (with Levenberg damping if it
-is not positive definite) in which every active row, the two ends always
-among them, is replaced by the identity with the gap on the right-hand
-side, so the ends take a step of exactly 0. A step ends, certified, once
-max|pi| falls to a quarter of inner_tol * scale, or, before any Newton
-system is built, if its start is already within inner_tol * scale.
-
-Line search. Each Newton direction is first classed by the decrease of
-Phi its full step predicts, dec(1) = sum w r (v1 - v). Where differences
-of Phi are rounding noise, |dec(1)| <= max(slack, noise), the step is
-quiet, else loud. The slack is the no-rise slack 1e-13 * max(1, |Phi|);
-
-    noise = 4 eps max|v| / h^2 * sum w 2 |u''| (1 + u'^2)^(-5/2)
-
-is the first-order rounding of E_h through u'', from the tables of v:
-forming u'' costs about 4 eps max|v| / h^2, and the density
-u''^2 (1 + u'^2)^(-5/2) moves by 2 |u''| (1 + u'^2)^(-5/2) per unit of
-u''. On u_c with c = 0.48 it is 20 times the slack at N = 200 and 1,300
-times at N = 1600. The noise only classes steps: the kept-point test
-below and mm_step's guarantee keep the slack. A quiet step whose residual is within
-inner_tol * scale ends there, certified. Otherwise the search walks the
-projected arc once (alpha = 1, 1/2, 1/4, ..., 40 tries) and evaluates each
-point at most once. A loud walk takes the first point with Armijo decrease
-of Phi (constant 1e-4). A quiet walk stops comparing rounded values of
-Phi, as Hager and Zhang's approximate Wolfe conditions do (SIAM J. Optim.
-16, 2005): it takes the first point whose exact change of Phi, formed from
-the stencil tables of the step without subtracting two values of Phi
-(`_phi_change`), is not positive and whose residual is at most half of
-the iterate's. Failing that, either walk takes its first Armijo point,
-else the first point whose Phi does not rise beyond the slack and whose
-residual is at most 0.9 of the iterate's. Gradient and KKT arrays are
-built only for points a residual test may read. The walk ends at the
-first point equal to the iterate: rounding of the arc is monotone in
-alpha, so every later point equals it too, and no test can take it.
-
-Reversal: every linear solve is mirror-averaged and every stencil is
-palindromic, so reversal-symmetric data stays symmetric to the bit, and
-so does each Newton system built from it. On other data the step commutes
-with reversal only up to roundoff: the whole-array sums in Phi and its
-exact change, in the predicted and Armijo decreases and in the descent
-test are not taken in palindromic order, so a decision near its threshold
-can go differently for f and its reversal. A Newton system whose upper
-band rows equal those of its mirror bit for bit, with a palindromic
-right-hand side, is factored once: the mirrored solve would see the same
-bits, so its result is the first one reversed. Other systems are factored
-twice. Pinning the ends leaves the outermost (offset 3) bands exactly
-zero, and a zero band pair is left out of the factorisation.
-
-The factorisation (`_cholesky_solve`) runs LAPACK dpbtrf in lower band
-storage on the upper band values, then dpbtrs in upper storage on the
-factor laid back: the bits of dpbsv, which factors in upper storage, in
-less time. Where the band holds exact zeros the two can differ in the
-sign of a zero (OpenBLAS skips zero updates), never in value.
-
-One stencil pass per trial point: the step builds the tables (u', u'') of
-each trial point once, and every consumer at that point reads them: Phi,
-the KKT arrays, the residual floor of the starting point and, once the
-point is accepted, the next Hessian. An exact change of Phi builds the
-tables of its step dv = vt - v, once. Within a step `_derivative_tables`
-therefore runs exactly as often as `_energy_raw` and `_phi_change`
-together. The powers of s = 1 + u'^2 follow the tables: `_energy_raw`
-forms s^(-5/2) once per trial point and `_energy_gradient_raw` s^(-7/2)
-once per point whose gradient is built, each returned with its value. The
-gradient, the next Hessian (which forms only s^(-9/2)), the quiet test's
-noise and the exact change of Phi read those arrays, and an accepted
-point carries them to the next step in its evaluation. Each power is the
-expression any of its readers would form, so sharing it moves no bit. The
-Newton system is dropped once its direction is solved for, so the line
-search runs without it.
-
-One evaluation per accepted iterate: `_mm_step_raw` returns the point it
-accepts with its KKT report and its evaluation (tables, E_h, grad E_h and
-the powers: none depends on tau), all from the pass that certified it.
-`run_flow` hands the evaluation to the next step, which starts from that
-point, forms its residual floor from it and takes the recorded energy
-from it.
-Phi at the starting point is formed only once a Newton iteration starts,
-since only the line search reads it. A step at rest, which accepts its
-starting point after no Newton iteration, therefore builds no tables and
-evaluates none of E_h, its gradient and Phi. It is still certified: its
-KKT arrays and report are built from its own arrays, as for any step.
-
-Rest: a step at rest whose result has the bits of its input returns the
-input object itself. Within `run_flow` the obstacle and the config are
-fixed and the step is a pure function of them and its input, so every
-later step would return that input too. So `run_flow` calls `mm_step` no
-more, and one block records the run from its first step at rest on, in
-one go: for that step and each later one (up to where the stall streak
-would stop the run) that iterate and that step's report, with step norm 0
-and its input's energy, contact count and symmetry residual. Once the
-flow is at rest, a step costs no solver work and no per-step bookkeeping.
+Reversal: every linear solve is mirror-averaged (`_solve_banded_mirror`)
+and every stencil is palindromic, so reversal-symmetric data stays
+symmetric to the bit, and so does each Newton system built from it. On
+other data the step commutes with reversal only up to roundoff: the
+whole-array sums in Phi and its exact change, in the predicted and Armijo
+decreases and in the descent test are not taken in palindromic order, so
+a decision near its threshold can go differently for f and its reversal.
 """
 
 from __future__ import annotations
@@ -146,7 +60,7 @@ from .discretization import (
 from .errors import DomainError, GridMismatchError, StepConvergenceError
 from .specialfn import c0, g, g_inv
 
-_BW = _HESS_BW
+_BW = _HESS_BW - 1  # half-width of the pinned Newton system (`_mm_step_raw`)
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 _QUIET_DROP = 0.5  # residual factor a quiet walk asks for (0.9 lets it stall)
 _BACKTRACK = 0.5  # step-length factor between line-search tries
@@ -334,16 +248,14 @@ def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     reversal. When the upper band rows of RMR equal those of M bit for bit
     and b is a palindrome, the mirrored solve would repeat the first on the
     same bits, so its result is the first one reversed and only one
-    factorisation is done (b, the shorter, is compared first). An all-zero
-    outermost band pair (what pinning the ends leaves) is left out of the
-    factorisation. Raises np.linalg.LinAlgError if M is not positive
-    definite and ValueError if the system is not finite.
+    factorisation is done (b, the shorter, is compared first). Raises
+    np.linalg.LinAlgError if M is not positive definite or the system is
+    not finite.
     """
-    lo = 0 if ab[0].any() or ab[-1].any() else 1  # a NaN counts as nonzero
-    if not (np.isfinite(ab[lo:2 * _BW + 1 - lo]).all() and np.isfinite(b).all()):
-        raise ValueError("banded system must not contain infs or NaNs")
-    upper = ab[lo:_BW + 1]
-    mirrored = _mirror_bands(ab)[lo:_BW + 1]
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise np.linalg.LinAlgError("banded system must not contain infs or NaNs")
+    upper = ab[:_BW + 1]
+    mirrored = _mirror_bands(ab)[:_BW + 1]
     d = _cholesky_solve(upper, b)
     if _same_bits(b, b[::-1]) and _same_bits(upper, mirrored):
         return 0.5 * (d + d[::-1])
@@ -382,14 +294,44 @@ def _residual_floor(v: np.ndarray, upp: np.ndarray, h: float, tau: float) -> flo
     return _EPS * row_bound * amp
 
 
-def _phi_change(vt: np.ndarray, v: np.ndarray, tables, s25, f: np.ndarray,
+@dataclass(frozen=True)
+class _Eval:
+    """One evaluation of an iterate: its stencil tables (u', u''), E_h,
+    grad E_h and the powers (s^(-5/2), s^(-7/2)) of s = 1 + u'^2 that the
+    energy and the gradient formed. None depends on tau."""
+
+    tables: tuple[np.ndarray, np.ndarray]
+    energy: float
+    grad: np.ndarray
+    powers: tuple[np.ndarray, np.ndarray]
+
+
+def _evaluate(u: np.ndarray, h: float) -> _Eval:
+    """The evaluation of the nodal values u: one stencil pass, E_h and
+    s^(-5/2) from its tables, then grad E_h and s^(-7/2) from those.
+
+    Every reader at a point shares its one pass and its powers: Phi, the
+    KKT arrays, the residual floor, the quiet test's noise, the exact
+    change of Phi and, once the point is accepted, the next Hessian (which
+    forms only s^(-9/2)). Each power is the expression any of its readers
+    would form, so sharing it moves no bit. The line search evaluates its
+    trial points in this order, and forms the gradient only where a
+    residual test reads it."""
+    tables = _derivative_tables(u, h)
+    e, s25 = _energy_raw(*tables, h)
+    g, s35 = _energy_gradient_raw(*tables, s25, h)
+    return _Eval(tables, e, g, (s25, s35))
+
+
+def _phi_change(vt: np.ndarray, v: np.ndarray, ev: _Eval, f: np.ndarray,
                 h: float, tau: float) -> float:
     """Phi(vt) - Phi(v), free of the cancellation of subtracting two
-    evaluations of Phi, from the stencil tables of dv = vt - v.
+    evaluations of Phi, from the evaluation `ev` of v and the stencil
+    tables of dv = vt - v, built here once.
 
-    With (u', u'') = `tables` of v, s = 1 + u'^2, s25 = s^(-5/2) as
-    `_energy_raw` returned it at v, and (du', du'') the tables of dv, the
-    energy density q = u''^2 s^(-5/2) changes by
+    With (u', u'') the tables of v, s = 1 + u'^2, s^(-5/2) as the energy
+    formed it at v, and (du', du'') the tables of dv, the energy density
+    q = u''^2 s^(-5/2) changes by
 
         du''(2u'' + du'') s_t^(-5/2) + q expm1(-5/2 log1p(ds/s)),
 
@@ -399,25 +341,13 @@ def _phi_change(vt: np.ndarray, v: np.ndarray, tables, s25, f: np.ndarray,
     w = _trapezoid_weights(len(v) - 1, h)
     dv = vt - v
     dp, dpp = _derivative_tables(dv, h)
-    up, upp = tables
+    up, upp = ev.tables
     s = 1.0 + up**2
     ds = dp * (2.0 * up + dp)
     dq = (dpp * (2.0 * upp + dpp) * (s + ds) ** -2.5
-          + upp**2 * s25 * np.expm1(-2.5 * np.log1p(ds / s)))
+          + upp**2 * ev.powers[0] * np.expm1(-2.5 * np.log1p(ds / s)))
     return (float((w * dq).sum())
             + 0.5 / tau * float((w * dv * ((vt - f) + (v - f))).sum()))
-
-
-@dataclass(frozen=True)
-class _Eval:
-    """One evaluation of an iterate: its stencil tables (u', u''), E_h,
-    grad E_h and the powers (s^(-5/2), s^(-7/2)) of s = 1 + u'^2 that the
-    energy and the gradient formed."""
-
-    tables: tuple[np.ndarray, np.ndarray]
-    energy: float
-    grad: np.ndarray
-    powers: tuple[np.ndarray, np.ndarray]
 
 
 def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
@@ -440,13 +370,35 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     constraints); else f is evaluated here. The residual floor, which
     depends on tau, is formed here either way.
 
-    Drives the natural-map residual pi = v - Pi_box(v - r) below a quarter
-    of inner_tol * scale, the headroom being for the certificate. Two stops
-    end the step at inner_tol * scale itself: a start already within it
-    builds no Newton system, and a quiet Newton step (one whose predicted
-    decrease of Phi is within Phi's rounding, see the module
-    docstring) ends once within it. A residual above inner_tol * scale at
-    exit raises StepConvergenceError with the last iterate as `partial`, so
+    Projected Newton on the box constraint, with the two pinned ends as two
+    more active bounds. The direction solves the exact Hessian of Phi on
+    all n+1 nodes, Levenberg-damped until the solve gives descent, with
+    every active row, the ends among them, replaced by the identity and
+    the gap on the right-hand side, so the ends take a step of exactly 0.
+    Only the ends' one-sided stencils fill the Hessian's offset-3 bands,
+    and pinning the ends clears them: the system is pentadiagonal, and the
+    step keeps only the Hessian's five inner bands. It is dropped once its
+    direction is solved for.
+
+    The step drives the natural-map residual pi = v - Pi_box(v - r) below
+    a quarter of inner_tol * scale, the headroom being for the
+    certificate. Two stops end it at inner_tol * scale itself: a start
+    already within it builds no Newton system, and a quiet direction ends
+    the step once within it. A direction is quiet when the decrease of Phi
+    its full step predicts, dec(1) = sum w r (v1 - v), is within Phi's
+    rounding: the no-rise slack 1e-13 * max(1, |Phi|), or else the noise
+
+        4 eps max|v| / h^2 * sum w 2 |u''| (1 + u'^2)^(-5/2),
+
+    the first-order rounding of E_h through u'' (forming u'' costs about
+    4 eps max|v| / h^2, and the density u''^2 (1 + u'^2)^(-5/2) moves by
+    2 |u''| (1 + u'^2)^(-5/2) per unit of u''). The noise only classes
+    directions; the search's tests and mm_step's guarantee keep the slack.
+    Phi at the start is formed once a Newton iteration starts, since only
+    the search reads it.
+
+    A residual at exit that is not within inner_tol * scale (a NaN is not)
+    raises StepConvergenceError with the last iterate as `partial`, so
     every caller (mm_step, the polish of `critical_profile`) gets either a
     converged point or a typed error. A certified exit returns v's report
     from v's own KKT arrays and the evaluation the search accepted v with.
@@ -459,23 +411,11 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     def phi(u, e):
         return e + 0.5 / tau * float((w * (u - f) ** 2).sum())
 
-    def trial(u):
-        """Stencil tables of u, s^(-5/2) and E_h(u) from them, and Phi(u)."""
-        tables = _derivative_tables(u, h)
-        e, s25 = _energy_raw(*tables, h)
-        return tables, s25, e, phi(u, e)
-
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
-    if start is None:
-        tv = _derivative_tables(v, h)
-        ev, s25 = _energy_raw(*tv, h)
-        gv, s35 = _energy_gradient_raw(*tv, s25, h)
-        sv = s25, s35
-    else:
-        tv, ev, gv, sv = start.tables, start.energy, start.grad, start.powers
-    fot = _residual_floor(v, tv[1], h, tau) / cfg.inner_tol
-    r, pi, scale = _kkt_arrays(v, gv, f, psi, tau, fot)
+    ev = _evaluate(v, h) if start is None else start
+    fot = _residual_floor(v, ev.tables[1], h, tau) / cfg.inner_tol
+    r, pi, scale = _kkt_arrays(v, ev.grad, f, psi, tau, fot)
 
     def arc(alpha):
         """The point max(psi, v + alpha d) of the projected arc, pinned."""
@@ -485,22 +425,26 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 
     def search(quiet, vt, dec):
         """Walk the projected arc, alpha = 1, b, b^2, ... (40 tries),
-        evaluating each point once, and return (point, tables, E_h,
-        min(Phi, pv), grad E_h, powers, KKT arrays) of
+        evaluating each point once, and return the step's next state
+        (point, its evaluation, min(Phi, pv), its KKT arrays) at
         - on a quiet step, the first point whose exact Phi change
           (`_phi_change`) is not positive and whose residual is at most
           _QUIET_DROP times v's;
-        - else the first point with Armijo decrease of Phi;
+        - else the first point with Armijo decrease of Phi (constant
+          _ARMIJO_C);
         - else the first point whose Phi does not rise beyond the slack
           and whose residual is at most 0.9 times v's;
         - else None.
         The first point, vt = arc(1), and its predicted decrease
         dec = sum w r (vt - v) are the quiet test's. A loud step stops at
-        its first Armijo point. Gradient and KKT arrays are built only for
-        points a residual test may read. The walk ends at the first point
-        equal to v: every later point equals v too, and no test takes v
-        (Armijo needs Phi below pv, which is at most Phi(v); the other two
-        a residual below v's)."""
+        its first Armijo point. A quiet walk, as Hager and Zhang's
+        approximate Wolfe conditions do (SIAM J. Optim. 16, 2005), stops
+        comparing rounded values of Phi, which cannot tell its points
+        apart. Gradient and KKT arrays are built only for points a residual
+        test may read. The walk ends at the first point equal to v:
+        rounding of the arc is monotone in alpha, so every later point
+        equals v too, and no test takes v (Armijo needs Phi below pv, which
+        is at most Phi(v); the other two a residual below v's)."""
         armijo = kept = None
         alpha = 1.0
         for _ in range(40):
@@ -510,7 +454,9 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             if (vt == v).all():
                 break
             alpha *= _BACKTRACK
-            tt, s25, et, pt = trial(vt)
+            tt = _derivative_tables(vt, h)
+            et, s25 = _energy_raw(*tt, h)
+            pt = phi(vt, et)
             is_armijo = (armijo is None and pt < pv
                          and pt <= pv + _ARMIJO_C * dec)
             is_kept = kept is None and pt <= pv + slack
@@ -518,12 +464,12 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
                 continue
             gt, s35 = _energy_gradient_raw(*tt, s25, h)
             kkt = _kkt_arrays(vt, gt, f, psi, tau, fot)
-            point = vt, tt, et, min(pt, pv), gt, (s25, s35), kkt
+            point = vt, _Eval(tt, et, gt, (s25, s35)), min(pt, pv), kkt
             if is_armijo and not quiet:
                 return point
             pit = float(np.abs(kkt[1]).max())
             if (quiet and pit <= _QUIET_DROP * pimax
-                    and _phi_change(vt, v, tv, sv[0], f, h, tau) <= 0.0):
+                    and _phi_change(vt, v, ev, f, h, tau) <= 0.0):
                 return point
             if is_armijo:
                 armijo = point
@@ -539,7 +485,7 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             break
         nit += 1
 
-        ab = _energy_hessian_bands(*tv, *sv, h)
+        ab = _energy_hessian_bands(*ev.tables, *ev.powers, h)[1:-1]
         ab[_BW, :] += w_tau
         gap = v - psi
         act = (gap <= min(1e-9, pimax)) & (r > 0)
@@ -569,32 +515,28 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
             break
 
         if nit == 1:
-            pv = phi(v, ev)  # Phi at the start, read only by the search
-        # A step whose full length predicts a change of Phi within Phi's
-        # rounding (the no-rise slack, or the noise u'' carries into E_h,
-        # formed only if the slack does not class the step already) is
-        # quiet: Phi cannot tell its points apart, so a quiet step already
-        # within tolerance ends here, certified.
+            pv = phi(v, ev.energy)
+        # quiet: the full step's predicted decrease is within Phi's rounding
         slack = 1e-13 * max(1.0, abs(pv))
         v1 = arc(1.0)
         dec1 = float((wr * (v1 - v)).sum())
         quiet = abs(dec1) <= slack or abs(dec1) <= (
             4.0 * _EPS * float(np.abs(v).max()) / (h * h) * float(
-                (_trapezoid_weights(n, h, 2.0) * np.abs(tv[1]) * sv[0]).sum()))
+                (_trapezoid_weights(n, h, 2.0) * np.abs(ev.tables[1])
+                 * ev.powers[0]).sum()))
         if quiet and pimax <= tol:
             break
         step = search(quiet, v1, dec1)
         if step is None:
             break
-        v, tv, ev, pv, gv, sv, (r, pi, scale) = step
-    if pimax > tol:
+        v, ev, pv, (r, pi, scale) = step
+    if not pimax <= tol:
         raise StepConvergenceError(
             f"inner solver stopped at residual {pimax:.3e} "
             f"(tolerance {tol:.3e})",
             partial=v,
         )
-    return (v, _build_report(v, psi, cfg, r, scale, nit, pimax),
-            _Eval(tv, ev, gv, sv))
+    return v, _build_report(v, psi, cfg, r, scale, nit, pimax), ev
 
 
 def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
@@ -644,24 +586,26 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     as `_mm_step_raw` certified them.
 
     Guarantees Phi(u) <= Phi(f) + s, with s = 1e-13 * max(1, E_h(f)) the
-    line search's no-rise slack (E_h rose within s in 3 of the 165 runs of
-    the ladder c in 0.45..0.55 x N in 200..3200 x tau in 1e-3..1e-7, 20
-    steps, all of which finish: c = 0.48, 0.5 and 0.51, each at N = 200 and
-    tau = 1e-3, by up to 5.5e-15), hence
+    line search's no-rise slack, hence
     E_h(u) <= E_h(f) + s and ||u - f||^2/(2 tau) <= E_h(f) - E_h(u) + s,
     and that u >= psi exactly.
     A step that does not move (no Newton iteration, result bitwise equal to
     f.values) returns f itself, with a report certifying it like any other.
     Raises GridMismatchError or DomainError if f is not admissible, and
     StepConvergenceError (from `_mm_step_raw`, with the partial iterate
-    attached) if the residual is still above inner_tol * scale after
-    inner_max_iter.
+    attached) if the residual is not within inner_tol * scale after
+    inner_max_iter, as when the Newton system is not finite.
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
     owned by the caller, holding (u.values, evaluation of u) after a
     successful step. A later call whose f.values is that very array (values
     arrays are read-only copies, so identity means the same bits), for any
-    tau, starts from the held evaluation instead of evaluating f again.
+    tau, starts from the held evaluation instead of evaluating f again: it
+    forms its residual floor and its first Newton system from it. A step
+    from a held evaluation that accepts its start after no Newton
+    iteration (a step at rest) therefore builds no tables and evaluates
+    none of E_h, its gradient and Phi; its KKT arrays and report are built
+    from the held arrays, as for any step.
     """
     psi = obstacle.samples.values
     fv = f.values
@@ -679,15 +623,21 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
 def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
              stop_when_stall_rate: float | None = None) -> Trajectory:
     """Iterate mm_step until t_end (or until the energy decrease per unit
-    time falls below `stop_when_stall_rate`). Records all diagnostics.
+    time falls below `stop_when_stall_rate` three steps in a row: a
+    transient plateau is not a stall). Records all diagnostics, one row
+    per iterate moved to and one for the rest block, and carries each
+    step's evaluation to the next step.
 
-    The trajectory holds one KKTReport per step. From the first step at
-    rest (the first that returns its input object) on, one block records
-    that step and every later one, each with that iterate and that report,
-    and mm_step is called no more (see the module docstring, "Rest"); with
-    a stall rate set, up to where three slow steps in a row would stop the
-    loop. A StepConvergenceError leaves tagged with `step_index`, its
-    `partial` iterate kept and the solver frames it passed through cleared.
+    The trajectory holds one KKTReport per step. Rest: a step at rest
+    returns its input object. The obstacle and the config are fixed and
+    the step is a pure function of them and its input, so every later step
+    would return that input too. So from the first step at rest on, mm_step
+    is called no more, and one block records that step and every later one
+    (with a stall rate set, up to where the streak would stop the run),
+    each with that iterate, that report, step norm 0 and the input's
+    energy, contact count and symmetry residual. A StepConvergenceError
+    leaves tagged with `step_index`, its `partial` iterate kept and the
+    solver frames it passed through cleared.
     """
     _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
@@ -719,14 +669,16 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
 
     ctol = 10.0 * cfg.inner_tol * math.sqrt(grid.h)
     n_steps = cfg.n_steps
-    iterates = [u0]
-    energies = [e0]
-    step_norms = []
-    counts = [int(np.count_nonzero(u0.values - psi <= ctol))]
-    sym = [symmetry_residual(u0)]
-    reports = []
     w = trapezoid_weights(grid)
 
+    def row(u, e, step_norm, report):
+        """(iterate, energy, step norm, contact count, symmetry residual,
+        report); the start has no step norm and no report."""
+        return (u, e, step_norm, int(np.count_nonzero(u.values - psi <= ctol)),
+                symmetry_residual(u), report)
+
+    rows = [row(u0, e0, None, None)]
+    rest, left = rows[0], 0  # the rest block's row and length (none yet)
     u = u0
     carry = [None]  # evaluation of the latest iterate, for the next step
     slow_streak = 0
@@ -746,27 +698,22 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             if (stop_when_stall_rate is not None
                     and (e - e) / cfg.tau < stop_when_stall_rate):
                 left = min(left, 3 - slow_streak)
-            iterates.extend(repeat(un, left))
-            energies.extend(repeat(e, left))
-            step_norms.extend(repeat(0.0, left))
-            counts.extend(repeat(counts[-1], left))
-            sym.extend(repeat(sym[-1], left))
-            reports.extend(repeat(report, left))
+            rest = (u, e, 0.0, *rows[-1][3:5], report)
             break
-        iterates.append(un)
-        energies.append(e)
-        step_norms.append(math.sqrt(float((w * (un.values - u.values) ** 2).sum())))
-        counts.append(int(np.count_nonzero(un.values - psi <= ctol)))
-        sym.append(symmetry_residual(un))
-        reports.append(report)
+        step_norm = math.sqrt(float((w * (un.values - u.values) ** 2).sum()))
+        rows.append(row(un, e, step_norm, report))
         u = un
         if stop_when_stall_rate is not None:
-            rate = (energies[-2] - energies[-1]) / cfg.tau
-            # a transient plateau is not a stall; ask for a streak
+            rate = (rows[-2][1] - e) / cfg.tau
             slow_streak = slow_streak + 1 if rate < stop_when_stall_rate else 0
             if slow_streak >= 3:
                 break
 
+    # each column: the rows' entries, then the rest row's, repeated (rows
+    # extended by the rest block would cost zip an iterator per row)
+    iterates, energies, step_norms, counts, sym, reports = (
+        [*column, *repeat(x, left)] for column, x in zip(zip(*rows), rest))
+    del step_norms[0], reports[0]  # the start's placeholders
     return Trajectory(
         grid=grid, tau=cfg.tau, iterates=iterates,
         energies=np.array(energies), step_norms=np.array(step_norms),

@@ -181,6 +181,25 @@ def test_cli_critical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_critical_exits_1_on_a_point_its_report_rejects(tmp_path, capsys):
+    """Over a cone too tall for the grid the polish ends far above the tip,
+    not concave and failing the VI check: the command still writes its
+    files, prints a check-failure line and exits 1. Small heights pass."""
+    out = tmp_path / "tall"
+    assert main(["critical", "--height", "0.8", "--n", "64",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ")
+    for name in ("vi_residual", "concavity_min", "off the cone tip"):
+        assert name in err
+    assert (out / "critical_profile.csv").exists()
+    payload = json.loads((out / "critical_residuals.json").read_text())
+    assert payload["residuals"]["concavity_min"] < 0.0
+    assert main(["critical", "--height", "0.02", "--n", "64",
+                 "--out", str(tmp_path / "small")]) == 0
+    assert "check failed" not in capsys.readouterr().err
+
+
 def test_cli_rearrange(tmp_path, capsys):
     grid = UniformGrid(32)
     gf = GridFunction(grid, grid.nodes * (1 - grid.nodes))
@@ -358,6 +377,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["simulate", "--config", str(p), "--out",
                  str(tmp_path / "z")]) == 3
     capsys.readouterr()
+
+
+# the kernels overflow on so large a datum, and numpy warns of it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_simulate_from_a_datum_whose_gradient_overflows_exits_3(
+        tmp_path, capsys):
+    """A finite admissible table 1e150 sin(pi x) gives a Newton system that
+    is not finite: a nonconvergence, exit 3, with no traceback."""
+    grid = UniformGrid(64)
+    v = 1e150 * np.sin(np.pi * grid.nodes)
+    v[0] = v[-1] = 0.0
+    table = tmp_path / "huge.csv"
+    write_profile_csv(table, GridFunction(grid, v))
+    data = dict(MINIMAL, grid_n=64, t_end=1e-3,
+                initial={"type": "table", "path": str(table)})
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "nonconvergence: inner solver stopped at residual nan" in err
+    assert "Traceback" not in err
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -647,6 +686,42 @@ def test_cli_sweep_isolates_a_failing_case(tmp_path, capsys):
     assert "stuck: nonconvergence: inner solver stopped" in captured.err
     assert (runs / "ok" / "summary.json").exists()
     assert not (runs / "stuck" / "summary.json").exists()
+
+
+def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
+                                                    monkeypatch):
+    """The process pool starts all its workers on the first case, so the
+    sweep asks for at most one per case: --jobs, else the CPU count, else
+    1. A stand-in pool records the size asked for and runs the cases in
+    this process."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cases = {"a": {"t_end": 0.002}, "b": {"t_end": 0.003}}
+    p = write_cfg(tmp_path, {"base": MINIMAL, "cases": cases}, "sweep.json")
+    for k, (jobs, cpus) in enumerate([(["--jobs", "64"], 8), (["--jobs", "1"], 8),
+                                      ([], 8), ([], None)]):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["sweep", "--config", str(p), "--out",
+                     str(tmp_path / f"runs{k}"), *jobs]) == 0
+        assert (tmp_path / f"runs{k}" / "b" / "final.csv").exists()
+    capsys.readouterr()
+    assert sizes == [2, 1, 2, 1]
 
 
 def test_rearrange_missing_input_exits_2(tmp_path, capsys):

@@ -102,15 +102,14 @@ def test_vi_residual_of_computed_profile(cp005):
 @pytest.mark.parametrize("height, n", [(0.02, 200), (0.1, 64)])
 def test_report_comes_from_the_polish_evaluation(height, n):
     """critical_profile's report is check_critical's, field for field,
-    built from the tables and gradient of the polish's evaluation: it
-    builds neither again for the polished profile."""
-    with mock.patch.object(critical, "_derivative_tables",
-                           wraps=critical._derivative_tables) as tables, \
-            mock.patch.object(critical, "_energy_gradient_raw",
-                              wraps=critical._energy_gradient_raw) as grads:
+    built from the tables and gradient of the polish's evaluation: it does
+    not evaluate the polished profile again."""
+    with mock.patch.object(critical, "_evaluate",
+                           wraps=critical._evaluate) as evaluations:
         cp = critical_profile(height, UniformGrid(n))
-    assert (tables.call_count, grads.call_count) == (0, 0)
-    assert cp.report == check_critical(cp.profile, cp.obstacle)
+        assert evaluations.call_count == 0
+        assert cp.report == check_critical(cp.profile, cp.obstacle)
+        assert evaluations.call_count == 1
 
 
 def test_critical_profile_builds_no_gauss_rule():

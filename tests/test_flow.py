@@ -204,10 +204,10 @@ def test_each_power_formed_once_per_point(cone_run, monkeypatch):
 
     changes = []
 
-    def change(vt, v, tables, p25, f, h, tau):
-        assert p25 is s25[key(*tables)]
+    def change(vt, v, ev, f, h, tau):
+        assert ev.powers[0] is s25[key(*ev.tables)]
         changes.append(None)
-        return originals["_phi_change"](vt, v, tables, p25, f, h, tau)
+        return originals["_phi_change"](vt, v, ev, f, h, tau)
 
     for name, fn in (("_energy_raw", energy), ("_energy_gradient_raw", gradient),
                      ("_energy_hessian_bands", hessian), ("_phi_change", change)):
@@ -368,7 +368,9 @@ def test_kkt_certificate_on_random_admissible_data(n, seed, log_tau, height):
 def test_pinned_end_newton_system(n, seed, log_tau, p_active):
     """The Newton system on all n+1 nodes, with the ends pinned as active
     rows of gap 0: the ends do not move, active nodes land exactly on the
-    bound, and the free nodes solve the free block of the Hessian."""
+    bound, and the free nodes solve the free block of the Hessian. Pinning
+    the Hessian's seven bands clears the offset-3 pair and leaves the bits
+    of the pentadiagonal system the step pins."""
     import bendflow.discretization as disc_mod
     import bendflow.flow as flow_mod
 
@@ -382,12 +384,12 @@ def test_pinned_end_newton_system(n, seed, log_tau, p_active):
     v[0] = v[-1] = 0.0
     w = disc_mod._trapezoid_weights(n, h)
     tables, r, powers = kernel_point(v, h)
-    ab = disc_mod._energy_hessian_bands(*tables, *powers, h)
-    ab[flow_mod._BW, :] += w / tau
+    full = disc_mod._energy_hessian_bands(*tables, *powers, h)
+    full[disc_mod._HESS_BW, :] += w / tau
     dense = np.zeros((n + 1, n + 1))
-    for k in range(-flow_mod._BW, 1):
+    for k in range(-disc_mod._HESS_BW, 1):
         for j in range(-k, n + 1):
-            dense[j + k, j] = dense[j, j + k] = ab[flow_mod._BW + k, j]
+            dense[j + k, j] = dense[j, j + k] = full[disc_mod._HESS_BW + k, j]
     r[0] = r[-1] = 0.0
     act = rng.uniform(size=n + 1) < p_active
     act[0] = act[-1] = True
@@ -402,11 +404,15 @@ def test_pinned_end_newton_system(n, seed, log_tau, p_active):
 
     rhs = -(w * r)
     want = np.linalg.solve(block, rhs[free])
-    flow_mod._pin_active(ab, rhs, act, gap)
     # only the end rows fill the offset-3 bands, so pinning clears them and
-    # the solve factors at bandwidth 2
-    bw = flow_mod._BW
-    assert not ab[bw - 3].any() and not ab[bw + 3].any()
+    # the step's system has bandwidth 2
+    pinned, pinned_rhs = full.copy(), rhs.copy()
+    _pin_active_reference(pinned, pinned_rhs, act, gap)
+    assert not pinned[0].any() and not pinned[-1].any()
+    ab = full[1:-1]
+    flow_mod._pin_active(ab, rhs, act, gap)
+    assert ab.tobytes() == pinned[1:-1].tobytes()
+    assert rhs.tobytes() == pinned_rhs.tobytes()
     d = flow_mod._solve_banded_mirror(ab, rhs)
     assert d[0] == 0.0 and d[-1] == 0.0
     assert np.array_equal(d[act], -gap[act])
@@ -478,7 +484,7 @@ def _newton_system(v, psi, h, tau, act):
     n = len(v) - 1
     w = disc_mod._trapezoid_weights(n, h)
     tables, g, powers = kernel_point(v, h)
-    ab = disc_mod._energy_hessian_bands(*tables, *powers, h)
+    ab = disc_mod._energy_hessian_bands(*tables, *powers, h)[1:-1]
     ab[flow_mod._BW, :] += w / tau
     rhs = -(w * g)
     rhs[0] = rhs[-1] = 0.0
@@ -489,14 +495,19 @@ def _newton_system(v, psi, h, tau, act):
 
 
 def _two_solve_reference(ab, b):
-    """The mirror-averaged solve as two full-band solveh_banded calls."""
+    """The mirror-averaged solve of the pinned pentadiagonal system as two
+    solveh_banded calls at the Hessian's full bandwidth 3, with the zero
+    offset-3 bands that pinning the ends leaves."""
     from scipy.linalg import solveh_banded
 
+    import bendflow.discretization as disc_mod
     import bendflow.flow as flow_mod
 
-    bw = flow_mod._BW
-    d1 = solveh_banded(ab[:bw + 1], b, lower=False)
-    mirrored = flow_mod._mirror_bands(ab)[:bw + 1]
+    bw = disc_mod._HESS_BW
+    full = np.zeros((2 * bw + 1, ab.shape[1]))
+    full[bw - flow_mod._BW:bw + flow_mod._BW + 1] = ab
+    d1 = solveh_banded(full[:bw + 1], b, lower=False)
+    mirrored = flow_mod._mirror_bands(full)[:bw + 1]
     d2 = solveh_banded(mirrored, b[::-1], lower=False)[::-1]
     return 0.5 * (d1 + d2)
 
@@ -1034,7 +1045,6 @@ def test_phi_change_matches_a_40_digit_oracle(n, seed, log_step, log_tau,
     itself or v moved by up to 1e-2."""
     import mpmath
 
-    import bendflow.discretization as disc_mod
     import bendflow.flow as flow_mod
 
     rng = np.random.default_rng(seed)
@@ -1047,9 +1057,7 @@ def test_phi_change_matches_a_40_digit_oracle(n, seed, log_step, log_tau,
     for a in (v, f, dv):
         a[0] = a[-1] = 0.0
     vt = v + dv
-    tables = disc_mod._derivative_tables(v, h)
-    s25 = disc_mod._energy_raw(*tables, h)[1]
-    got = flow_mod._phi_change(vt, v, tables, s25, f, h, tau)
+    got = flow_mod._phi_change(vt, v, flow_mod._evaluate(v, h), f, h, tau)
     with mpmath.workdps(40):
         want = _phi_change_oracle(vt, v, f, h, tau)
         assert abs(got - want) <= 1e-12 * abs(want)
@@ -1119,6 +1127,47 @@ def test_no_descent_direction_raises_with_the_start(monkeypatch):
         run_flow(u0, cone_obstacle(0.02, grid), cfg)
     assert excinfo.value.step_index == 0
     assert np.array_equal(excinfo.value.partial, u0.values)
+
+
+# the kernels overflow on so large a datum, and numpy warns of it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e150, 1e200])
+def test_non_finite_newton_system_is_a_typed_failure(amplitude):
+    """A finite admissible datum whose gradient overflows gives a Newton
+    system with NaNs and a NaN residual: the solve rejects the
+    system as it rejects an indefinite one, and a NaN residual is not
+    within tolerance, so the step leaves as a typed failure carrying its
+    start, never as a certified step."""
+    import bendflow.flow as flow_mod
+
+    grid = UniformGrid(64)
+    v = amplitude * np.sin(np.pi * grid.nodes)
+    v[0] = v[-1] = 0.0
+    f = GridFunction(grid, v)
+    with pytest.raises(np.linalg.LinAlgError):
+        flow_mod._solve_banded_mirror(np.full((2 * flow_mod._BW + 1, 65), np.nan),
+                                      np.zeros(65))
+    with pytest.raises(StepConvergenceError, match="residual nan") as excinfo:
+        mm_step(f, cone_obstacle(0.02, grid), FlowConfig(tau=1e-3, t_end=1e-3))
+    assert np.array_equal(excinfo.value.partial, v)
+
+
+@pytest.mark.parametrize("n", [16, 200, 3200])
+def test_evaluate_gives_the_bits_of_the_chained_kernels(n):
+    """`_evaluate` is the kernels chained as a step chains them: the tables,
+    the gradient and the powers have the bits `kernel_point` gives, and the
+    energy is the one `_energy_raw` forms from those tables."""
+    import bendflow.discretization as disc_mod
+    import bendflow.flow as flow_mod
+
+    u, _ = _random_admissible(n, n, 0.02)
+    h = u.grid.h
+    ev = flow_mod._evaluate(u.values, h)
+    tables, grad, powers = kernel_point(u.values, h)
+    got = (*ev.tables, ev.grad, *ev.powers)
+    want = (*tables, grad, *powers)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert ev.energy == disc_mod._energy_raw(*tables, h)[0]
 
 
 def test_run_flow_constant_trajectory():
