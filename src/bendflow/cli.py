@@ -3,8 +3,11 @@
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
 Exit codes: 0 success, 1 check failure (a failed validation, or a
 critical point its own residuals reject), 2 usage or configuration error,
-3 numerical nonconvergence (also a step whose Newton system is not finite,
-as from a finite datum so large that its gradient overflows); a sweep runs
+3 numerical nonconvergence (also a step whose start has an energy or
+gradient that is not finite, as from a finite datum so large that its
+gradient overflows; a finished simulate whose touching window fails,
+because the cone's critical point does not converge, still exits 0 and
+writes every file, with l0_window null and a warning); a sweep runs
 every case and exits with the code of its first failed case, and exits 2
 before any case runs if a case name is not one path component inside
 --out (`config.is_path_component`).
@@ -131,7 +134,14 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     if 0.0 < e0 < fl.G23_SQ:
         inf_e = float(np.min(traj.energies))
         if obstacle.kind == "cone" and traj.grid.n % 2 == 0:
-            inf_e = crit.critical_profile(obstacle.height, traj.grid).energy
+            try:
+                inf_e = crit.critical_profile(obstacle.height, traj.grid).energy
+            except ConvergenceError as err:  # the run's files are still written
+                inf_e = 0.0  # no window
+                traj.warnings.append(
+                    f"l0_window not computed: the critical point of the cone "
+                    f"of height {obstacle.height:g} at N = {traj.grid.n} "
+                    f"failed: {err}")
         if inf_e > 0:
             l0 = fl.touch_window(e0, inf_e)
     summary = {

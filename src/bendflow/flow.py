@@ -249,11 +249,10 @@ def _solve_banded_mirror(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     and b is a palindrome, the mirrored solve would repeat the first on the
     same bits, so its result is the first one reversed and only one
     factorisation is done (b, the shorter, is compared first). Raises
-    np.linalg.LinAlgError if M is not positive definite or the system is
-    not finite.
+    np.linalg.LinAlgError if M is not positive definite. The system must be
+    finite: the Newton loop tests each of its systems once, before the
+    first solve.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise np.linalg.LinAlgError("banded system must not contain infs or NaNs")
     upper = ab[:_BW + 1]
     mirrored = _mirror_bands(ab)[:_BW + 1]
     d = _cholesky_solve(upper, b)
@@ -316,10 +315,12 @@ def _evaluate(u: np.ndarray, h: float) -> _Eval:
     forms only s^(-9/2)). Each power is the expression any of its readers
     would form, so sharing it moves no bit. The line search evaluates its
     trial points in this order, and forms the gradient only where a
-    residual test reads it."""
-    tables = _derivative_tables(u, h)
-    e, s25 = _energy_raw(*tables, h)
-    g, s35 = _energy_gradient_raw(*tables, s25, h)
+    residual test reads it. Values that overflow come out inf or NaN with
+    no numpy warning: the step's start tests them and names the failure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _derivative_tables(u, h)
+        e, s25 = _energy_raw(*tables, h)
+        g, s35 = _energy_gradient_raw(*tables, s25, h)
     return _Eval(tables, e, g, (s25, s35))
 
 
@@ -351,13 +352,16 @@ def _phi_change(vt: np.ndarray, v: np.ndarray, ev: _Eval, f: np.ndarray,
 
 
 def _kkt_arrays(v, ge, f, psi, tau, floor_over_tol: float):
+    """(r, pi, scale) at the point v of the step from f: the residual, the
+    natural-map residual and the scale of KKTReport. r and pi end in +0.0
+    with no end assigned here: ge's ends are +0.0 (`_energy_gradient_raw`),
+    the step pins every point it evaluates to +0.0 at its ends, and an
+    admissible f ends in +0.0 or -0.0."""
     udot = (v - f) / tau
     r = ge + udot
-    r[0] = r[-1] = 0.0
     scale = (1.0 + float(np.abs(ge).max()) + float(np.abs(udot).max())
              + floor_over_tol)
     pi = v - np.maximum(psi, v - r)
-    pi[0] = pi[-1] = 0.0
     return r, pi, scale
 
 
@@ -382,9 +386,22 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 
     The step drives the natural-map residual pi = v - Pi_box(v - r) below
     a quarter of inner_tol * scale, the headroom being for the
-    certificate. Two stops end it at inner_tol * scale itself: a start
-    already within it builds no Newton system, and a quiet direction ends
-    the step once within it. A direction is quiet when the decrease of Phi
+    certificate. A start whose energy or gradient is not finite raises
+    StepConvergenceError, saying so, before any of it. The Newton loop
+    then ends for one of five reasons:
+    - the residual is within tolerance at the loop's top: inner_tol *
+      scale at the start, where no Newton system is built, a quarter of it
+      after an iteration;
+    - inner_max_iter iterations are done;
+    - there is no descent direction: the Newton system is not finite, and
+      is not solved, or none of 40 tries (undamped, then damped by 1e-12
+      of its largest diagonal entry, tenfold more at each try) factors and
+      gives descent;
+    - the direction is quiet, and the residual within inner_tol * scale;
+    - the search takes no point.
+    A zero direction needs a zero right-hand side, r = 0 on every free
+    node and a zero gap on every active one; then pi = 0, and the loop's
+    top has ended the step. A direction is quiet when the decrease of Phi
     its full step predicts, dec(1) = sum w r (v1 - v), is within Phi's
     rounding: the no-rise slack 1e-13 * max(1, |Phi|), or else the noise
 
@@ -414,6 +431,9 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     v = np.maximum(f, psi)
     v[0] = v[-1] = 0.0
     ev = _evaluate(v, h) if start is None else start
+    if not (math.isfinite(ev.energy) and np.isfinite(ev.grad).all()):
+        raise StepConvergenceError("the step's start has an energy or "
+                                   "gradient that is not finite", partial=v)
     fot = _residual_floor(v, ev.tables[1], h, tau) / cfg.inner_tol
     r, pi, scale = _kkt_arrays(v, ev.grad, f, psi, tau, fot)
 
@@ -495,22 +515,23 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
         rhs = -wr
         _pin_active(ab, rhs, act, gap)
 
+        if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+            break  # a system that is not finite has no descent direction
         d = None
+        diag = ab[_BW].copy()  # the undamped diagonal
         lam = 0.0
         for _ in range(40):
             try:
-                abl = ab if lam == 0.0 else _damped(ab, lam)
-                cand = _solve_banded_mirror(abl, rhs)
+                cand = _solve_banded_mirror(ab, rhs)
                 if float((wr * cand).sum()) < 0.0:
                     d = cand
                     break
-                if not cand.any():
-                    break  # a zero direction: v is where the step ends
             except np.linalg.LinAlgError:
-                pass
+                pass  # not positive definite
             # damping starts at 1e-12 of the largest diagonal entry
-            lam = 1e-12 * float(ab[_BW].max()) if lam == 0.0 else lam * 10.0
-        del ab, abl, rhs  # the system is read no more; the search runs without it
+            lam = 1e-12 * float(diag.max()) if lam == 0.0 else lam * 10.0
+            ab[_BW] = diag + lam
+        del ab, diag, rhs  # the system is read no more; the search runs without it
         if d is None:
             break
 
@@ -539,22 +560,17 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
     return v, _build_report(v, psi, cfg, r, scale, nit, pimax), ev
 
 
-def _damped(ab: np.ndarray, lam: float) -> np.ndarray:
-    out = ab.copy()
-    out[_BW, :] += lam
-    return out
-
-
 def _vi_split(v, psi, r, gap_tol: float):
     """The variational inequality's certificate split of the residual r at
     v over psi: (max |r| over inactive interior nodes, min r over active
     interior nodes, the active indices, read-only). An interior node is
-    active when its gap v - psi is at most gap_tol; the pinned ends are in
-    neither set. No inactive node gives 0, no active node inf."""
+    active when its gap v - psi is at most gap_tol; the pinned ends are
+    never active. r must end in +0.0, as the residuals of both reports do,
+    so the ends add nothing to the max. No inactive node gives 0, no
+    active node inf."""
     act = v - psi <= gap_tol
     act[0] = act[-1] = False
     inact = ~act
-    inact[0] = inact[-1] = False
     active_set = act.nonzero()[0]
     active_set.setflags(write=False)
     return (float(np.abs(r).max(where=inact, initial=0.0)),
@@ -593,8 +609,8 @@ def mm_step(f: GridFunction, obstacle: Obstacle, cfg: FlowConfig, *,
     f.values) returns f itself, with a report certifying it like any other.
     Raises GridMismatchError or DomainError if f is not admissible, and
     StepConvergenceError (from `_mm_step_raw`, with the partial iterate
-    attached) if the residual is not within inner_tol * scale after
-    inner_max_iter, as when the Newton system is not finite.
+    attached) if f's energy or gradient is not finite, or if the residual
+    is not within inner_tol * scale when the Newton loop ends.
 
     `carry` is for callers that chain steps (run_flow): a one-slot list
     owned by the caller, holding (u.values, evaluation of u) after a
@@ -642,7 +658,8 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
     psi = obstacle.samples.values
-    e0 = energy(u0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0 = energy(u0)  # not finite only on a datum the first step rejects
     warnings = []
     threshold = c0() ** 2 / 4.0
     if e0 >= threshold:

@@ -379,24 +379,55 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-# the kernels overflow on so large a datum, and numpy warns of it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_simulate_from_a_datum_whose_gradient_overflows_exits_3(
         tmp_path, capsys):
-    """A finite admissible table 1e150 sin(pi x) gives a Newton system that
-    is not finite: a nonconvergence, exit 3, with no traceback."""
+    """A finite admissible table 1e150 sin(pi x), whose gradient overflows,
+    or 1e200 sin(pi x), whose energy does: a nonconvergence that names the
+    step's start as not finite, exit 3, with no traceback and no numpy
+    warning (the suite's warnings are errors)."""
     grid = UniformGrid(64)
-    v = 1e150 * np.sin(np.pi * grid.nodes)
-    v[0] = v[-1] = 0.0
-    table = tmp_path / "huge.csv"
-    write_profile_csv(table, GridFunction(grid, v))
-    data = dict(MINIMAL, grid_n=64, t_end=1e-3,
-                initial={"type": "table", "path": str(table)})
+    for amplitude in (1e150, 1e200):
+        v = amplitude * np.sin(np.pi * grid.nodes)
+        v[0] = v[-1] = 0.0
+        table = tmp_path / "huge.csv"
+        write_profile_csv(table, GridFunction(grid, v))
+        data = dict(MINIMAL, grid_n=64, t_end=1e-3,
+                    initial={"type": "table", "path": str(table)})
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("nonconvergence: the step's start has an energy or "
+                       "gradient that is not finite\n"), amplitude
+
+
+def test_cli_simulate_writes_its_files_when_the_touching_window_fails(
+        tmp_path, capsys, monkeypatch):
+    """A finished run whose touching window needs the cone's critical point,
+    and whose critical point does not converge (as at N = 12800), writes
+    every file, l0_window null, a warning naming the failure, and exits 0,
+    so it can be resumed."""
+    from bendflow import critical
+    from bendflow.errors import StepConvergenceError
+
+    def failing(height, grid):
+        raise StepConvergenceError("inner solver stopped at residual 2.501e+06 "
+                                   "(tolerance 3.817e+00)")
+    monkeypatch.setattr(critical, "critical_profile", failing)
+    data = dict(MINIMAL, t_end=2e-3, outputs={"trajectory_csv": "traj.csv"})
+    out = tmp_path / "out"
     assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
-                 "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert "nonconvergence: inner solver stopped at residual nan" in err
-    assert "Traceback" not in err
+                 "--out", str(out)]) == 0
+    warning = ("l0_window not computed: the critical point of the cone of "
+               "height 0.02 at N = 32 failed: inner solver stopped at "
+               "residual 2.501e+06 (tolerance 3.817e+00)")
+    assert f"warning: {warning}" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["l0_window"] is None and summary["steps"] == 2
+    assert warning in summary["warnings"]
+    assert (out / "final.csv").exists() and (out / "traj.csv").exists()
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(tmp_path / "resumed"), "--resume", str(out)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bendflow import (
+    ConvergenceError,
     DomainError,
     FlowConfig,
     GridFunction,
@@ -20,6 +21,7 @@ from bendflow import (
     UniformGrid,
     cone_obstacle,
     constant_obstacle,
+    critical_profile,
     derivative_tables,
     dissipation_report,
     energy,
@@ -1129,27 +1131,104 @@ def test_no_descent_direction_raises_with_the_start(monkeypatch):
     assert np.array_equal(excinfo.value.partial, u0.values)
 
 
-# the kernels overflow on so large a datum, and numpy warns of it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("amplitude", [1e150, 1e200])
-def test_non_finite_newton_system_is_a_typed_failure(amplitude):
-    """A finite admissible datum whose gradient overflows gives a Newton
-    system with NaNs and a NaN residual: the solve rejects the
-    system as it rejects an indefinite one, and a NaN residual is not
-    within tolerance, so the step leaves as a typed failure carrying its
-    start, never as a certified step."""
+def _counted_solves(monkeypatch):
+    """A list that gains one entry per `_solve_banded_mirror` call."""
     import bendflow.flow as flow_mod
 
+    calls = []
+    solve = flow_mod._solve_banded_mirror
+
+    def counted(ab, b):
+        calls.append(None)
+        return solve(ab, b)
+    monkeypatch.setattr(flow_mod, "_solve_banded_mirror", counted)
+    return calls
+
+
+@pytest.mark.parametrize("amplitude", [1e150, 1e200])
+def test_non_finite_newton_system_is_a_typed_failure(amplitude, monkeypatch):
+    """A finite admissible datum whose gradient (1e150) or energy (1e200)
+    overflows: the step's start is not finite, so the step solves no
+    Newton system and leaves as a typed failure that says so, carrying its
+    start, never as a certified step. Numpy warns of no overflow (the
+    suite's warnings are errors)."""
     grid = UniformGrid(64)
     v = amplitude * np.sin(np.pi * grid.nodes)
     v[0] = v[-1] = 0.0
     f = GridFunction(grid, v)
-    with pytest.raises(np.linalg.LinAlgError):
-        flow_mod._solve_banded_mirror(np.full((2 * flow_mod._BW + 1, 65), np.nan),
-                                      np.zeros(65))
-    with pytest.raises(StepConvergenceError, match="residual nan") as excinfo:
-        mm_step(f, cone_obstacle(0.02, grid), FlowConfig(tau=1e-3, t_end=1e-3))
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(StepConvergenceError,
+                       match="start has an energy or gradient that is not "
+                             "finite") as excinfo:
+        run_flow(f, cone_obstacle(0.02, grid), FlowConfig(tau=1e-3, t_end=1e-3))
+    assert excinfo.value.step_index == 0
     assert np.array_equal(excinfo.value.partial, v)
+    assert solves == []
+
+
+def test_non_finite_newton_system_gives_no_direction(monkeypatch):
+    """A Newton system with a NaN gives no descent direction, as one that
+    no damping makes solvable gives none: the loop ends there with no
+    solve, and a start above tolerance leaves as a typed failure carrying
+    that start."""
+    import bendflow.flow as flow_mod
+
+    bands = flow_mod._energy_hessian_bands
+
+    def with_nan(*args):
+        ab = bands(*args)
+        ab[flow_mod._HESS_BW, ab.shape[1] // 4] = np.nan  # a free node's diagonal
+        return ab
+    monkeypatch.setattr(flow_mod, "_energy_hessian_bands", with_nan)
+    solves = _counted_solves(monkeypatch)
+    grid = UniformGrid(64)
+    u0 = u_c_profile(0.5, grid)
+    with pytest.raises(StepConvergenceError,
+                       match="inner solver stopped at residual") as excinfo:
+        mm_step(u0, cone_obstacle(0.02, grid), FlowConfig(tau=1e-5, t_end=1e-5))
+    assert np.array_equal(excinfo.value.partial, u0.values)
+    assert solves == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(start=st.one_of(
+    st.tuples(st.just("draw"), st.integers(0, 2999), st.booleans()),
+    st.tuples(st.just("critical"), st.floats(0.005, 0.1),
+              st.integers(8, 100).map(lambda m: 2 * m))))
+@example(start=("draw", 22, False))
+@example(start=("draw", 525, True))
+@example(start=("critical", 0.02, 64))
+def test_kkt_arrays_end_in_positive_zero(start):
+    """Every r and pi that `_kkt_arrays` returns ends in +0.0, bit for bit,
+    with no end assigned there: the gradient's ends are +0.0, every point a
+    step evaluates is pinned to +0.0 at its ends, and an admissible datum
+    ends in +-0.0. Checked over ten steps of recipe draws, plain and
+    symmetric, and over the polish of `critical_profile`; the pinned ends
+    then add nothing to the residual and certificate maxima."""
+    import bendflow.flow as flow_mod
+
+    seen = []
+    build = flow_mod._kkt_arrays
+
+    def recorded(*args):
+        out = build(*args)
+        seen.append(out[:2])
+        return out
+    with mock.patch.object(flow_mod, "_kkt_arrays", recorded):
+        try:
+            if start[0] == "draw":
+                u0, obstacle, tau = regen.random_draw(start[1], start[2])
+                run_flow(GridFunction(obstacle.grid, u0), obstacle,
+                         FlowConfig(tau=tau, t_end=10 * tau))
+            else:
+                critical_profile(start[1], UniformGrid(start[2]))
+        except ConvergenceError:
+            pass  # the arrays it built still count
+    assert seen
+    zero = np.zeros(2).tobytes()
+    for r, pi in seen:
+        assert r[::len(r) - 1].tobytes() == zero
+        assert pi[::len(pi) - 1].tobytes() == zero
 
 
 @pytest.mark.parametrize("n", [16, 200, 3200])
