@@ -196,17 +196,7 @@ def _cmd_critical(args) -> int:
     })
     mid = cp.profile.values[grid.midpoint_index]
     print(f"A = {cp.A:.15g}, energy = {cp.energy:.15g}, u(1/2) = {mid:.15g}")
-    # three of the tests of validate's critical_point check
-    failures = []
-    if not cp.report.passes_vi:
-        failures.append(f"vi_residual {cp.report.vi_residual:.15g} is below "
-                        f"-{crit.VI_TOL:g} * scale {cp.report.scale:.15g}")
-    if not cp.report.concavity_min > 0.0:
-        failures.append(f"concavity_min {cp.report.concavity_min:.15g} "
-                        f"is not positive")
-    if not abs(mid - cp.obstacle.height) <= 1e-9:
-        failures.append(f"u(1/2) = {mid:.15g} is off the cone tip "
-                        f"{cp.obstacle.height:.15g}")
+    failures = cp.failures()
     if failures:
         print("check failed: " + "; ".join(failures), file=sys.stderr)
         return 1
@@ -261,9 +251,8 @@ def _cmd_validate(args) -> int:
 def _run_case(payload):
     """Run one sweep case; returns (name, final energy, None), or (name,
     None, (exit code, kind, message)) if the case failed."""
-    name, case_data, out_root = payload
+    name, cfg, out_root = payload
     try:
-        cfg = parse_config(case_data)
         summary = _simulate_one(cfg, Path(out_root) / name)
     except BendflowError as err:
         return name, None, (*_error_exit(err), str(err))
@@ -297,8 +286,8 @@ def _cmd_sweep(args) -> int:
                 merged[key].update(val)
             else:
                 merged[key] = val
-        parse_config(merged)  # fail fast on config errors, before spawning
-        jobs.append((name, merged, args.out))
+        # fail fast on config errors, before spawning; a RunConfig pickles
+        jobs.append((name, parse_config(merged), args.out))
     # a failed case does not stop the others; the exit code is that of the
     # first failed case, in case order. The pool starts all its workers on
     # the first case it is handed, so it is sized to the cases.

@@ -93,6 +93,24 @@ class CriticalPoint:
     report: CriticalityReport = field(repr=False)
     obstacle: Obstacle = field(repr=False)
 
+    def failures(self) -> list[str]:
+        """One message for each test the point fails, none if it passes:
+        the VI check, strict concavity, and u(1/2) within 1e-9 of the cone
+        tip."""
+        rep, tip = self.report, self.obstacle.height
+        mid = self.profile.values[self.profile.grid.midpoint_index]
+        failed = []
+        if not rep.passes_vi:
+            failed.append(f"vi_residual {rep.vi_residual:.15g} is below "
+                          f"-{VI_TOL:g} * scale {rep.scale:.15g}")
+        if not rep.concavity_min > 0.0:
+            failed.append(f"concavity_min {rep.concavity_min:.15g} "
+                          f"is not positive")
+        if not abs(mid - tip) <= 1e-9:
+            failed.append(f"u(1/2) = {mid:.15g} is off the cone tip "
+                          f"{tip:.15g}")
+        return failed
+
 
 def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """The monotone cubic (PCHIP) interpolant of y over at least three

@@ -709,11 +709,10 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             raise
         e = carry[0][1].energy
         if un is u:
-            # this step and every later one return u, at an energy rate of 0
-            # (nan, were e not finite): record them all with u's diagnostics
+            # this step and every later one return u, at an energy rate of 0:
+            # record them all with u's diagnostics
             left = n_steps - k
-            if (stop_when_stall_rate is not None
-                    and (e - e) / cfg.tau < stop_when_stall_rate):
+            if stop_when_stall_rate is not None and 0.0 < stop_when_stall_rate:
                 left = min(left, 3 - slow_streak)
             rest = (u, e, 0.0, *rows[-1][3:5], report)
             break

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -25,7 +27,7 @@ def emit_plot(profiles, path) -> None:
     back to [-1, 1]. Output depends only on the inputs.
     """
     if not profiles:
-        raise ValueError("emit_plot needs at least one profile")
+        raise DomainError("emit_plot needs at least one profile")
     ymin = min(float(np.min(gf.values)) for _, gf in profiles)
     ymax = max(float(np.max(gf.values)) for _, gf in profiles)
     if ymax - ymin < 1e-15:

@@ -300,10 +300,8 @@ def check_critical_points() -> CheckResult:
             "vi_residual": cp.report.vi_residual,
             "vi_scale": cp.report.scale,
         }
-        ok = ok and (round_trip < 1e-10 and mid_err <= 1e-9
-                     and entry["concavity_min"] > 0.0
-                     and entry["ode_residual"] <= 1e-6
-                     and cp.report.passes_vi)
+        ok = ok and (round_trip < 1e-10 and entry["ode_residual"] <= 1e-6
+                     and not cp.failures())
         per[str(height)] = entry
     return CheckResult(
         "critical_point", ok, per,

@@ -15,7 +15,10 @@ from bendflow import (
     FlowConfig,
     GridFunction,
     UniformGrid,
+    c0,
     cone_obstacle,
+    g,
+    h_of_A,
     read_profile_csv,
     run_flow,
     table_obstacle,
@@ -105,6 +108,18 @@ def test_semantic_checks():
         parse_config(bad_json)
 
 
+@pytest.mark.parametrize("data", [[], 5, "grid_n", None])
+def test_top_level_config_that_is_not_an_object_exits_2(tmp_path, capsys,
+                                                        data):
+    with pytest.raises(ConfigError,
+                       match="^top-level config must be a JSON object$"):
+        parse_config(data)
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: top-level config must be a JSON object\n")
+
+
 @pytest.mark.parametrize("section", ["obstacle", "initial", "outputs"])
 @pytest.mark.parametrize("value", [[], 5, "cone"])
 def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
@@ -130,6 +145,8 @@ def test_section_that_is_not_an_object_exits_2(tmp_path, capsys, section, value)
     ("stop_when_stall_rate", {"stop_when_stall_rate": True}),
     ("snapshots", {"outputs": {"snapshots": [True]}}),
     ("allow_invalid_obstacle", {"allow_invalid_obstacle": "false"}),
+    ("inner_tol", {"inner_tol": 0}),  # FlowConfig's guard, through simulate
+    ("inner_tol", {"inner_tol": -1e-8}),
 ], ids=lambda v: None if isinstance(v, dict) else v)
 def test_value_of_the_wrong_kind_exits_2(tmp_path, capsys, key, override):
     """A config value of the wrong kind is a configuration error naming
@@ -161,6 +178,20 @@ def test_cli_specialfn_eval(capsys):
     capsys.readouterr()
     # wrong arity is a usage error
     assert main(["specialfn", "eval", "--fn", "g"]) == 2
+    capsys.readouterr()
+    # the tail branches of G and Ginv (|s| >= 1); H and Hinv on the flat end
+    # of H, at slopes above 30; H(2^19), the largest height h_of_A returns
+    printed = {}
+    for fn, arg in [("g", "1e6"), ("ginv", "1.19"), ("h", "1e3"),
+                    ("hinv", "0.83"), ("hinv", "0.834624559341344")]:
+        assert main(["specialfn", "eval", "--fn", fn, "--args", arg]) == 0
+        printed[fn, arg] = float(capsys.readouterr().out)
+    assert 0.0 < c0() / 2.0 - printed["g", "1e6"] < 1e-8
+    assert g(printed["ginv", "1.19"]) == pytest.approx(1.19, rel=1e-12)
+    assert h_of_A(30.0) < printed["h", "1e3"] < 0.834626841674073
+    assert h_of_A(printed["hinv", "0.83"]) == pytest.approx(0.83, rel=1e-12)
+    assert printed["hinv", "0.834624559341344"] == pytest.approx(2.0**19,
+                                                                 rel=1e-9)
 
 
 def test_cli_critical(tmp_path, capsys):
@@ -179,6 +210,18 @@ def test_cli_critical(tmp_path, capsys):
     assert main(["critical", "--height", "0.05", "--n", "33",
                  "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+    # a second run writes the same bytes, and the residuals file keeps its keys
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for out in runs:
+        assert main(["critical", "--height", "0.02", "--n", "64",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("critical_profile.csv", "critical_residuals.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+    payload = json.loads((runs[0] / "critical_residuals.json").read_text())
+    assert sorted(payload) == ["A", "energy", "height", "n", "residuals"]
+    assert sorted(payload["residuals"]) == ["concavity_min", "ode_residual",
+                                            "vi_residual"]
 
 
 def test_cli_critical_exits_1_on_a_point_its_report_rejects(tmp_path, capsys):
@@ -379,6 +422,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"base": MINIMAL}, "sweep config needs a 'cases' object of run configs"),
+    ({"base": MINIMAL, "cases": {}},
+     "'cases' must be a nonempty object name -> overrides"),
+    (None, "checkpoint grid does not match configuration"),
+], ids=["no_cases", "empty_cases", "checkpoint_grid"])
+def test_cli_input_guards_are_config_errors(tmp_path, capsys, sweep, message):
+    """A sweep with no cases or with empty cases, and a resume from a
+    checkpoint on another grid than grid_n: each a ConfigError (stderr's
+    "config error" prefix), exit 2, and no run written."""
+    out = tmp_path / "out"
+    if sweep is None:
+        checkpoint = tmp_path / "checkpoint"
+        assert main(["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)),
+                     "--out", str(checkpoint)]) == 0
+        capsys.readouterr()
+        argv = ["simulate", "--config",
+                str(write_cfg(tmp_path, dict(MINIMAL, grid_n=64))),
+                "--out", str(out), "--resume", str(checkpoint)]
+    else:
+        argv = ["sweep", "--config", str(write_cfg(tmp_path, sweep)),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_simulate_from_a_datum_whose_gradient_overflows_exits_3(
         tmp_path, capsys):
     """A finite admissible table 1e150 sin(pi x), whose gradient overflows,
@@ -494,6 +564,23 @@ def test_cli_snapshot_past_a_stall_stop_is_named_not_written(tmp_path, capsys):
             f"stopped at t = {t_final:.15g}") in resumed["warnings"]
 
 
+def test_cli_stall_stopped_trajectory_is_a_prefix_of_the_full_run(
+        tmp_path, capsys):
+    """A run that comes to rest, recorded to t_end and cut by the stall
+    stop: the stalled trajectory.csv is a byte prefix of the full one."""
+    data = dict(MINIMAL, grid_n=64, t_end=1.0,
+                outputs={"trajectory_csv": "trajectory.csv"})
+    full, stall = tmp_path / "full", tmp_path / "stall"
+    for out, extra in ((full, {}), (stall, {"stop_when_stall_rate": 1e-30})):
+        assert main(["simulate", "--config",
+                     str(write_cfg(tmp_path, {**data, **extra})),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    whole = (full / "trajectory.csv").read_bytes()
+    cut = (stall / "trajectory.csv").read_bytes()
+    assert len(cut) < len(whole) and whole.startswith(cut)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_sweep_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     """--jobs below 1 is a usage error, exit 2 naming --jobs, before any
@@ -597,6 +684,28 @@ def test_cli_validate(tmp_path, capsys):
     assert "--quick" in capsys.readouterr().err
 
 
+def _env_with_src() -> dict:
+    """This process's environment, with the package's source directory
+    first on PYTHONPATH, for a fresh interpreter."""
+    src = Path(bendflow.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+def test_python_m_bendflow_cli_exits_with_mains_code():
+    """`python -m bendflow.cli` exits with main's code: 0 for --version,
+    and 2 for a usage error, which it names on stderr."""
+    for argv, code, stream, text in (
+            (["--version"], 0, "stdout", f"{bendflow.__version__}\n"),
+            (["specialfn", "eval", "--fn", "g"], 2, "stderr",
+             "config error: --fn g takes exactly 1 argument(s)\n")):
+        done = subprocess.run([sys.executable, "-m", "bendflow.cli", *argv],
+                              env=_env_with_src(), capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == code, done.stderr
+        assert getattr(done, stream) == text
+
+
 _IMPORT_PROBE = """
 import json, sys
 def scipy_modules():
@@ -622,9 +731,7 @@ def test_cli_paths_load_no_scipy_package(tmp_path):
     imports scipy."""
     cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64, "outputs": {
         "snapshots": [0.005], "trajectory_csv": "trajectory.csv"}})
-    src = Path(bendflow.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path),
                            str(cfg)], env=env, capture_output=True,
                           text=True, timeout=300)
@@ -634,7 +741,9 @@ def test_cli_paths_load_no_scipy_package(tmp_path):
     assert loaded == {"import": only, "validate": only, "simulate": only}
 
 
-_DEFERRED = ("bendflow.validate", "numpy.random", "concurrent.futures")
+# the Gauss-Legendre rules are literals, so numpy.polynomial never loads
+_DEFERRED = ("bendflow.validate", "numpy.random", "concurrent.futures",
+             "numpy.polynomial")
 _DEFERRED_PROBE = """
 import json, sys
 deferred = sys.argv[3].split(",")
@@ -654,9 +763,7 @@ def test_cli_defers_the_validate_and_sweep_imports(tmp_path):
     command pays for them. Run in a fresh interpreter, since the test suite
     itself imports all three."""
     cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64})
-    src = Path(bendflow.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env = _env_with_src()
     done = subprocess.run([sys.executable, "-c", _DEFERRED_PROBE, str(tmp_path),
                            str(cfg), ",".join(_DEFERRED)], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -679,6 +786,13 @@ def test_emit_plot_deterministic(tmp_path):
     assert "u(x)" in text and "</svg>" in text
     emit_plot([("flat", z)], p1)  # degenerate range still renders
     assert b"<polyline" in p1.read_bytes()
+
+
+def test_emit_plot_of_no_profiles_is_a_domain_error(tmp_path):
+    with pytest.raises(DomainError,
+                       match="^emit_plot needs at least one profile$"):
+        emit_plot([], tmp_path / "plot.svg")
+    assert not (tmp_path / "plot.svg").exists()
 
 
 def test_output_names_with_a_directory_part_are_rejected(tmp_path, capsys):
@@ -719,12 +833,10 @@ def test_cli_sweep_isolates_a_failing_case(tmp_path, capsys):
     assert not (runs / "stuck" / "summary.json").exists()
 
 
-def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
-                                                    monkeypatch):
-    """The process pool starts all its workers on the first case, so the
-    sweep asks for at most one per case: --jobs, else the CPU count, else
-    1. A stand-in pool records the size asked for and runs the cases in
-    this process."""
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A stand-in for the sweep's process pool that runs the cases in this
+    process; returns the list of the pool sizes asked for."""
     import concurrent.futures
 
     sizes = []
@@ -743,6 +855,16 @@ def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
+                                                    monkeypatch,
+                                                    in_process_pool):
+    """The process pool starts all its workers on the first case, so the
+    sweep asks for at most one per case: --jobs, else the CPU count, else
+    1. A stand-in pool records the size asked for and runs the cases in
+    this process."""
     cases = {"a": {"t_end": 0.002}, "b": {"t_end": 0.003}}
     p = write_cfg(tmp_path, {"base": MINIMAL, "cases": cases}, "sweep.json")
     for k, (jobs, cpus) in enumerate([(["--jobs", "64"], 8), (["--jobs", "1"], 8),
@@ -752,7 +874,28 @@ def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
                      str(tmp_path / f"runs{k}"), *jobs]) == 0
         assert (tmp_path / f"runs{k}" / "b" / "final.csv").exists()
     capsys.readouterr()
-    assert sizes == [2, 1, 2, 1]
+    assert in_process_pool == [2, 1, 2, 1]
+
+
+def test_cli_sweep_parses_each_case_once(tmp_path, capsys, monkeypatch,
+                                         in_process_pool):
+    """The sweep parses every case before any runs, and hands each worker
+    its parsed RunConfig: one parse per case, none in the worker."""
+    from bendflow import cli
+
+    parsed = []
+
+    def counting(data):
+        parsed.append(data)
+        return parse_config(data)
+    monkeypatch.setattr(cli, "parse_config", counting)
+    cases = {"a": {"t_end": 0.002}, "b": {"t_end": 0.003}}
+    p = write_cfg(tmp_path, {"base": MINIMAL, "cases": cases}, "sweep.json")
+    assert main(["sweep", "--config", str(p), "--out",
+                 str(tmp_path / "runs")]) == 0
+    capsys.readouterr()
+    assert [d["t_end"] for d in parsed] == [0.002, 0.003]
+    assert (tmp_path / "runs" / "b" / "final.csv").exists()
 
 
 def test_rearrange_missing_input_exits_2(tmp_path, capsys):

@@ -573,3 +573,26 @@ def test_write_csv_holds_one_slice_of_text(tmp_path):
                        [c[:5000] for c in columns])
     got = _peak_bytes(write_csv, tmp_path / "got.csv", header, columns)
     assert got <= 1.5 * want, (got, want)
+
+
+def _table_with_nodes(tmp_path, xs):
+    path = tmp_path / "table.csv"
+    path.write_text("x,value\n" + "".join(f"{x!r},0\n" for x in xs))
+    return path
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: GridFunction.from_symmetric_half(UniformGrid(32),
+                                                  np.zeros(16)),
+     "expected 17 left-half values"),
+    (lambda tmp: read_profile_csv(_table_with_nodes(tmp, [0, 0.5, 0.75, 1])),
+     "{path}: too few rows for a grid (4)"),
+    (lambda tmp: read_profile_csv(_table_with_nodes(
+        tmp, [0.0, 0.25, 0.5, 0.75, 0.8, 1.0])),
+     "{path}: nodes are not a uniform grid on [0,1]"),
+], ids=["half_of_the_wrong_length", "too_few_rows", "nonuniform_nodes"])
+def test_input_guards_are_domain_errors(tmp_path, call, message):
+    with pytest.raises(DomainError) as err:
+        call(tmp_path)
+    assert err.type is DomainError
+    assert str(err.value) == message.format(path=tmp_path / "table.csv")

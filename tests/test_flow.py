@@ -18,6 +18,7 @@ from bendflow import (
     GridFunction,
     Obstacle,
     StepConvergenceError,
+    Trajectory,
     UniformGrid,
     cone_obstacle,
     constant_obstacle,
@@ -1425,3 +1426,24 @@ def test_l2_norm_helper_consistency(cone_run):
     assert abs(manual - traj.step_norms[0]) < 1e-15
     gf = GridFunction(traj.grid, diff)
     assert abs(l2_norm(gf) - manual) < 1e-15
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FlowConfig(tau=1e-3, t_end=1e-2, inner_tol=0.0),
+     "inner_tol must be positive"),
+    (lambda: FlowConfig(tau=1e-3, t_end=1e-2, inner_tol=-1e-8),
+     "inner_tol must be positive"),
+    (lambda: FlowConfig(tau=1e-3, t_end=1e-2, inner_tol=math.nan),
+     "inner_tol must be positive"),
+    (lambda: dissipation_report(Trajectory(
+        grid=UniformGrid(16), tau=1e-3,
+        iterates=[GridFunction.zeros(UniformGrid(16))], energies=np.zeros(1))),
+     "trajectory has no steps"),
+], ids=["inner_tol_zero", "inner_tol_negative", "inner_tol_nan", "no_steps"])
+def test_input_guards_are_domain_errors(call, message):
+    """An inner tolerance that is not positive, and the dissipation report
+    of a run with no steps (`simulate` writes its config's bad inner_tol as
+    a config error, exit 2; tests/test_config_cli.py)."""
+    with pytest.raises(DomainError) as err:
+        call()
+    assert err.type is DomainError and str(err.value) == message

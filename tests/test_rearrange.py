@@ -241,3 +241,21 @@ def test_one_g_call_per_profile(n, monkeypatch):
     calls.clear()
     talenti_comparison(f)
     assert calls == ["bendflow.rearrange.g_inv"]
+
+
+_X = UniformGrid(100).nodes
+
+
+@pytest.mark.parametrize("call, values, message", [
+    (talenti_comparison, -_X * (1.0 - _X),
+     "talenti_comparison needs nonnegative data"),
+    (talenti_inequality_check, -0.1 * _X * (1.0 - _X),
+     "candidate must be nonnegative"),
+    # zero ends, nonnegative, convex about x = 1/2
+    (talenti_inequality_check, _X * (1.0 - _X) * (_X - 0.5) ** 2,
+     "candidate must be concave (second differences <= 0)"),
+], ids=["negative_data", "negative_candidate", "nonconcave_candidate"])
+def test_input_guards_are_domain_errors(call, values, message):
+    with pytest.raises(DomainError) as err:
+        call(GridFunction(UniformGrid(100), values))
+    assert err.type is DomainError and str(err.value) == message
