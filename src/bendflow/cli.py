@@ -9,8 +9,9 @@ gradient overflows; a finished simulate whose touching window fails,
 because the cone's critical point does not converge, still exits 0 and
 writes every file, with l0_window null and a warning); a sweep runs
 every case and exits with the code of its first failed case, and exits 2
-before any case runs if a case name is not one path component inside
---out (`config.is_path_component`).
+before any case runs if any case does not parse (`config.parse_sweep`).
+Two snapshot times whose file names would be the same are a config error,
+exit 2, before the flow runs.
 A missing or unreadable input file (a config, a profile table, a
 checkpoint) exits 2 with a message naming it.
 
@@ -38,8 +39,7 @@ from . import discretization as disc
 from . import flow as fl
 from . import rearrange as re_
 from . import specialfn as sf
-from .config import (RunConfig, is_number, is_path_component, load_config,
-                     parse_config, read_json)
+from .config import RunConfig, is_number, load_config, parse_sweep, read_json
 from .errors import BendflowError, ConfigError, ConvergenceError, DomainError
 from .svgplot import emit_plot
 
@@ -78,7 +78,6 @@ def _write_snapshot_csv(path, u: disc.GridFunction, psi: disc.GridFunction) -> N
 
 def _simulate_one(cfg: RunConfig, out_dir: Path,
                   resume: Path | None = None) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     obstacle = cfg.build_obstacle()
     t_offset = 0.0
     steps_offset = 0
@@ -100,6 +99,16 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
         if u0.grid.n != cfg.grid_n:
             raise ConfigError("checkpoint grid does not match configuration")
         t_offset, steps_offset = prev["t_final"], steps
+    # snapshot times count from the start of this run; file names and
+    # warnings count from the start of the run it continues, as summary.json
+    snapshots = cfg.outputs.get("snapshots", [])
+    names = [f"snapshot_t{t_offset + t:g}.csv" for t in snapshots]
+    first = {}  # file name -> the first time that names it
+    for t, name in zip(snapshots, names):
+        if first.setdefault(name, t) != t:
+            raise ConfigError(f"outputs.snapshots: times {first[name]!r} and "
+                              f"{t!r} would both be written to {name}")
+    out_dir.mkdir(parents=True, exist_ok=True)  # once every input has passed
     traj = fl.run_flow(u0, obstacle, cfg.flow,
                        stop_when_stall_rate=cfg.stop_when_stall_rate)
 
@@ -107,19 +116,15 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
     if outputs.get("trajectory_csv"):
         _write_trajectory_csv(out_dir / outputs["trajectory_csv"], traj,
                               steps_offset, t_offset)
-    # snapshot times count from the start of this run; file names and
-    # warnings count from the start of the run it continues, as summary.json
     t_final = traj.t_end + t_offset
-    for t in outputs.get("snapshots", []):
-        t_abs = t_offset + t
+    for t, name in zip(snapshots, names):
         try:
             u_t = fl.interpolate_linear(traj, float(t))
         except DomainError:  # past the last step, as after a stall stop
-            traj.warnings.append(f"snapshot t={t_abs:g} not written: the run "
-                                 f"stopped at t = {t_final:.15g}")
+            traj.warnings.append(f"snapshot t={t_offset + t:g} not written: "
+                                 f"the run stopped at t = {t_final:.15g}")
             continue
-        _write_snapshot_csv(out_dir / f"snapshot_t{t_abs:g}.csv", u_t,
-                            obstacle.samples)
+        _write_snapshot_csv(out_dir / name, u_t, obstacle.samples)
     if outputs.get("plot_svg"):
         profiles = [("initial", traj.iterates[0]),
                     ("final", traj.iterates[-1]),
@@ -262,32 +267,9 @@ def _run_case(payload):
 def _cmd_sweep(args) -> int:
     import concurrent.futures  # with the logging it brings, for sweeps only
 
-    data = read_json(args.config)
-    if not isinstance(data, dict) or "cases" not in data:
-        raise ConfigError("sweep config needs a 'cases' object of run configs")
-    base = data.get("base", {})
-    if not isinstance(base, dict):
-        raise ConfigError("'base' must be an object, the run config the "
-                          "cases override")
-    cases = data["cases"]
-    if not isinstance(cases, dict) or not cases:
-        raise ConfigError("'cases' must be a nonempty object name -> overrides")
-    jobs = []
-    for name, overrides in cases.items():
-        if not is_path_component(name):
-            raise ConfigError(f"case name {name!r} is not one path component "
-                              f"inside --out (nor '.' or '..')")
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"case {name!r}: overrides must be an object, "
-                              f"got {type(overrides).__name__}")
-        merged = json.loads(json.dumps(base))
-        for key, val in overrides.items():
-            if isinstance(val, dict) and isinstance(merged.get(key), dict):
-                merged[key].update(val)
-            else:
-                merged[key] = val
-        # fail fast on config errors, before spawning; a RunConfig pickles
-        jobs.append((name, parse_config(merged), args.out))
+    # every case parses before any runs; a RunConfig pickles
+    jobs = [(name, cfg, args.out)
+            for name, cfg in parse_sweep(read_json(args.config))]
     # a failed case does not stop the others; the exit code is that of the
     # first failed case, in case order. The pool starts all its workers on
     # the first case it is handed, so it is sized to the cases.

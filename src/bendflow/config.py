@@ -191,6 +191,41 @@ def parse_config(data: dict) -> RunConfig:
     )
 
 
+def parse_sweep(data) -> list:
+    """The cases of a sweep file as (name, RunConfig) pairs, in file order.
+
+    A sweep file is an object with a 'cases' object, name -> overrides,
+    and an optional 'base' run config. Each case's overrides are merged
+    into a copy of base one level deep: an object merges into an object,
+    any other value replaces. Each case is checked in turn, its name, its
+    overrides and then its merged config, so the first bad case found is
+    the one reported, and no case runs before every case has parsed."""
+    _require(isinstance(data, dict) and "cases" in data,
+             "sweep config needs a 'cases' object of run configs")
+    base = data.get("base", {})
+    _require(isinstance(base, dict), "'base' must be an object, the run "
+             "config the cases override")
+    cases = data["cases"]
+    _require(isinstance(cases, dict) and bool(cases),
+             "'cases' must be a nonempty object name -> overrides")
+    parsed = []
+    for name, overrides in cases.items():
+        _require(is_path_component(name),
+                 f"case name {name!r} is not one path component inside "
+                 f"--out (nor '.' or '..')")
+        _require(isinstance(overrides, dict),
+                 f"case {name!r}: overrides must be an object, got "
+                 f"{type(overrides).__name__}")
+        merged = json.loads(json.dumps(base))
+        for key, val in overrides.items():
+            if isinstance(val, dict) and isinstance(merged.get(key), dict):
+                merged[key].update(val)
+            else:
+                merged[key] = val
+        parsed.append((name, parse_config(merged)))
+    return parsed
+
+
 def read_json(path):
     """Open and parse a JSON file; a missing or malformed file is a ConfigError."""
     try:

@@ -121,7 +121,14 @@ def _pchip(x: np.ndarray, y: np.ndarray, xq: np.ndarray) -> np.ndarray:
     that secant at most if the first two secants differ in sign (Moler,
     Numerical Computing with MATLAB, 3.6). Each cell's cubic is summed in
     power form in the order of scipy's PchipInterpolator, which agrees to
-    a few ulp (to the bit on the critical tables with scipy 1.17.1)."""
+    a few ulp (to the bit on the critical tables with scipy 1.17.1).
+
+    x and xq are first scaled by the power of 2 that brings x[-1] into
+    [1/2, 1). That moves no bit of the result, as every step scales
+    exactly, but keeps the cubic's 1/h^2 finite on the height table of a
+    tiny cone (at height 1e-200 the cells are 1e-203 wide)."""
+    scale = 2.0 ** -math.frexp(x[-1])[1]
+    x, xq = x * scale, xq * scale
     h = np.diff(x)
     m = np.diff(y) / h
     d = np.zeros_like(y)

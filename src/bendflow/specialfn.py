@@ -102,11 +102,6 @@ def _as_array(z, name: str) -> np.ndarray:
     return arr
 
 
-def _like(out: np.ndarray, z):
-    """A Python float for a scalar argument z, else the array."""
-    return float(out[0]) if np.ndim(z) == 0 else out
-
-
 def _g_head(a: np.ndarray) -> np.ndarray:
     """G(a) for an array 0 <= a <= 1. Below a = 1e-8 every term rounds to
     its weight, the weights sum to 1 row by row, and G(a) = a to the bit."""
@@ -121,6 +116,21 @@ def _g_tail(a: np.ndarray) -> np.ndarray:
     return a ** -1.5 * (m * _GL_2WU2).sum(axis=1)
 
 
+def _odd(z, arr: np.ndarray, split: float, head, tail):
+    """f(z) for an odd f, split by a = |z|, with arr = `_as_array(z)`:
+    head(a) below split and tail(a) from there on, each branch on its own
+    part of the array, then the signs of z put back; a float for a scalar
+    z, else the array."""
+    a = np.abs(arr)
+    out = np.empty_like(a)
+    low = a < split
+    for part, branch in ((low, head), (~low, tail)):
+        if part.any():
+            out[part] = branch(a[part])
+    np.negative(out, out=out, where=arr < 0.0)
+    return float(out[0]) if np.ndim(z) == 0 else out
+
+
 def g(s):
     """G(s) for a float or an array, by the Gauss-Legendre sums of the
     module docstring: below |s| = 1 the head sum, from there on c0/2
@@ -129,19 +139,8 @@ def g(s):
     increasing, |G| < c0/2. A float in gives a float out; a non-finite
     element is a DomainError.
     """
-    arr = _as_array(s, "g")
-    a = np.abs(arr)
-    out = np.empty_like(a)
-    head = a < 1.0
-    part = a[head]
-    if part.size:
-        out[head] = _g_head(part)
-    tail = ~head
-    part = a[tail]
-    if part.size:
-        out[tail] = _HALF_C0 - _g_tail(part)
-    np.negative(out, out=out, where=arr < 0.0)
-    return _like(out, s)
+    return _odd(s, _as_array(s, "g"), 1.0, _g_head,
+                lambda a: _HALF_C0 - _g_tail(a))
 
 
 _G_ONE = float(_g_head(np.ones(1))[0])  # G(1), the split of g_inv
@@ -179,29 +178,29 @@ def g_inv(y):
     of saturation, |y| >= c0/2 - 1e-9 c0, a RangeError.
     """
     arr = _as_array(y, "g_inv")
-    ay = np.abs(arr)
-    over = ay >= _GINV_LIMIT
+    over = np.abs(arr) >= _GINV_LIMIT
     if over.any():
         raise RangeError(
-            f"g_inv: |y|={ay[over][0]:.17g} is within the guard band of the "
-            f"saturation value c0/2={_HALF_C0:.17g}"
+            f"g_inv: |y|={abs(arr[over][0]):.17g} is within the guard band of "
+            f"the saturation value c0/2={_HALF_C0:.17g}"
         )
-    out = np.empty_like(ay)
-    head = ay < _G_ONE
-    yh = ay[head]
-    if yh.size:
-        y2 = yh * yh
-        s = np.tan(yh * (1.0 + y2 * (1.0 / 12.0 + y2 * (11.0 / 480.0))))
-        out[head] = _halley(s, lambda s: _g_head(s) - yh)
-    tail = ~head
-    r = _HALF_C0 - ay[tail]
-    if r.size:
-        p = (1.5 * r) ** (2.0 / 3.0)
-        p2 = p * p
-        e = p * (1.0 + p2 * (1.0 / 42.0 + p2 * (37.0 / 21560.0)))
-        out[tail] = _halley(1.0 / np.tan(e), lambda s: r - _g_tail(s))
-    np.negative(out, out=out, where=arr < 0.0)
-    return _like(out, y)
+    return _odd(y, arr, _G_ONE, _g_inv_head, _g_inv_tail)
+
+
+def _g_inv_head(y: np.ndarray) -> np.ndarray:
+    """Ginv(y) for an array 0 <= y < G(1), from the start of `g_inv`."""
+    y2 = y * y
+    s = np.tan(y * (1.0 + y2 * (1.0 / 12.0 + y2 * (11.0 / 480.0))))
+    return _halley(s, lambda s: _g_head(s) - y)
+
+
+def _g_inv_tail(y: np.ndarray) -> np.ndarray:
+    """Ginv(y) for an array G(1) <= y < c0/2, from the start of `g_inv`."""
+    r = _HALF_C0 - y
+    p = (1.5 * r) ** (2.0 / 3.0)
+    p2 = p * p
+    e = p * (1.0 + p2 * (1.0 / 42.0 + p2 * (37.0 / 21560.0)))
+    return _halley(1.0 / np.tan(e), lambda s: r - _g_tail(s))
 
 
 _SERIES_TOL = 1e-14  # 2F1 sum ends after two terms below this share of it
@@ -333,17 +332,35 @@ def h_of_A(a_slope: float) -> float:
     return _h(a)
 
 
-def h_inv(height: float) -> float:
-    """A in (0, 2^19] with H(A) = height, the float the bisection brackets;
-    residual below 1e-10.
+def _bisect(below, lo: float, hi: float) -> tuple[float, float]:
+    """Halve the float bracket [lo, hi] until its ends are adjacent floats,
+    the one bisection of h_inv and of validate's flip search: the midpoint
+    replaces lo where below(midpoint), else hi. It ends when
+    the midpoint rounds to an end, which every finite bracket whose sum
+    does not overflow reaches: at most 1,093 halvings take [0, 2^19] to
+    adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
 
-    Bracketing by doubling, then bisection on the closed form of H that
-    h_of_A returns, down to adjacent floats lo < hi with H(lo) < height <=
-    H(hi); A is one of the two. H is flat to rounding near 2^19, where
-    h_of_A gives heights up to H(2^19) + 2 _H_ABS_ERR (H(2^19) = 0.83462456,
-    just below the supremum); higher heights raise RangeError. There many
-    floats share one height, and A is one preimage among several:
-    h_inv(h_of_A(2**19)) is 524287.9999965166, not 2^19.
+
+def h_inv(height: float) -> float:
+    """A in (0, 2^19] with H(A) = height, the float the bisection brackets,
+    at every positive height; residual below 1e-10 relative (one float
+    step at a subnormal height).
+
+    Bracketing by doubling, then bisection (`_bisect`) on the closed form
+    of H that h_of_A returns, down to adjacent floats lo < hi with
+    H(lo) < height <= H(hi); A is one of the two. H is flat to rounding
+    near 2^19, where h_of_A gives heights up to H(2^19) + 2 _H_ABS_ERR
+    (H(2^19) = 0.83462456, just below the supremum); higher heights raise
+    RangeError. There many floats share one height, and A is one preimage
+    among several: h_inv(h_of_A(2**19)) is 524287.9999965166, not 2^19.
     """
     height = float(height)
     if not (height > 0.0):
@@ -354,18 +371,12 @@ def h_inv(height: float) -> float:
     if height > _h(hi) + 2.0 * _H_ABS_ERR:
         raise RangeError(f"h_inv: height {height} is above H({_H_MAX_SLOPE:g}), "
                          f"the largest height supported")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _h(mid) < height:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda a: _h(a) < height, 0.0, hi)
     a = 0.5 * (lo + hi)
-    if abs(_h(a) - height) > 1e-10 * max(1.0, height):
-        raise ConvergenceError(f"h_inv: residual above 1e-10 at height {height}")
+    # relative, but never below the float spacing of a subnormal height
+    if abs(_h(a) - height) > max(1e-10 * height, math.ulp(height)):
+        raise ConvergenceError(f"h_inv: relative residual above 1e-10 at "
+                               f"height {height}")
     return a
 
 

@@ -352,15 +352,9 @@ def check_talenti() -> CheckResult:
         norm_err = max(norm_err, abs(float(np.max(u.values))
                                      - float(np.max(usym.values))))
     # sign change of (1/Ginv)'' at s = G(2), bisected down to adjacent floats
-    lo, hi = 1e-3, sf.c0() / 2.0 - 1e-6
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if re_.one_over_ginv_second_derivative(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = sf._bisect(
+        lambda s: re_.one_over_ginv_second_derivative(s) > 0,
+        1e-3, sf.c0() / 2.0 - 1e-6)
     flip_err = abs(0.5 * (lo + hi) - sf.g(2.0))
     passed = worst_gap >= 0.0 and norm_err <= 1e-8 and flip_err <= 1e-6
     return CheckResult(

@@ -243,6 +243,24 @@ def test_cli_critical_exits_1_on_a_point_its_report_rejects(tmp_path, capsys):
     assert "check failed" not in capsys.readouterr().err
 
 
+def test_cli_critical_of_a_tiny_cone(tmp_path, capsys):
+    """h_inv brackets every positive height, so `critical` finds the point
+    of a cone of height 1e-100 or 1e-200: A = 3 height to rounding, a
+    finite ode_residual, exit 0 and no numpy warning (pytest makes each
+    one an error). The PCHIP cubic of the height table, whose cells are
+    1e-203 wide at 1e-200, no longer overflows into a NaN ode_residual."""
+    for height in (1e-100, 1e-200):
+        out = tmp_path / f"h{height:g}"
+        assert main(["critical", "--height", f"{height:g}", "--n", "16",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"A = {3.0 * height:g}, ")
+        payload = json.loads((out / "critical_residuals.json").read_text())
+        assert payload["A"] == pytest.approx(3.0 * height, rel=1e-12)
+        assert 0.0 <= payload["residuals"]["ode_residual"] <= 1e-6 * height
+
+
 def test_cli_rearrange(tmp_path, capsys):
     grid = UniformGrid(32)
     gf = GridFunction(grid, grid.nodes * (1 - grid.nodes))
@@ -327,6 +345,36 @@ def test_cli_resumed_run_names_its_files_by_absolute_time(tmp_path, capsys):
     summary = json.loads((out2 / "summary.json").read_text())
     assert float(second[-1]["time"]) == pytest.approx(summary["t_final"],
                                                       rel=1e-12)
+
+
+def test_cli_snapshot_times_that_share_a_file_name_are_rejected(tmp_path,
+                                                               capsys):
+    """Two snapshot times whose file names would be the same exit 2 with a
+    message naming both times and the file, before the flow runs and
+    before --out is made: no snapshot overwrites another. A resumed run names its files by
+    t_offset + t, so times that a fresh run keeps apart can meet there."""
+    data = dict(MINIMAL, t_end=0.02,
+                outputs={"snapshots": [0.01000001, 0.01000004]})
+    out = tmp_path / "clash"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: outputs.snapshots: times 0.01000001 and 0.01000004 "
+        "would both be written to snapshot_t0.01.csv\n")
+    assert not out.exists()
+    data = dict(MINIMAL, outputs={"snapshots": [1e-9, 2e-9, 1e-9]})
+    cfg_path = str(write_cfg(tmp_path, data, "resume.json"))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["simulate", "--config", cfg_path, "--out", str(first)]) == 0
+    assert sorted(p.name for p in first.glob("snapshot_t*.csv")) == [
+        "snapshot_t1e-09.csv", "snapshot_t2e-09.csv"]
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg_path, "--out", str(second),
+                 "--resume", str(first)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: outputs.snapshots: times 1e-09 and 2e-09 would both "
+        "be written to snapshot_t0.01.csv\n")
+    assert not second.exists()
 
 
 def test_cli_resume_needs_no_initial_table(tmp_path, capsys):
@@ -877,18 +925,37 @@ def test_cli_sweep_starts_no_more_workers_than_cases(tmp_path, capsys,
     assert in_process_pool == [2, 1, 2, 1]
 
 
+def test_cli_sweep_reports_the_failure_a_worker_returns(tmp_path, capsys,
+                                                      in_process_pool):
+    """The failure a case returns from its worker, here run in this
+    process: the failed case's kind and message on stderr, the good case's
+    energy on stdout, and main's exit code for the failure."""
+    sweep = {"base": MINIMAL, "cases": {"stuck": {"inner_max_iter": 1},
+                                        "ok": {"t_end": 0.002}}}
+    p = write_cfg(tmp_path, sweep, "sweep.json")
+    assert main(["sweep", "--config", str(p), "--out",
+                 str(tmp_path / "runs")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("ok: final energy ")
+    assert captured.out.count("\n") == 1
+    assert captured.err.startswith(
+        "stuck: nonconvergence: inner solver stopped at residual ")
+    assert captured.err.count("\n") == 1
+    assert in_process_pool == [2]
+
+
 def test_cli_sweep_parses_each_case_once(tmp_path, capsys, monkeypatch,
                                          in_process_pool):
     """The sweep parses every case before any runs, and hands each worker
     its parsed RunConfig: one parse per case, none in the worker."""
-    from bendflow import cli
+    from bendflow import config
 
     parsed = []
 
     def counting(data):
         parsed.append(data)
         return parse_config(data)
-    monkeypatch.setattr(cli, "parse_config", counting)
+    monkeypatch.setattr(config, "parse_config", counting)
     cases = {"a": {"t_end": 0.002}, "b": {"t_end": 0.003}}
     p = write_cfg(tmp_path, {"base": MINIMAL, "cases": cases}, "sweep.json")
     assert main(["sweep", "--config", str(p), "--out",

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 from unittest import mock
@@ -413,3 +414,43 @@ def test_flow_over_a_tilted_cone_rests_at_a_critical_point(a):
     assert traj.step_norms[-1] == 0.0  # at rest
     rep = check_critical(traj.iterates[-1], obstacle)
     assert rep.vi_residual >= -0.1 * critical.VI_TOL * rep.scale  # passes_vi
+
+
+# Well-posedness on nearby data: starts u_c(c) and u_c(c) + eps phi over the
+# cone of height 0.02, 100 steps of tau = 1e-5 (0.04-0.08 s a run).
+_NEARBY = FlowConfig(tau=1e-5, t_end=1e-3)
+
+
+@functools.lru_cache(maxsize=None)
+def _nearby_base(c):
+    """u(1e-3) from u_c(c), one run per c."""
+    return run_flow(u_c_profile(c, _GRID100), cone_obstacle(0.02, _GRID100),
+                    _NEARBY).iterates[-1].values
+
+
+@settings(max_examples=2, deadline=None)
+@given(c=st.sampled_from([0.5, 0.7]), p=st.floats(0.0, 1.0),
+       e1=st.floats(-6.0, -2.0), e2=st.floats(-6.0, -2.0))
+@example(c=0.5, p=1.0, e1=-2.0, e2=-6.0)
+@example(c=0.7, p=1.0, e1=-2.0, e2=-6.0)
+def test_gap_to_nearby_data_does_not_depend_on_its_size(c, p, e1, e2):
+    """The gap ratio ||u_eps(t) - u(t)|| / ||eps phi|| at t = 1e-3, in the
+    trapezoid L^2 norm, from u_c(c) + eps phi with phi = x(1-x)(1+px) >= 0,
+    moves by at most 0.2 |eps1 - eps2| between two sizes eps = 10^e: the
+    gap is linear in eps to first order. Measured for eps = 1e-2 ... 1e-6:
+    0.8382 ... 0.8369 (c = 0.5) and 0.8585 ... 0.8568 (c = 0.7) at p = 1,
+    0.8443 ... 0.8435 and 0.8646 ... 0.8636 at p = 0, so slopes 0.08 to
+    0.17; the 1e-5 allows for the solver's rounding at eps = 1e-6."""
+    x = _GRID100.nodes
+    phi = x * (1.0 - x) * (1.0 + p * x)
+    weights = trapezoid_weights(_GRID100)
+    obstacle = cone_obstacle(0.02, _GRID100)
+    sizes = (10.0 ** e1, 10.0 ** e2)
+    ratios = []
+    for eps in sizes:
+        v = u_c_profile(c, _GRID100).values + eps * phi
+        u = run_flow(GridFunction(_GRID100, v), obstacle, _NEARBY).iterates[-1]
+        gap = u.values - _nearby_base(c)
+        ratios.append(math.sqrt((weights @ gap**2)
+                                / (weights @ (eps * phi)**2)))
+    assert abs(ratios[0] - ratios[1]) <= 0.2 * abs(sizes[0] - sizes[1]) + 1e-5

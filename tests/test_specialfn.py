@@ -427,13 +427,16 @@ def test_h_inv_round_trips_h_of_a(a):
 
 
 @settings(max_examples=30, deadline=None)
-@given(y=st.floats(1e-8, 0.834))
+@given(y=st.floats(1e-8, 0.834) | st.floats(5e-324, 1e-8))
 @example(y=1e-8)
 @example(y=0.834)
+@example(y=1e-100)
+@example(y=5e-324)  # the smallest positive float
 def test_h_inv_is_a_float_bracket(y):
     """h_inv(y) is an end of the float bracket of y: either H(prev(a)) <
     y <= H(a) or H(a) < y <= H(next(a)), with H by h_of_A and prev,
-    next the adjacent floats. No float lies strictly inside the bracket."""
+    next the adjacent floats. No float lies strictly inside the bracket,
+    at every positive height down to the smallest subnormal."""
     a = h_inv(y)
     below, above = np.nextafter(a, 0.0), np.nextafter(a, np.inf)
     ha = h_of_A(a)
