@@ -1,24 +1,30 @@
 """Command-line interface.
 
 Subcommands: simulate, critical, rearrange, specialfn, validate, sweep.
-Exit codes: 0 success, 1 check failure (a failed validation, or a
-critical point its own residuals reject), 2 usage or configuration error,
-3 numerical nonconvergence (also a step whose start has an energy or
-gradient that is not finite, as from a finite datum so large that its
-gradient overflows; a finished simulate whose touching window fails,
-because the cone's critical point does not converge, still exits 0 and
-writes every file, with l0_window null and a warning); a sweep runs
-every case and exits with the code of its first failed case, and exits 2
-before any case runs if any case does not parse (`config.parse_sweep`).
-Two snapshot times whose file names would be the same are a config error,
-exit 2, before the flow runs.
-A missing or unreadable input file (a config, a profile table, a
-checkpoint) exits 2 with a message naming it.
+Exit codes:
+  0  success. A finished simulate whose touching window cannot be computed
+     still exits 0 and writes every file, with l0_window null and a
+     warning: the cone's critical point does not converge, or the cone is
+     lower than 3.6e-209, the lowest height the critical point serves.
+  1  check failure: a failed validation, or a critical point its own
+     residuals reject.
+  2  usage or configuration error; a value outside a function's domain or
+     range (`critical` of a cone lower than 3.6e-209 is one, with an
+     `error:` line); a missing or unreadable input file (a config, a
+     profile table, a checkpoint), with a message naming it; two snapshot
+     times whose file names would be the same, before the flow runs.
+  3  numerical nonconvergence, also a step whose start has an energy or
+     gradient that is not finite (as from a finite datum so large that its
+     gradient overflows).
+A sweep runs every case and exits with the code of its first failed case,
+and exits 2 before any case runs if any case does not parse
+(`config.parse_sweep`).
 
 Output rule: every CSV file goes through `discretization.write_csv` (floats
 as `{:.15g}`, integers as `str`, comma-separated with CRLF line ends, the
-bytes of `csv.writer`'s excel dialect; a slice of rows formats each distinct
-value of a column once) and every JSON file through `_write_json`
+bytes of `csv.writer`'s excel dialect; a slice of rows is one `%` of a row
+template, into which each column that is constant over the slice is
+formatted once) and every JSON file through `_write_json`
 (`indent=2`, sorted keys, trailing newline); stdout prints numbers as
 `{:.15g}`. Identical inputs produce byte-identical files.
 """
@@ -141,7 +147,7 @@ def _simulate_one(cfg: RunConfig, out_dir: Path,
         if obstacle.kind == "cone" and traj.grid.n % 2 == 0:
             try:
                 inf_e = crit.critical_profile(obstacle.height, traj.grid).energy
-            except ConvergenceError as err:  # the run's files are still written
+            except (ConvergenceError, DomainError) as err:  # files still written
                 inf_e = 0.0  # no window
                 traj.warnings.append(
                     f"l0_window not computed: the critical point of the cone "

@@ -33,7 +33,7 @@ from .discretization import (
     _first_variation_raw,
     cone_obstacle,
 )
-from .errors import ConvergenceError, DomainError, GridMismatchError
+from .errors import ConvergenceError, DomainError, GridMismatchError, RangeError
 from .flow import _evaluate, _vi_split
 from .specialfn import _gauss_legendre, h_inv, h_of_A, quad
 
@@ -43,6 +43,11 @@ _N_PARAM = 1024  # parametric samples in w = sqrt(A - z), Chebyshev-distributed
 # consecutive samples
 _GL_NODES, _GL_WEIGHTS = _gauss_legendre(12)
 VI_TOL = 1e-5  # check_critical's VI tolerance, relative to its scale
+# the lowest cone height served: below it (slopes A below about 1.08e-208)
+# the products half * (A - w^2) * fx of `_parametric_table`'s height integral
+# underflow, and its height table can stop increasing (scanned: the highest
+# such height is 3.574e-209, and below 3.2e-210 every height is one)
+_H_MIN = 3.6e-209
 
 
 def _x_integrand(a: float, w):
@@ -181,7 +186,8 @@ def _parametric_table(a: float):
 def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     """Compute the symmetric critical point for a cone of midpoint height > 0.
 
-    Needs an even grid so the contact node x = 1/2 exists. The parametric
+    Needs an even grid so the contact node x = 1/2 exists, and a height of
+    at least `_H_MIN`: a lower one is a RangeError. The parametric
     table is resampled onto the grid with monotone cubic interpolation,
     mirrored, and then polished to the stationary point of the discrete
     energy over the cone constraint (a proximal step with a huge time
@@ -202,6 +208,8 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
+    if height < _H_MIN:
+        raise RangeError(f"height {height:g} is below {_H_MIN:g}, the lowest served")
     a = h_inv(height)
     xs, us, zs = _parametric_table(a)
     if np.any(np.diff(us) <= 0.0):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -378,40 +379,48 @@ def l2_norm(u: GridFunction) -> float:
 # format "x,value", one row per node
 # ---------------------------------------------------------------------------
 
-_CSV_ROWS = 1024  # rows formatted per slice, so no file is held as text
-
-
-def _column_text(fmt, c: np.ndarray) -> list[str]:
-    """`fmt` of each entry of the 1-D array c, each distinct bit pattern
-    formatted once (integers keyed by value, floats by their bits, so -0.0
-    and 0.0 stay apart)."""
-    keys = c if c.dtype.kind in "iu" else c.view(f"u{c.dtype.itemsize}")
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    text = np.array([fmt(v) for v in c[first].tolist()], dtype=object)
-    return text[inverse].tolist()
+# rows written per slice, by one `%` of the row template repeated: no file
+# is held as text, and a slice's text is one C-level formatting pass
+_CSV_ROWS = 1024
 
 
 def write_csv(path, header, columns) -> None:
     """Write equal-length columns under `header`, one row per index.
 
-    Integer columns print as `str`, every other column as `{:.15g}` (so
-    inf prints as "inf"). Rows are written a slice of `_CSV_ROWS` at a
-    time, and within a slice each column formats each distinct value once.
-    The bytes are those of `csv.writer`'s excel dialect, CRLF line ends
-    included: no field either format produces needs quoting, and neither
-    does any header name the package writes.
+    Integer columns print as `%d` (the text of `str`), every other column
+    as `%.15g` (the text of `{:.15g}`, so inf prints as "inf"). Rows are
+    written a slice of `_CSV_ROWS` at a time, by one `row_template * m %
+    args`. Within a slice each column is cut into runs of equal bits: a
+    column that is one run is formatted once, into the template; a column
+    of more runs than three quarters of its rows passes its values to its
+    format; any other formats each run once and passes the run texts,
+    repeated, as `%s`. The bytes are those of `csv.writer`'s excel
+    dialect, CRLF line ends included: no field either format produces
+    needs quoting, and neither does any header name the package writes.
     """
     cols = [np.asarray(c) for c in columns]
     n = len(cols[0])
     if len(header) != len(cols) or any(len(c) != n for c in cols):
         raise ValueError("write_csv needs one equal-length column per header")
-    fmts = [str if c.dtype.kind in "iu" else "{:.15g}".format for c in cols]
+    fmts = ["%d" if c.dtype.kind in "iu" else "%.15g" for c in cols]
+    keys = [c.view(f"u{c.itemsize}") for c in cols]  # so -0.0 and 0.0 differ
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _CSV_ROWS):
-            text = [_column_text(fmt, c[lo:lo + _CSV_ROWS])
-                    for fmt, c in zip(fmts, cols)]
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+            m = min(_CSV_ROWS, n - lo)
+            fields, args = [], []
+            for fmt, c, key in zip(fmts, cols, keys):
+                c, key = c[lo:lo + m], key[lo:lo + m]
+                starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+                if len(starts) == 1:  # one run: formatted into the template
+                    fields.append((fmt % c[0].item()).replace("%", "%%"))
+                    continue
+                if 4 * len(starts) <= 3 * m:  # each run formatted once
+                    text = np.array([fmt % v for v in c[starts].tolist()], dtype=object)
+                    c, fmt = np.repeat(text, np.diff(starts, append=m)), "%s"
+                fields.append(fmt)
+                args.append(c.tolist())
+            fh.write((",".join(fields) + "\r\n") * m % tuple(chain(*zip(*args))))
 
 
 def write_profile_csv(path, u: GridFunction) -> None:

@@ -651,7 +651,9 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     is called no more, and one block records that step and every later one
     (with a stall rate set, up to where the streak would stop the run),
     each with that iterate, that report, step norm 0 and the input's
-    energy, contact count and symmetry residual. A StepConvergenceError
+    energy, contact count and symmetry residual: the iterate and report
+    lists repeat the two objects, and each diagnostic array ends in one
+    `np.full` of its rest value. A StepConvergenceError
     leaves tagged with `step_index`, its `partial` iterate kept and the
     solver frames it passed through cleared.
     """
@@ -725,18 +727,20 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
             if slow_streak >= 3:
                 break
 
-    # each column: the rows' entries, then the rest row's, repeated (rows
-    # extended by the rest block would cost zip an iterator per row)
-    iterates, energies, step_norms, counts, sym, reports = (
-        [*column, *repeat(x, left)] for column, x in zip(zip(*rows), rest))
-    del step_norms[0], reports[0]  # the start's placeholders
+    # each column: the moving rows' entries, then the rest row's `left`
+    # times; the start has no step norm and no report
+    iterates, energies, step_norms, counts, sym, reports = zip(*rows)
+
+    def column(entries, x, dtype=float):
+        return np.concatenate([np.array(entries, dtype), np.full(left, x, dtype)])
+
     return Trajectory(
-        grid=grid, tau=cfg.tau, iterates=iterates,
-        energies=np.array(energies), step_norms=np.array(step_norms),
-        coincidence_counts=np.array(counts, dtype=int),
-        symmetry_residuals=np.array(sym), kkt_reports=reports,
-        warnings=warnings,
-    )
+        grid=grid, tau=cfg.tau, iterates=[*iterates, *repeat(rest[0], left)],
+        energies=column(energies, rest[1]),
+        step_norms=column(step_norms[1:], 0.0),
+        coincidence_counts=column(counts, rest[3], int),
+        symmetry_residuals=column(sym, rest[4]),
+        kkt_reports=[*reports[1:], *repeat(rest[5], left)], warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

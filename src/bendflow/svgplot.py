@@ -79,9 +79,10 @@ def emit_plot(profiles, path) -> None:
     )
     for idx, (label, gf) in enumerate(profiles):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(gf.x, gf.values)
-        )
+        # sx and sy on whole arrays: the same operations in the same order,
+        # so each point gets the bits of the scalar call
+        pts = " ".join(map("%.2f,%.2f".__mod__,
+                           zip(sx(gf.x).tolist(), sy(gf.values).tolist())))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from bendflow import (
     h_of_A,
     read_profile_csv,
     run_flow,
+    svgplot,
     table_obstacle,
     u_c_profile,
     write_profile_csv,
@@ -548,6 +550,23 @@ def test_cli_simulate_writes_its_files_when_the_touching_window_fails(
     capsys.readouterr()
 
 
+def test_cli_simulate_over_a_cone_too_low_for_its_critical_point(
+        tmp_path, capsys):
+    """A cone lower than the critical point serves (1e-210) leaves the
+    touching window uncomputed, as a critical point that fails does: exit
+    0, l0_window null and a warning naming the height."""
+    data = dict(MINIMAL, t_end=2e-3, obstacle={"type": "cone", "height": 1e-210})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(write_cfg(tmp_path, data)),
+                 "--out", str(out)]) == 0
+    warning = ("l0_window not computed: the critical point of the cone of "
+               "height 1e-210 at N = 32 failed: height 1e-210 is below "
+               "3.6e-209, the lowest served")
+    assert f"warning: {warning}" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["l0_window"] is None and warning in summary["warnings"]
+
+
 def test_cli_sweep(tmp_path, capsys):
     sweep = {
         "base": MINIMAL,
@@ -834,6 +853,78 @@ def test_emit_plot_deterministic(tmp_path):
     assert "u(x)" in text and "</svg>" in text
     emit_plot([("flat", z)], p1)  # degenerate range still renders
     assert b"<polyline" in p1.read_bytes()
+
+
+def _polyline_points_reference(profiles):
+    """The per-point writer emit_plot's polylines had: emit_plot's range
+    rule, then each point formatted on its own from scalar sx and sy."""
+    ymin = min(float(np.min(gf.values)) for _, gf in profiles)
+    ymax = max(float(np.max(gf.values)) for _, gf in profiles)
+    if ymax - ymin < 1e-15:
+        ymin, ymax = ymin - 1.0, ymax + 1.0
+    pad = 0.05 * (ymax - ymin)
+    ymin -= pad
+    ymax += pad
+    pw = svgplot._W - svgplot._ML - svgplot._MR
+    ph = svgplot._H - svgplot._MT - svgplot._MB
+
+    def sx(x):
+        return svgplot._ML + pw * x
+
+    def sy(y):
+        return svgplot._MT + ph * (ymax - y) / (ymax - ymin)
+
+    return [" ".join(f"{sx(x):.2f},{sy(v):.2f}" for x, v in zip(gf.x, gf.values))
+            for _, gf in profiles]
+
+
+def _random_profiles(rng):
+    """One to three profiles on one grid: an offset plus noise of a scale
+    from 1e-300 to 1e300, with exact 0.0 and -0.0 at random nodes."""
+    grid = UniformGrid(int(rng.integers(4, 300)))
+    profiles = []
+    for k in range(int(rng.integers(1, 4))):
+        offset = rng.choice([0.0, -0.0, 1.0, rng.standard_normal() * 1e3])
+        v = offset + rng.standard_normal(grid.n + 1) * 10.0 ** rng.uniform(-300, 300)
+        v[rng.random(grid.n + 1) < 0.2] = 0.0
+        v[rng.random(grid.n + 1) < 0.2] = -0.0
+        profiles.append((f"p{k}", GridFunction(grid, v)))
+    return profiles
+
+
+def _near_tie_profile(rng):
+    """A profile whose interior values map to within a few ulps of y
+    coordinates ending in 5 at the third decimal, where `.2f` rounds by the
+    last bit: its ends fix the range, and each interior value inverts sy."""
+    grid = UniformGrid(int(rng.integers(4, 300)))
+    lo = rng.standard_normal() * 10.0 ** rng.uniform(-5, 5)
+    hi = lo + 10.0 ** rng.uniform(-10, 5)
+    ymin, ymax = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    ph = svgplot._H - svgplot._MT - svgplot._MB
+    ties = rng.integers(2500, 45000, grid.n + 1) / 100 + 0.005
+    v = np.clip(ymax - (ties - svgplot._MT) * (ymax - ymin) / ph, lo, hi)
+    v[0], v[-1] = lo, hi
+    return [("tie", GridFunction(grid, v))]
+
+
+def test_emit_plot_points_are_those_of_the_per_point_writer(tmp_path):
+    """emit_plot maps whole arrays through sx and sy; every polyline's
+    points attribute keeps the bytes of the per-point reference, on random
+    profiles, on profiles whose points sit at `.2f` rounding ties, and on
+    flat ones (0.0, -0.0, a constant), which take the fallback range."""
+    rng = np.random.default_rng(7)
+    grid = UniformGrid(32)
+    flat = [[("zero", GridFunction.zeros(grid))],
+            [("negzero", GridFunction(grid, np.full(33, -0.0)))],
+            [("c", GridFunction(grid, np.full(33, 0.3))),
+             ("c2", GridFunction(grid, np.full(33, 0.3)))]]
+    path = tmp_path / "plot.svg"
+    drawn = [_random_profiles(rng) for _ in range(40)]
+    drawn += [_near_tie_profile(rng) for _ in range(40)]
+    for profiles in flat + drawn:
+        emit_plot(profiles, path)
+        got = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert got == _polyline_points_reference(profiles)
 
 
 def test_emit_plot_of_no_profiles_is_a_domain_error(tmp_path):

@@ -14,6 +14,7 @@ from bendflow import (
     DomainError,
     FlowConfig,
     GridFunction,
+    RangeError,
     StepConvergenceError,
     UniformGrid,
     c0,
@@ -324,6 +325,28 @@ def test_polish_nonconvergence_raises(monkeypatch):
 def test_odd_grid_rejected():
     with pytest.raises(DomainError):
         critical_profile(0.05, UniformGrid(201))
+
+
+@pytest.mark.parametrize("height", [1e-210, 1e-300])
+def test_a_cone_below_the_lowest_served_height_is_a_range_error(
+        tmp_path, capsys, height):
+    """Below 3.6e-209 the height table's products underflow, so the table
+    is refused up front: a RangeError naming the lowest height served, and
+    `critical` exits 2 with an `error:` line, where it exited 3 with
+    "height table is not strictly increasing". The lowest height served
+    still builds its point."""
+    from bendflow.cli import main
+
+    message = f"height {height:g} is below 3.6e-209, the lowest served"
+    with pytest.raises(RangeError) as excinfo:
+        critical_profile(height, UniformGrid(16))
+    assert str(excinfo.value) == message
+    assert main(["critical", "--height", f"{height:g}", "--n", "16",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "critical_profile.csv").exists()
+    cp = critical_profile(critical._H_MIN, UniformGrid(16))
+    assert not cp.failures()
 
 
 def test_flow_limit_agrees_with_critical_profile():
