@@ -66,14 +66,13 @@ def _write_trajectory_csv(path, traj: fl.Trajectory, steps_offset: int,
                           t_offset: float) -> None:
     """One row per step, its step number and time counted from the start
     of the run that `traj` continues (offsets 0 on a fresh run)."""
-    reports = traj.kkt_reports
     disc.write_csv(path, _TRAJ_HEADER, [
         np.arange(steps_offset + 1, steps_offset + traj.n_steps + 1),
         t_offset + traj.times[1:], traj.energies[1:],
         traj.step_norms, traj.coincidence_counts[1:],
         traj.symmetry_residuals[1:], traj.inner_iterations,
-        [rep.stationarity_residual for rep in reports],
-        [rep.multiplier_min for rep in reports],
+        traj.report_column("stationarity_residual"),
+        traj.report_column("multiplier_min"),
     ])
 
 

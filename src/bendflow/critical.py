@@ -187,11 +187,12 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     """Compute the symmetric critical point for a cone of midpoint height > 0.
 
     Needs an even grid so the contact node x = 1/2 exists, and a height of
-    at least `_H_MIN`: a lower one is a RangeError. The parametric
-    table is resampled onto the grid with monotone cubic interpolation,
-    mirrored, and then polished to the stationary point of the discrete
-    energy over the cone constraint (a proximal step with a huge time
-    constant, warm-started at the sample). The polish moves nodal values by
+    at least `_H_MIN`: a lower one is a RangeError (`h_inv`'s for a height
+    that is not positive, or NaN). The parametric table is resampled onto
+    the grid with monotone cubic interpolation, mirrored, and then
+    polished to the stationary point of the discrete energy over the cone
+    constraint (a proximal step with a huge time constant, warm-started at
+    the sample). The polish moves nodal values by
     O(h^2) at most but makes the stored profile satisfy the discrete
     variational inequality over coordinate directions exactly, including the
     contact node sitting bitwise on the cone tip. A polish that does not
@@ -208,7 +209,7 @@ def critical_profile(height: float, grid: UniformGrid) -> CriticalPoint:
     """
     if grid.n % 2 != 0:
         raise DomainError("critical_profile needs an even number of cells")
-    if height < _H_MIN:
+    if 0.0 < height < _H_MIN:
         raise RangeError(f"height {height:g} is below {_H_MIN:g}, the lowest served")
     a = h_inv(height)
     xs, us, zs = _parametric_table(a)
@@ -283,13 +284,13 @@ def _criticality_report(u: GridFunction, psi, ev) -> CriticalityReport:
     scale = 1.0 + float(np.max(np.abs(ge)))
     # gap classification lives in solution units, not gradient units
     act_tol = 10.0 * VI_TOL * max(1.0, float(np.max(np.abs(u.values))))
-    stat, mult, active = _vi_split(u.values, psi, ge, act_tol)
+    stat, mult, n_active = _vi_split(u.values, psi, ge, act_tol)
 
     # DE(u)(e_i) is proportional to ge_i on every interior node and
     # DE(u)(-e_i) to -ge_i on the inactive ones; on those both together
     # give -|ge_i|, so the coordinate minimum is min(min ge, -stat)
     vi = float(np.min(ge[1:-1]))
-    if len(active) < len(ge) - 2:
+    if n_active < len(ge) - 2:
         vi = min(vi, -stat)
 
     # global directions v - u for v = (1 +- delta) u clipped to the box

@@ -145,12 +145,13 @@ class KKTReport:
     with gap u - psi <= 10 * inner_tol * scale (a bound that dominates the
     solver slack) are active; a valid step has |r| <= tol on inactive nodes
     and r >= -tol on active ones, with tol = inner_tol * scale and scale
-    the natural size 1 + ||grad E_h||_inf + ||udot||_inf.
+    the natural size 1 + ||grad E_h||_inf + ||udot||_inf. `active_count`
+    is the number of active nodes; no field is an array.
     """
 
     stationarity_residual: float
     multiplier_min: float
-    active_set: np.ndarray
+    active_count: int
     scale: float
     natural_residual: float
     inner_iterations: int
@@ -162,7 +163,9 @@ class KKTReport:
 
 @dataclass
 class Trajectory:
-    """Flow iterates, iterate k at time k tau, with per-step diagnostics."""
+    """Flow iterates, iterate k at time k tau, with per-step diagnostics.
+    The last `rest_steps` steps are the rest block: they repeat one iterate
+    and one report (0 without a step at rest)."""
 
     grid: UniformGrid
     tau: float
@@ -173,6 +176,7 @@ class Trajectory:
     symmetry_residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     kkt_reports: list[KKTReport] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    rest_steps: int = 0
 
     @property
     def n_steps(self) -> int:
@@ -188,7 +192,20 @@ class Trajectory:
 
     @property
     def inner_iterations(self) -> np.ndarray:
-        return np.array([r.inner_iterations for r in self.kkt_reports], dtype=int)
+        return self.report_column("inner_iterations", int)
+
+    @property
+    def distinct_reports(self) -> list[KKTReport]:
+        """Each report once: the moving steps', then the rest report."""
+        return self.kkt_reports[:len(self.kkt_reports) - self.rest_steps + 1]
+
+    def report_column(self, name: str, dtype=float) -> np.ndarray:
+        """The KKTReport field `name` per step: the distinct reports'
+        values, the rest report's repeated over its block by np.full."""
+        values = np.array([getattr(r, name) for r in self.distinct_reports], dtype)
+        if not self.rest_steps:
+            return values
+        return np.concatenate([values, np.full(self.rest_steps - 1, values[-1])])
 
 
 # ---------------------------------------------------------------------------
@@ -563,23 +580,21 @@ def _mm_step_raw(f: np.ndarray, psi: np.ndarray, h: float, cfg: FlowConfig,
 def _vi_split(v, psi, r, gap_tol: float):
     """The variational inequality's certificate split of the residual r at
     v over psi: (max |r| over inactive interior nodes, min r over active
-    interior nodes, the active indices, read-only). An interior node is
+    interior nodes, the number of active nodes). An interior node is
     active when its gap v - psi is at most gap_tol; the pinned ends are
     never active. r must end in +0.0, as the residuals of both reports do,
     so the ends add nothing to the max. No inactive node gives 0, no
     active node inf."""
     act = v - psi <= gap_tol
     act[0] = act[-1] = False
-    inact = ~act
-    active_set = act.nonzero()[0]
-    active_set.setflags(write=False)
-    return (float(np.abs(r).max(where=inact, initial=0.0)),
-            float(r.min(where=act, initial=math.inf)), active_set)
+    return (float(np.abs(r).max(where=~act, initial=0.0)),
+            float(r.min(where=act, initial=math.inf)),
+            int(np.count_nonzero(act)))
 
 
 def _build_report(v, psi, cfg: FlowConfig, r, scale, nit,
                   natural_residual: float) -> KKTReport:
-    # the split is (stationarity_residual, multiplier_min, active_set)
+    # the split is (stationarity_residual, multiplier_min, active_count)
     return KKTReport(*_vi_split(v, psi, r, 10.0 * cfg.inner_tol * scale),
                      scale=scale, natural_residual=natural_residual,
                      inner_iterations=nit)
@@ -652,10 +667,10 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
     (with a stall rate set, up to where the streak would stop the run),
     each with that iterate, that report, step norm 0 and the input's
     energy, contact count and symmetry residual: the iterate and report
-    lists repeat the two objects, and each diagnostic array ends in one
-    `np.full` of its rest value. A StepConvergenceError
-    leaves tagged with `step_index`, its `partial` iterate kept and the
-    solver frames it passed through cleared.
+    lists repeat the two objects, each diagnostic array ends in one
+    `np.full` of its rest value, and `rest_steps` is the block's length.
+    A StepConvergenceError leaves tagged with `step_index`, its `partial`
+    iterate kept and the solver frames it passed through cleared.
     """
     _check_admissible(u0, obstacle, "initial datum")
     grid = u0.grid
@@ -740,7 +755,8 @@ def run_flow(u0: GridFunction, obstacle: Obstacle, cfg: FlowConfig,
         step_norms=column(step_norms[1:], 0.0),
         coincidence_counts=column(counts, rest[3], int),
         symmetry_residuals=column(sym, rest[4]),
-        kkt_reports=[*reports[1:], *repeat(rest[5], left)], warnings=warnings)
+        kkt_reports=[*reports[1:], *repeat(rest[5], left)], warnings=warnings,
+        rest_steps=left)
 
 
 # ---------------------------------------------------------------------------

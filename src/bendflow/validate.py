@@ -177,8 +177,9 @@ def check_flow_inequalities(traj: fl.Trajectory) -> CheckResult:
     stan_worst = float(np.max(traj.step_norms**2 / (2.0 * traj.tau)
                               - (en[:-1] - en[1:])))
     diss = fl.dissipation_report(traj, slack_per_step=slack)
-    kkt_stat = max(r.stationarity_residual / r.scale for r in traj.kkt_reports)
-    kkt_mult = min(r.multiplier_min / r.scale for r in traj.kkt_reports)
+    reports = traj.distinct_reports
+    kkt_stat = max(r.stationarity_residual / r.scale for r in reports)
+    kkt_mult = min(r.multiplier_min / r.scale for r in reports)
     passed = (mono <= slack and stan_worst <= slack and diss.holds
               and diss.udot_bound_holds
               and kkt_stat <= CONE_INNER_TOL and kkt_mult >= -CONE_INNER_TOL)

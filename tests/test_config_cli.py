@@ -263,6 +263,18 @@ def test_cli_critical_of_a_tiny_cone(tmp_path, capsys):
         assert 0.0 <= payload["residuals"]["ode_residual"] <= 1e-6 * height
 
 
+@pytest.mark.parametrize("height", ["0", "-1"])
+def test_cli_critical_of_a_height_that_is_not_positive(tmp_path, capsys, height):
+    """A height that is not positive is refused by h_inv, with its message
+    and exit 2, not as a height below the lowest served."""
+    out = tmp_path / "out"
+    assert main(["critical", "--height", height, "--n", "16",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: h_inv: height must be positive, got {float(height)}\n")
+    assert not (out / "critical_profile.csv").exists()
+
+
 def test_cli_rearrange(tmp_path, capsys):
     grid = UniformGrid(32)
     gf = GridFunction(grid, grid.nodes * (1 - grid.nodes))

@@ -66,7 +66,7 @@ def test_mm_step_trivial_at_zero():
     assert np.array_equal(u.values, np.zeros(grid.n + 1))
     assert report.natural_residual == 0.0
     assert report.stationarity_residual == 0.0
-    assert report.active_set.size == 0
+    assert report.active_count == 0
 
 
 def test_mm_step_unconstrained_implicit_euler():
@@ -76,7 +76,7 @@ def test_mm_step_unconstrained_implicit_euler():
     cfg = FlowConfig(tau=1e-4, t_end=1e-4)
     u, report = mm_step(f, obstacle, cfg)
     # no contact: the step solves the implicit Euler equation of -grad E
-    assert report.active_set.size == 0
+    assert report.active_count == 0
     resid = (u.values - f.values) / cfg.tau + energy_gradient(u).values
     assert float(np.max(np.abs(resid[1:-1]))) <= cfg.inner_tol * report.scale
 
@@ -876,7 +876,9 @@ def test_run_at_rest_is_recorded_as_step_by_step(cone_run, start, stall):
     iterates, energies, step norms, contact counts, symmetry residuals and
     every KKTReport field. It calls mm_step once per moving step and once
     at the first step at rest, and records that step's iterate and report
-    objects on every later step.
+    objects on every later step. `rest_steps` counts those steps,
+    `distinct_reports` lists each report object once, and each report
+    column equals the reports' own values.
 
     "streak k" is the energy rate of the cone run's step k + 1 before its
     first step at rest. A rate is slow when below the stall rate, so that
@@ -898,8 +900,15 @@ def test_run_at_rest_is_recorded_as_step_by_step(cone_run, start, stall):
     assert _record(traj.iterates, traj.energies, traj.step_norms,
                    traj.coincidence_counts, traj.symmetry_residuals,
                    traj.kkt_reports) == want
+    for name, value in vars(traj.kkt_reports[0]).items():
+        per_step = [getattr(r, name) for r in traj.kkt_reports]
+        assert (traj.report_column(name, type(value)).tobytes()
+                == np.array(per_step, type(value)).tobytes()), name
     it = traj.iterates
     rests = [k for k in range(traj.n_steps) if it[k + 1] is it[k]]
+    assert traj.rest_steps == (traj.n_steps - rests[0] if rests else 0)
+    assert ([id(r) for r in traj.distinct_reports]
+            == list(dict.fromkeys(map(id, traj.kkt_reports))))
     if not rests:  # three slow steps before the flow came to rest
         assert stepped.call_count == traj.n_steps == 3
         assert start == "moving" and stall == 1e9
@@ -1066,25 +1075,19 @@ def test_phi_change_matches_a_40_digit_oracle(n, seed, log_step, log_tau,
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def test_kkt_active_set_is_read_only(cone_run):
-    traj, _, _, _ = cone_run
-    active = traj.kkt_reports[-1].active_set
-    assert active.size > 0
-    with pytest.raises(ValueError):
-        active[0] = 0
-
-
-# Traced allocation peak of the run below when each kernel formed its own
-# powers of 1 + u'^2 (numpy 2.4, Python 3.11): 75.8 arrays of N + 1 floats.
-_FINE_RUN_PEAK = 1_941_559
+# Traced allocation peak of the run below once its KKT reports held an
+# active count in place of an index array (numpy 2.4, Python 3.11): 53.7
+# arrays of N + 1 floats. With the index arrays it read 1,864,823 B.
+_FINE_RUN_PEAK = 1_374_559
 
 
 def test_fine_run_holds_no_more_arrays_for_its_powers():
     """The traced allocation peak of one N = 3200, tau = 1e-5, 20-step
-    run_flow stays within 1.05 times what it was when no point kept its
-    powers: each point holds two more arrays, and the step frees its
-    Newton system before the line search. Measured after a first run, so
-    the caches of the grid's weights and stencil products are warm."""
+    run_flow stays within 1.05 times its measure: each point holds its
+    powers of 1 + u'^2, the step frees its Newton system before the line
+    search, and no report holds an array. What the run retains is its
+    iterates, to 5%. Measured after a first run, so the caches of the
+    grid's weights and stencil products are warm."""
     grid = UniformGrid(3200)
     u0, obstacle = u_c_profile(0.5, grid), cone_obstacle(0.02, grid)
     cfg = FlowConfig(tau=1e-5, t_end=20e-5)
@@ -1092,11 +1095,13 @@ def test_fine_run_holds_no_more_arrays_for_its_powers():
     tracemalloc.start()
     try:
         traj = run_flow(u0, obstacle, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert traj.n_steps == 20 and traj.inner_iterations.sum() > 0
     assert peak <= 1.05 * _FINE_RUN_PEAK, peak
+    moved_to = traj.n_steps - traj.rest_steps
+    assert retained <= 1.05 * moved_to * u0.values.nbytes, retained
 
 
 def test_failed_run_releases_solver_frames():
