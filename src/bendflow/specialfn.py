@@ -32,10 +32,10 @@ fixed at import, and once x > 1/2 the connection formula (Abramowitz and
 Stegun 15.3.6) turns them into series in w = 1 - x (see `h_of_A`).
 h_of_A and h_inv both use that route. Nothing here imports scipy but
 `quad`, on its first call. The module's own `hyp2f1` is a plain Gauss
-series on [0, 1), summed term by term. It computes nothing on the run
-paths: validate's criterion 8 keeps it as the right side of the Pfaff
-identity, whose left side is an independent quadrature of Euler's
-integral.
+series on [0, 1), summed for a whole array of x at once with the bits of
+a term-by-term sum. It computes nothing on the run paths: validate's
+criterion 8 keeps it as the right side of the Pfaff identity, whose left
+side is an independent quadrature of Euler's integral.
 """
 
 from __future__ import annotations
@@ -205,37 +205,77 @@ def _g_inv_tail(y: np.ndarray) -> np.ndarray:
 
 _SERIES_TOL = 1e-14  # 2F1 sum ends after two terms below this share of it
 _SERIES_MAX_TERMS = 50000  # ConvergenceError beyond this many terms
+_SERIES_CHUNK = 4096  # terms times unfinished series summed per chunk
 
 
-def hyp2f1(a: float, b: float, c: float, x: float) -> float:
+def hyp2f1(a: float, b: float, c: float, x):
     """Gauss hypergeometric series sum_n (a)_n (b)_n / ((c)_n n!) x^n on
-    [0, 1), summed term by term.
+    [0, 1), at a float x or elementwise on an array of x.
 
     Validate's criterion 8 keeps it as the right side of the Pfaff
-    identity, against an independent quadrature of Euler's integral. The
+    identity, against an independent quadrature of Euler's integral. Each
     sum ends at the second of two consecutive terms below _SERIES_TOL of
     the partial sum; a series still going after _SERIES_MAX_TERMS terms is
-    a ConvergenceError. A nonpositive integer c, or x outside [0, 1), is a
-    DomainError.
+    a ConvergenceError naming the first such x. A nonpositive integer c,
+    or an x outside [0, 1), is a DomainError naming the first such x. A
+    float or 0-d x gives a Python float, any other x an array of its
+    shape.
+
+    All series run together, one chunk of terms at a time: the chunk's
+    term ratios (a + n)(b + n)/((c + n)(n + 1)) x form one table, one row
+    per unfinished series, `np.multiply.accumulate` turns each row into
+    its terms and `np.add.accumulate` into its partial sums. Both
+    accumulate from the left, one element at a time, with the operands
+    and the order of operations of a scalar loop
+    `term *= ratio; s += term`, so every element has the bits of its
+    series summed term by term. Finished series leave the table, and a
+    chunk runs _SERIES_CHUNK // (unfinished series) terms, so each float
+    table of a chunk holds about _SERIES_CHUNK floats (32 KB) however many
+    x there are. Terms past a series' end are computed and discarded;
+    their overflow warns of nothing.
     """
     if c <= 0 and float(c).is_integer():
         raise DomainError(f"hyp2f1: parameter c={c} is a nonpositive integer")
-    x = float(x)
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"hyp2f1: argument x={x} outside [0, 1)")
-    s = term = 1.0
-    small_before = False  # the latest term was below tolerance
-    for n in range(_SERIES_MAX_TERMS):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * x
-        s += term
-        small = abs(term) <= _SERIES_TOL * abs(s)
-        if small and small_before:
-            return s
-        small_before = small
-    raise ConvergenceError(
-        f"hyp2f1: series at x={x} not below tol {_SERIES_TOL} "
-        f"within {_SERIES_MAX_TERMS} terms"
-    )
+    xs = np.asarray(x, dtype=float)
+    outside = ~((xs >= 0.0) & (xs < 1.0))
+    if outside.any():
+        raise DomainError(
+            f"hyp2f1: argument x={float(xs[outside][0])} outside [0, 1)")
+    out = np.empty(xs.shape)
+    rows, x_left = np.arange(xs.size), xs.ravel()  # unfinished series
+    s, term = np.ones(xs.size), np.ones(xs.size)
+    small_before = np.zeros(xs.size, dtype=bool)  # last term below tol
+    n = 0
+    with np.errstate(all="ignore"):
+        while rows.size and n < _SERIES_MAX_TERMS:
+            k = min(max(1, _SERIES_CHUNK // rows.size), _SERIES_MAX_TERMS - n)
+            ns = np.arange(n, n + k, dtype=float)
+            ratios = (a + ns) * (b + ns) / ((c + ns) * (ns + 1.0))
+            terms = ratios * x_left[:, None]
+            terms[:, 0] *= term
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            sums = terms.copy()
+            sums[:, 0] += s
+            np.add.accumulate(sums, axis=1, out=sums)
+            small = np.abs(terms) <= _SERIES_TOL * np.abs(sums)
+            stop = small.copy()  # this term and the one before below tol
+            stop[:, 1:] &= small[:, :-1]
+            stop[:, 0] &= small_before
+            done = stop.any(axis=1)
+            if done.any():
+                hit = np.flatnonzero(done)
+                out.flat[rows[hit]] = sums[hit, stop[hit].argmax(axis=1)]
+                left = ~done
+                rows, x_left = rows[left], x_left[left]
+                terms, sums, small = terms[left], sums[left], small[left]
+            s, term, small_before = sums[:, -1], terms[:, -1], small[:, -1]
+            n += k
+    if rows.size:
+        raise ConvergenceError(
+            f"hyp2f1: series at x={float(x_left[0])} not below tol "
+            f"{_SERIES_TOL} within {_SERIES_MAX_TERMS} terms"
+        )
+    return float(out) if xs.ndim == 0 else out
 
 
 def quad(*args, **kwargs):

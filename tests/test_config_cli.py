@@ -806,8 +806,8 @@ def test_cli_paths_load_no_scipy_package(tmp_path):
     scipy.linalg, whose imports take about 0.3 s that every run would
     pay. The one scipy module in the process is the compiled LAPACK
     wrapper scipy.linalg._flapack, which flow loads by its file for
-    dpbsv. Run in a fresh interpreter, since the test suite itself
-    imports scipy."""
+    dpbtrf and dpbtrs. Run in a fresh interpreter, since the test suite
+    itself imports scipy."""
     cfg = write_cfg(tmp_path, {**MINIMAL, "grid_n": 64, "outputs": {
         "snapshots": [0.005], "trajectory_csv": "trajectory.csv"}})
     env = _env_with_src()

@@ -1,4 +1,6 @@
 import math
+import re
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -22,11 +24,13 @@ from bendflow import (
     u_c_profile,
     u_c_value,
 )
+from bendflow import specialfn
 from bendflow.cli import main
 from bendflow.critical import _parametric_table
 from bendflow.specialfn import _H_ABS_ERR, _SERIES_MAX_TERMS, _SERIES_TOL
 from bendflow.validate import (C0_REF, C0_SQ4_REF, E_PARABOLA_REF,
-                               G23_SQ_REF)
+                               G23_SQ_REF, _gauss_jacobi,
+                               check_hypergeometric)
 
 from conftest import simpson_adaptive
 
@@ -284,14 +288,17 @@ def test_hyp2f1_pfaff_against_scipy():
 @pytest.mark.parametrize("c", [0.75, 1.75])
 def test_hyp2f1_against_40_digits_on_criterion_8_arguments(c):
     """The series at criterion 8's parameters (1, 1/4; c) and arguments
-    x = a^2/(1+a^2), a in [0.1, 5], within 5e-13 relative of 40-digit
-    values at the same float x; the worst is near a = 5."""
+    x = a^2/(1+a^2), a in [0.1, 5], summed by one array call as the
+    criterion does, within 5e-13 relative of 40-digit values at the same
+    float x; the worst is near a = 5."""
+    a = np.linspace(0.1, 5.0, 400)
+    xs = a * a / (1.0 + a * a)
+    got = hyp2f1(1.0, 0.25, c, xs)
     worst = 0.0
     with mpmath.workdps(40):
-        for a in np.linspace(0.1, 5.0, 400):
-            x = a * a / (1.0 + a * a)
+        for x, val in zip(xs, got):
             ref = mpmath.hyp2f1(1, 0.25, c, mpmath.mpf(x))
-            worst = max(worst, float(abs(hyp2f1(1.0, 0.25, c, x) - ref) / ref))
+            worst = max(worst, float(abs(val - ref) / ref))
     assert worst < 5e-13
 
 
@@ -341,12 +348,83 @@ def _outcome(fn, a, b, c, x):
 @example(a=1.0, b=0.25, c=1.75, x=900.0 / 901.0)  # H(30), numerator
 @example(a=1.0, b=1.0, c=2.0, x=0.9999)  # out of terms
 @example(a=1.0, b=1.0, c=2.0, x=-1e300)  # outside [0, 1)
+@example(a=1.0, b=1.0, c=5e-324, x=0.5)  # the first ratio overflows to inf
 def test_hyp2f1_bits_match_term_by_term_sum(a, b, c, x):
     """hyp2f1 gives the bits, and the errors, of the series summed one
-    term at a time with a count of small terms."""
+    term at a time with a count of small terms, and warns of nothing
+    where that sum is silent (filterwarnings = error)."""
     assume(not (c <= 0 and c == int(c)))
     assert _outcome(hyp2f1, a, b, c, x) == _outcome(_hyp2f1_term_by_term,
                                                     a, b, c, x)
+
+
+_SERIES_ARGS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.just(0.0),
+    st.floats(0.0, 1e-3),  # ends after a few terms
+    st.floats(0.95, 0.97),  # about 700 terms near 25/26
+    st.just(25.0 / 26.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(-5.0, 5.0), b=st.floats(-5.0, 5.0), c=st.floats(-5.0, 5.0),
+       xs=st.lists(_SERIES_ARGS, max_size=12).flatmap(
+           lambda xs: st.permutations(xs + xs[: len(xs) // 2])),
+       strays=st.lists(st.sampled_from([1.0, 1.5, -0.5, math.nan, 0.9999]),
+                       max_size=2),
+       chunk=st.sampled_from([7, 64, specialfn._SERIES_CHUNK]))
+@example(a=1.0, b=0.25, c=0.75, xs=[0.5, 25.0 / 26.0, 0.5, 0.0], strays=[],
+         chunk=specialfn._SERIES_CHUNK)
+@example(a=1.0, b=1.0, c=2.0, xs=[0.5, 0.25], strays=[0.9999],
+         chunk=specialfn._SERIES_CHUNK)  # out of terms
+@example(a=1.0, b=1.0, c=2.0, xs=[0.5, 0.25], strays=[1.5, -0.5],
+         chunk=specialfn._SERIES_CHUNK)  # outside [0, 1)
+@example(a=1.0, b=1.0, c=2.0, xs=[], strays=[], chunk=specialfn._SERIES_CHUNK)
+def test_hyp2f1_array_bits_match_term_by_term_sum(a, b, c, xs, strays, chunk):
+    """On a list of x, hyp2f1 gives every element the bits of the series
+    at that x alone summed one term at a time, for chunks of any size; an
+    x outside [0, 1) is a DomainError naming the first such x, and an x
+    that runs out of terms a ConvergenceError. A float or 0-d x gives a
+    Python float."""
+    assume(not (c <= 0 and c == int(c)))
+    xs = xs[: len(xs) // 2] + strays[:1] + xs[len(xs) // 2:] + strays[1:]
+    want = [_outcome(_hyp2f1_term_by_term, a, b, c, x) for x in xs]
+    outside = [x for x, w in zip(xs, want) if w is DomainError]
+    with mock.patch.object(specialfn, "_SERIES_CHUNK", chunk):
+        if outside:
+            with pytest.raises(DomainError,
+                               match=re.escape(f"x={outside[0]} outside")):
+                hyp2f1(a, b, c, xs)
+        elif ConvergenceError in want:
+            with pytest.raises(ConvergenceError):
+                hyp2f1(a, b, c, xs)
+        else:
+            got = hyp2f1(a, b, c, xs)
+            assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+            assert [v.tobytes() for v in got] == want
+            for x in xs[:1]:
+                assert type(hyp2f1(a, b, c, x)) is float
+                assert type(hyp2f1(a, b, c, np.array(x))) is float
+
+
+def test_criterion_8_reports_the_term_by_term_pfaff_error():
+    """Criterion 8's pfaff_max_error, bit for bit, is the worst gap between
+    its Gauss-Jacobi left side and the series summed one term at a time
+    per slope, and the criterion passes."""
+    a_vals = np.linspace(0.1, 5.0, 50)
+    worst = 0.0
+    for b, c in ((0.5, 0.75), (1.5, 1.75)):
+        nodes, weights = _gauss_jacobi(60, b - 1.0, c - b - 1.0)
+        lhs = (weights / (1.0 + np.multiply.outer(a_vals**2, nodes))).sum(axis=1)
+        for a, left in zip(a_vals, lhs):
+            x = a * a / (1.0 + a * a)
+            rhs = (1.0 / (1.0 + a * a)) * _hyp2f1_term_by_term(1.0, c - b, c, x)
+            worst = max(worst, abs(float(left) - rhs))
+    res = check_hypergeometric()
+    assert res.passed
+    assert (np.float64(res.measured["pfaff_max_error"]).tobytes()
+            == np.float64(worst).tobytes())
 
 
 def test_h_of_a_zero_and_small_slope():
